@@ -206,8 +206,8 @@ def run_ccpp_em3d(
     def program(ctx: CCContext) -> Generator[Any, Any, None]:
         me = ctx.my_node
         mem = rt.object_table(me).get(1).values
-        for n in graph.nodes:
-            if n.proc == me:
+        for e_nodes in (True, False):
+            for n in graph.local_nodes(me, e_nodes=e_nodes):
                 _, off = graph.value_slot(n.gid)
                 mem[off] = graph.initial[n.gid]
         yield from CCBarrier.wait(ctx, barrier)

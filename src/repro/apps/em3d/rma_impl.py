@@ -135,8 +135,8 @@ def run_rma_em3d(
         w = yield from win.register(GHOST, max(1, layout.ghost_region_size(me)))
         ghost = w.array
         mem = proc.local(VAL)
-        for n in graph.nodes:
-            if n.proc == me:
+        for e_nodes in (True, False):
+            for n in graph.local_nodes(me, e_nodes=e_nodes):
                 _, off = graph.value_slot(n.gid)
                 mem[off] = graph.initial[n.gid]
         yield from proc.barrier()

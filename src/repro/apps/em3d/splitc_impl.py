@@ -207,8 +207,8 @@ def run_splitc_em3d(
 
     def program(proc: SCProcess) -> Generator[Any, Any, None]:
         mem = proc.local(VAL)
-        for n in graph.nodes:
-            if n.proc == proc.my_node:
+        for e_nodes in (True, False):
+            for n in graph.local_nodes(proc.my_node, e_nodes=e_nodes):
                 _, off = graph.value_slot(n.gid)
                 mem[off] = graph.initial[n.gid]
         yield from proc.barrier()

@@ -4,8 +4,9 @@ A :class:`LogHistogram` keeps a fixed array of 64 power-of-two buckets:
 bucket 0 holds ``[0, 1)``, bucket ``b`` holds ``[2^(b-1), 2^b)``, and the
 last bucket is the overflow (anything from ``2^62`` up, including
 ``inf``).  :meth:`LogHistogram.record` touches only preallocated state —
-no allocation, no hashing — so the simulator's per-message and
-per-dispatch paths can sample without disturbing wall-clock benchmarks.
+no allocation, no hashing — about 0.2 µs a sample, cheap enough for the
+simulator's per-message and per-dispatch paths (docs/architecture.md,
+"Stand-down", has the measured cost of a fully observed run).
 
 Quantiles come from a cumulative walk with linear interpolation inside
 the landing bucket, clamped to the observed ``[min, max]`` — coarse (a
@@ -44,17 +45,19 @@ class LogHistogram:
 
     def record(self, value: float) -> None:
         """Add one sample.  Allocation-free; rejects negatives and NaN."""
-        if not value >= 0.0:
-            raise ValueError(f"histogram {self.name!r}: cannot record {value}")
         if value < 1.0:
+            if not value >= 0.0:
+                raise ValueError(f"histogram {self.name!r}: cannot record {value}")
             b = 0
-        elif value == inf:
-            b = _LAST
         else:
             # frexp(v)[1] is ceil(log2(v)) for v in (2^(k-1), 2^k] shifted
             # by the mantissa convention: exactly the bucket index we want
             b = frexp(value)[1]
-            if b > _LAST:
+            if not 0 < b < _LAST:
+                # the overflow bucket, or exponent 0: inf, or NaN (which
+                # fails `< 1.0` and so arrives here)
+                if value != value:
+                    raise ValueError(f"histogram {self.name!r}: cannot record {value}")
                 b = _LAST
         self.counts[b] += 1
         self.count += 1

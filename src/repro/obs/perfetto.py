@@ -17,12 +17,24 @@ load directly:
   track to the delivering node's — the network traffic made visible.
 
 Virtual microseconds map 1:1 onto the format's ``ts`` microseconds.
+
+The schema is spelled twice on purpose: :func:`chrome_trace_events` builds
+it as dicts for callers that inspect events, :func:`write_chrome_trace`
+emits the same events straight as JSON text, because a trace is tens of
+thousands of events and the export is what a user waits for.  The text
+is exactly what ``json.dumps(..., separators=(",", ":"))`` writes for
+the dicts; ``tests/properties/test_prop_perfetto.py`` holds the two
+to that.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+from collections.abc import Iterator
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
 from typing import Any
 
@@ -31,35 +43,97 @@ __all__ = ["chrome_trace_events", "write_chrome_trace"]
 #: packet id embedded in Packet.describe() output ("am.short#17 0->1 ...")
 _PID_RE = re.compile(r"#(\d+)\b")
 
+#: events joined into one ``write`` call (bounds the exporter's memory)
+_CHUNK_EVENTS = 4096
 
-def _span_events(spans: list) -> list[dict[str, Any]]:
-    """Async nestable b/e pairs; id = the root ancestor's sid."""
-    root_cache: dict[int, int] = {}
-    n = len(spans)
 
-    def root_of(sid: int) -> int:
-        path = []
-        r = sid
-        while True:
-            cached = root_cache.get(r)
-            if cached is not None:
-                r = cached
-                break
-            parent = spans[r].parent
-            if parent < 0 or parent >= n:
-                break
-            path.append(r)
-            r = parent
-        for p in path:
-            root_cache[p] = r
-        root_cache[sid] = r
-        return r
+def _num(x: Any) -> str:
+    """A timestamp or id as ``json.dumps`` spells it: ``float.__repr__``
+    for a finite float, the encoder's own text for anything else."""
+    if isinstance(x, float) and x - x == 0.0:
+        return float.__repr__(x)
+    return json.dumps(x)
 
+
+def _captured(tracer: Any) -> tuple[list, list, list[int]]:
+    """``(records, spans, node ids ascending)`` of whatever ``tracer`` holds."""
+    records = list(getattr(tracer, "records", ()))
+    spans = list(getattr(tracer, "spans", ()))
+    nodes = {r.node for r in records}
+    nodes.update(s.node for s in spans)
+    return records, spans, sorted(nodes)
+
+
+def _root_ids(spans: list) -> list[int]:
+    """Each span's root ancestor, in one forward sweep: a parent's sid
+    always precedes its children's, so its root is already known.  A
+    parent link pointing anywhere else makes the span its own root."""
+    roots: list[int] = []
+    for sid, s in enumerate(spans):
+        parent = s.parent
+        roots.append(roots[parent] if 0 <= parent < sid else sid)
+    return roots
+
+
+def _flow_ids(records: list) -> list[int | None]:
+    """Per record, the packet id its flow arrow carries, or None.
+
+    A send and its deliver share the packet id embedded in
+    Packet.describe(); only ids seen on BOTH ends get an arrow (dropped
+    packets have no deliver, acks consumed by the sublayer likewise, and
+    a bounded recorder may have evicted the send).
+    """
+    search = _PID_RE.search
+    fids: list[int | None] = []
+    sent: set[int] = set()
+    delivered: set[int] = set()
+    for r in records:
+        kind = r.kind
+        fid = None
+        if kind == "send" or kind == "deliver":
+            m = search(r.detail)
+            if m:
+                fid = int(m.group(1))
+                (sent if kind == "send" else delivered).add(fid)
+        fids.append(fid)
+    linked = sent & delivered
+    return [fid if fid in linked else None for fid in fids]
+
+
+def _other_data(tracer: Any) -> dict[str, Any]:
+    """The file's ``otherData``.  Truncation is never silent: a recorder
+    that evicted records or refused spans says so here (and only then, so
+    a complete trace's file does not change)."""
+    other: dict[str, Any] = {"clock": "virtual microseconds"}
+    for key, attr in (("evicted_records", "evicted"), ("dropped_spans", "dropped_spans")):
+        lost = getattr(tracer, attr, 0)
+        if lost:
+            other[key] = lost
+    return other
+
+
+def chrome_trace_events(tracer: Any) -> list[dict[str, Any]]:
+    """The ``traceEvents`` list for ``tracer``'s captured run.
+
+    Accepts any tracer exposing ``records`` (and optionally ``spans``);
+    returns plain dicts ready for :func:`json.dump` — the same events, in
+    the same order, that :func:`write_chrome_trace` puts in the file.
+    """
+    records, spans, nodes = _captured(tracer)
     events: list[dict[str, Any]] = []
-    for s in spans:
+    for nid in nodes:
+        events.append({
+            "name": "process_name", "ph": "M", "pid": nid, "tid": 0,
+            "args": {"name": f"node {nid}"},
+        })
+        events.append({
+            "name": "thread_name", "ph": "M", "pid": nid, "tid": 0,
+            "args": {"name": "machine events"},
+        })
+
+    for s, rid in zip(spans, _root_ids(spans)):
         if s.end < 0.0:
             continue  # open span: the run stopped (or errored) inside it
-        rid = root_of(s.sid)
         begin: dict[str, Any] = {
             "name": s.name, "cat": "span", "ph": "b",
             "id": rid, "pid": s.node, "tid": 0, "ts": s.start,
@@ -71,45 +145,8 @@ def _span_events(spans: list) -> list[dict[str, Any]]:
             "name": s.name, "cat": "span", "ph": "e",
             "id": rid, "pid": s.node, "tid": 0, "ts": s.end,
         })
-    return events
 
-
-def chrome_trace_events(tracer: Any) -> list[dict[str, Any]]:
-    """The ``traceEvents`` list for ``tracer``'s captured run.
-
-    Accepts any tracer exposing ``records`` (and optionally ``spans``);
-    returns plain dicts ready for :func:`json.dump`.
-    """
-    records = list(getattr(tracer, "records", ()))
-    spans = list(getattr(tracer, "spans", ()))
-
-    nodes = {r.node for r in records} | {s.node for s in spans}
-    events: list[dict[str, Any]] = []
-    for nid in sorted(nodes):
-        events.append({
-            "name": "process_name", "ph": "M", "pid": nid, "tid": 0,
-            "args": {"name": f"node {nid}"},
-        })
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": nid, "tid": 0,
-            "args": {"name": "machine events"},
-        })
-
-    events.extend(_span_events(spans))
-
-    # Flow linking: a send and its deliver share the packet id embedded in
-    # Packet.describe(); only pids seen on BOTH ends get an arrow (dropped
-    # packets have no deliver, acks consumed by the sublayer likewise).
-    sent: dict[int, bool] = {}
-    delivered: dict[int, bool] = {}
-    for r in records:
-        if r.kind in ("send", "deliver"):
-            m = _PID_RE.search(r.detail)
-            if m:
-                (sent if r.kind == "send" else delivered)[int(m.group(1))] = True
-    linked = sent.keys() & delivered.keys()
-
-    for r in records:
+    for r, fid in zip(records, _flow_ids(records)):
         instant: dict[str, Any] = {
             "name": r.kind, "ph": "i", "s": "t",
             "pid": r.node, "tid": 0, "ts": r.time,
@@ -117,31 +154,75 @@ def chrome_trace_events(tracer: Any) -> list[dict[str, Any]]:
         if r.detail:
             instant["args"] = {"detail": r.detail}
         events.append(instant)
-        if r.kind in ("send", "deliver"):
-            m = _PID_RE.search(r.detail)
-            if m and (fid := int(m.group(1))) in linked:
-                flow: dict[str, Any] = {
-                    "name": "msg", "cat": "flow",
-                    "ph": "s" if r.kind == "send" else "f",
-                    "id": fid, "pid": r.node, "tid": 0, "ts": r.time,
-                }
-                if r.kind == "deliver":
-                    flow["bp"] = "e"
-                events.append(flow)
+        if fid is not None:
+            flow: dict[str, Any] = {
+                "name": "msg", "cat": "flow",
+                "ph": "s" if r.kind == "send" else "f",
+                "id": fid, "pid": r.node, "tid": 0, "ts": r.time,
+            }
+            if r.kind == "deliver":
+                flow["bp"] = "e"
+            events.append(flow)
     return events
+
+
+def _event_texts(tracer: Any) -> Iterator[str]:
+    """The JSON text of each event of :func:`chrome_trace_events`, in
+    order, without building the events."""
+    records, spans, nodes = _captured(tracer)
+    pids = {nid: _num(nid) for nid in nodes}
+    for nid, pid in pids.items():
+        yield (f'{{"name":"process_name","ph":"M","pid":{pid},"tid":0,'
+               f'"args":{{"name":{_esc(f"node {nid}")}}}}}')
+        yield (f'{{"name":"thread_name","ph":"M","pid":{pid},"tid":0,'
+               '"args":{"name":"machine events"}}')
+
+    for s, rid in zip(spans, _root_ids(spans)):
+        end = s.end
+        if end < 0.0:
+            continue
+        head = f'{{"name":{_esc(s.name)},"cat":"span","ph":'
+        ids = f',"id":{rid},"pid":{pids[s.node]},"tid":0,"ts":'
+        detail = s.detail
+        args = f',"args":{{"detail":{_esc(detail)}}}}}' if detail else "}"
+        yield f'{head}"b"{ids}{_num(s.start)}{args}'
+        yield f'{head}"e"{ids}{_num(end)}}}'
+
+    for r, fid in zip(records, _flow_ids(records)):
+        tail = f',"pid":{pids[r.node]},"tid":0,"ts":{_num(r.time)}'
+        detail = r.detail
+        args = f',"args":{{"detail":{_esc(detail)}}}}}' if detail else "}"
+        yield f'{{"name":{_esc(r.kind)},"ph":"i","s":"t"{tail}{args}'
+        if fid is not None:
+            if r.kind == "send":
+                yield f'{{"name":"msg","cat":"flow","ph":"s","id":{fid}{tail}}}'
+            else:
+                yield f'{{"name":"msg","cat":"flow","ph":"f","id":{fid}{tail},"bp":"e"}}'
 
 
 def write_chrome_trace(tracer: Any, path: str | Path) -> Path:
     """Write ``tracer``'s run as a Chrome trace-event JSON file; returns
-    the path written.  Open it at https://ui.perfetto.dev."""
+    the path written.  Open it at https://ui.perfetto.dev.
+
+    One streaming pass in bounded chunks, published with an atomic
+    rename: an interrupt or a full disk leaves the previous file at
+    ``path`` (or none), never a truncated one.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "traceEvents": chrome_trace_events(tracer),
-        "displayTimeUnit": "ms",
-        "otherData": {"clock": "virtual microseconds"},
-    }
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write('{"traceEvents":[')
+            texts = _event_texts(tracer)
+            sep = ""
+            while chunk := ",".join(islice(texts, _CHUNK_EVENTS)):
+                fh.write(sep + chunk)
+                sep = ","
+            other = json.dumps(_other_data(tracer), separators=(",", ":"))
+            fh.write(f'],"displayTimeUnit":"ms","otherData":{other}}}\n')
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path

@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 __all__ = ["Tracer", "NullTracer", "RecordingTracer", "TraceRecord"]
 
+_tuple_new = tuple.__new__
+
 
 class TraceRecord(NamedTuple):
     """One traced machine event.
@@ -61,18 +63,24 @@ class RecordingTracer(Tracer):
     def __init__(self, *, maxlen: int = 100_000, kinds: set[str] | None = None):
         self.records: deque[TraceRecord] = deque(maxlen=maxlen)
         self.kinds = kinds
-        self._maxlen = maxlen
-        #: records the bounded deque pushed out (oldest-first eviction);
-        #: renderers surface this so truncation is never silent
-        self.evicted = 0
+        #: records accepted since the last clear(), retained or not
+        self.recorded = 0
+        self._append = self.records.append
+
+    @property
+    def evicted(self) -> int:
+        """Records the bounded deque pushed out (oldest-first eviction);
+        renderers surface this so truncation is never silent."""
+        maxlen = self.records.maxlen
+        return max(0, self.recorded - maxlen) if maxlen is not None else 0
 
     def record(self, time: float, node: int, kind: str, detail: str = "") -> None:
-        if self.kinds is not None and kind not in self.kinds:
+        kinds = self.kinds
+        if kinds is not None and kind not in kinds:
             return
-        records = self.records
-        if len(records) == self._maxlen:
-            self.evicted += 1
-        records.append(TraceRecord(time, node, kind, detail))
+        self.recorded += 1
+        # tuple.__new__ directly: skips the frame of the generated __new__
+        self._append(_tuple_new(TraceRecord, (time, node, kind, detail)))
 
     def of_kind(self, kind: str) -> list[TraceRecord]:
         """All retained records of one kind, oldest first."""
@@ -80,7 +88,7 @@ class RecordingTracer(Tracer):
 
     def clear(self) -> None:
         self.records.clear()
-        self.evicted = 0
+        self.recorded = 0
 
     def __len__(self) -> int:
         return len(self.records)

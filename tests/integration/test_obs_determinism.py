@@ -7,6 +7,10 @@ without full instrumentation and require *exactly* equal virtual-time
 results, then check the instruments actually captured data.
 """
 
+import hashlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps.em3d import Em3dGraph, Em3dParams, run_splitc_em3d
@@ -73,3 +77,18 @@ class TestSpanShape:
         # barrier spans carry their epoch
         epochs = {s.detail for s in tracer.of_name("sc.barrier")}
         assert any(d.startswith("epoch ") for d in epochs)
+
+
+def test_quick_trace_file_is_pinned(tmp_path):
+    """sha256 of the `obs_trace.run(quick=True)` Perfetto file, taken on
+    the commit before the exporter began writing JSON text itself: any
+    byte a rewrite moves shows here.  A fresh interpreter, because packet
+    ids (part of every send/deliver detail) count up process-wide."""
+    out = tmp_path / "quick.json"
+    subprocess.run(
+        [sys.executable, "-m", "repro.experiments.obs_trace", "--out", str(out)],
+        check=True, capture_output=True, timeout=120,
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0928e64307b955e80eb0a74c60ebdb797b3309dc8b1bdb4c03a17ebc931680cf"
+    )

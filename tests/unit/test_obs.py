@@ -2,6 +2,7 @@
 
 import json
 import math
+from math import frexp, inf
 
 import pytest
 
@@ -15,8 +16,9 @@ from repro.obs import (
     chrome_trace_events,
     write_chrome_trace,
 )
+from repro.obs import perfetto
 from repro.obs.metrics import N_BUCKETS
-from repro.sim.trace import NullTracer, RecordingTracer, Tracer
+from repro.sim.trace import NullTracer, RecordingTracer, Tracer, TraceRecord
 
 
 class TestHistogramBucketing:
@@ -138,6 +140,50 @@ class TestHistogramStats:
         assert rows == [(0.0, 1.0, 1), (2.0, 4.0, 1)]
 
 
+def _reference_record(h: LogHistogram, value: float) -> None:
+    """`LogHistogram.record` as first written (validate, then bucket with
+    an explicit inf test): the oracle the thinned method must equal."""
+    if not value >= 0.0:
+        raise ValueError(value)
+    if value < 1.0:
+        b = 0
+    elif value == inf:
+        b = N_BUCKETS - 1
+    else:
+        b = min(frexp(value)[1], N_BUCKETS - 1)
+    h.counts[b] += 1
+    h.count += 1
+    h.total += value
+    h.vmin = min(h.vmin, value)
+    h.vmax = max(h.vmax, value)
+
+
+class TestHistogramRecordMatchesReference:
+    EDGES = [
+        0.0, -0.0, 5e-324, 0.999, 1.0, 1.999, 2.0, 4.0, 1000.0,
+        2.0**61, 2.0**62 - 1024.0, 2.0**62, 2.0**62 * 1.5, 2.0**63, 2.0**100,
+        1.7976931348623157e308, inf,
+    ]
+
+    def test_buckets_and_stats_equal_on_edge_values(self):
+        got, want = LogHistogram(), LogHistogram()
+        for v in self.EDGES:
+            got.record(v)
+            _reference_record(want, v)
+            assert got.counts == want.counts, v
+            assert (got.count, got.total, got.vmin, got.vmax) == (
+                want.count, want.total, want.vmin, want.vmax), v
+
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, -inf, math.nan])
+    def test_rejects_what_the_reference_rejects(self, bad):
+        h = LogHistogram()
+        with pytest.raises(ValueError):
+            _reference_record(LogHistogram(), bad)
+        with pytest.raises(ValueError):
+            h.record(bad)
+        assert h.count == 0 and not any(h.counts)  # nothing half-recorded
+
+
 class TestMetricsRegistry:
     def test_histogram_memoized(self):
         m = Metrics()
@@ -208,10 +254,31 @@ class TestSpanRecorder:
         t = RecordingTracer(maxlen=2)
         for i in range(5):
             t.record(float(i), 0, "k", "")
+            assert t.evicted == max(0, i + 1 - 2)  # exact at and past the wrap
         assert t.evicted == 3
-        assert len(t.records) == 2
+        assert [r.time for r in t.records] == [3.0, 4.0]  # oldest went first
         t.clear()
         assert t.evicted == 0
+        t.record(9.0, 0, "k")
+        assert t.evicted == 0 and len(t.records) == 1  # the count restarts too
+
+    def test_kinds_filter_drops_before_counting(self):
+        t = RecordingTracer(maxlen=2, kinds={"send"})
+        for i in range(4):
+            t.record(float(i), 0, "poll", "noise")
+        assert len(t.records) == 0 and t.evicted == 0
+        for i in range(3):
+            t.record(float(i), 1, "send", f"pkt#{i}")
+        assert t.of_kind("send") == list(t.records)
+        assert [r.detail for r in t.records] == ["pkt#1", "pkt#2"]
+        assert t.evicted == 1
+
+    def test_records_are_trace_records(self):
+        t = RecordingTracer()
+        t.record(1.5, 2, "send")
+        (r,) = t.records
+        assert type(r) is TraceRecord
+        assert r == TraceRecord(time=1.5, node=2, kind="send", detail="")
 
 
 def _traced_am_run():
@@ -277,8 +344,50 @@ class TestPerfettoExport:
         assert not [e for e in events if e["ph"] in ("b", "e")]
 
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
-        path = write_chrome_trace(_traced_am_run(), tmp_path / "sub" / "t.json")
+        rec = _traced_am_run()
+        path = write_chrome_trace(rec, tmp_path / "sub" / "t.json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert isinstance(doc["traceEvents"], list)
+        # the file and the dict view are two spellings of one schema
+        assert doc["traceEvents"] == chrome_trace_events(rec)
         assert doc["displayTimeUnit"] == "ms"
         assert "clock" in doc["otherData"]
+
+    def test_empty_and_records_only_tracers_export(self, tmp_path):
+        empty = write_chrome_trace(NullTracer(), tmp_path / "empty.json")
+        assert empty.read_text(encoding="utf-8") == (
+            '{"traceEvents":[],"displayTimeUnit":"ms",'
+            '"otherData":{"clock":"virtual microseconds"}}\n'
+        )
+        t = RecordingTracer()  # no `spans` attribute
+        t.record(1.0, 0, "send", "am.short#1 0->1")
+        t.record(2.0, 1, "deliver", "am.short#1 0->1")
+        doc = json.loads(write_chrome_trace(t, tmp_path / "r.json").read_text())
+        assert [e["ph"] for e in doc["traceEvents"]] == ["M", "M", "M", "M", "i", "s", "i", "f"]
+
+    def test_truncation_is_reported_only_when_it_happened(self, tmp_path):
+        rec = SpanRecorder(maxlen=2, max_spans=1)
+        rec.record(0.0, 0, "k")
+        rec.end(rec.begin(0.0, 0, "kept"), 1.0)
+        clean = json.loads(write_chrome_trace(rec, tmp_path / "t.json").read_text())
+        assert clean["otherData"] == {"clock": "virtual microseconds"}
+        for i in range(4):
+            rec.record(float(i), 0, "k")
+        rec.begin(2.0, 0, "refused")
+        lossy = json.loads(write_chrome_trace(rec, tmp_path / "t.json").read_text())
+        assert lossy["otherData"] == {
+            "clock": "virtual microseconds", "evicted_records": 3, "dropped_spans": 1,
+        }
+
+    def test_failed_export_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = write_chrome_trace(_traced_am_run(), tmp_path / "t.json")
+        good = path.read_bytes()
+
+        def dies_midway(tracer):
+            yield '{"name":"half"}'
+            raise OSError("disk full")
+
+        monkeypatch.setattr(perfetto, "_event_texts", dies_midway)
+        with pytest.raises(OSError, match="disk full"):
+            write_chrome_trace(_traced_am_run(), path)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]  # temp removed
