@@ -434,8 +434,11 @@ def service_submit_roundtrip(stats_out: dict | None = None) -> int:
     """Submit -> stream -> result through the experiment daemon's unix
     socket with inline workers: three jobs for the same cheap artifact
     (one executes, two resolve from the result cache), so the number
-    prices the queue/protocol layer — JSONL framing, scheduling, event
-    fan-out, cache resolution — not the simulation."""
+    prices the queue/protocol layer — daemon start, JSONL framing,
+    scheduling, event fan-out, cache resolution, stop — not the
+    simulation.  (Until ``stop()`` learned to wake its listener this was
+    212 ms, all of it the accept thread sitting out its 0.2 s timeout;
+    the protocol's share is the ~9 ms left.)"""
     import tempfile
 
     from repro.experiments.cache import ResultCache

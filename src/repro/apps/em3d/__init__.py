@@ -14,21 +14,19 @@ Three versions per language (§5):
   single bulk transfer.
 """
 
-from repro.apps.em3d.ccpp_impl import run_ccpp_em3d
-from repro.apps.em3d.graph import Em3dGraph, Em3dParams
-from repro.apps.em3d.recovery import CheckpointStore, RecoveryResult, run_recovering_em3d
-from repro.apps.em3d.reference import reference_steps
-from repro.apps.em3d.rma_impl import run_rma_em3d
-from repro.apps.em3d.splitc_impl import run_splitc_em3d
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Em3dGraph",
-    "Em3dParams",
-    "reference_steps",
-    "run_splitc_em3d",
-    "run_ccpp_em3d",
-    "run_rma_em3d",
-    "run_recovering_em3d",
-    "RecoveryResult",
-    "CheckpointStore",
-]
+_EXPORTS = {
+    "Em3dGraph": "repro.apps.em3d.graph",
+    "Em3dParams": "repro.apps.em3d.graph",
+    "reference_steps": "repro.apps.em3d.reference",
+    "run_splitc_em3d": "repro.apps.em3d.splitc_impl",
+    "run_ccpp_em3d": "repro.apps.em3d.ccpp_impl",
+    "run_rma_em3d": "repro.apps.em3d.rma_impl",
+    "run_recovering_em3d": "repro.apps.em3d.recovery",
+    "RecoveryResult": "repro.apps.em3d.recovery",
+    "CheckpointStore": "repro.apps.em3d.recovery",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

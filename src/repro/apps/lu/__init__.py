@@ -12,17 +12,17 @@ panel blocks with split-phase bulk gets; ``cc-lu`` replaces both with
 RMIs returning blocks by value.
 """
 
-from repro.apps.lu.blocked import LuParams, LuWorkload, lu_nopivot
-from repro.apps.lu.ccpp_impl import run_ccpp_lu
-from repro.apps.lu.reference import check_factorization, reference_lu
-from repro.apps.lu.splitc_impl import run_splitc_lu
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LuParams",
-    "LuWorkload",
-    "lu_nopivot",
-    "reference_lu",
-    "check_factorization",
-    "run_splitc_lu",
-    "run_ccpp_lu",
-]
+_EXPORTS = {
+    "LuParams": "repro.apps.lu.blocked",
+    "LuWorkload": "repro.apps.lu.blocked",
+    "lu_nopivot": "repro.apps.lu.blocked",
+    "reference_lu": "repro.apps.lu.reference",
+    "check_factorization": "repro.apps.lu.reference",
+    "run_splitc_lu": "repro.apps.lu.splitc_impl",
+    "run_ccpp_lu": "repro.apps.lu.ccpp_impl",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

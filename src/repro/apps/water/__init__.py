@@ -15,15 +15,15 @@ Two versions per language (§5):
   reduction in remote accesses the paper reports).
 """
 
-from repro.apps.water.ccpp_impl import run_ccpp_water
-from repro.apps.water.reference import reference_water
-from repro.apps.water.splitc_impl import run_splitc_water
-from repro.apps.water.system import WaterParams, WaterSystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WaterParams",
-    "WaterSystem",
-    "reference_water",
-    "run_splitc_water",
-    "run_ccpp_water",
-]
+_EXPORTS = {
+    "WaterParams": "repro.apps.water.system",
+    "WaterSystem": "repro.apps.water.system",
+    "reference_water": "repro.apps.water.reference",
+    "run_splitc_water": "repro.apps.water.splitc_impl",
+    "run_ccpp_water": "repro.apps.water.ccpp_impl",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

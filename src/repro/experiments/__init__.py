@@ -27,14 +27,15 @@ to serial) and memoized by the content-addressed result cache in
 one from the command line; ``sweep`` runs parameter grids.
 """
 
-from repro.experiments import paper
-from repro.experiments.microbench import MicroRow
-from repro.experiments.registry import ExperimentParamError, ExperimentSpec, ParamSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "paper",
-    "MicroRow",
-    "ExperimentSpec",
-    "ExperimentParamError",
-    "ParamSpec",
-]
+_EXPORTS = {
+    "paper": "repro.experiments.paper",
+    "MicroRow": "repro.experiments.results",
+    "ExperimentSpec": "repro.experiments.registry",
+    "ExperimentParamError": "repro.experiments.registry",
+    "ParamSpec": "repro.experiments.registry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

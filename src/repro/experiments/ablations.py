@@ -27,11 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.apps.water import WaterParams, WaterSystem, run_ccpp_water
 from repro.experiments import serde
-from repro.experiments.microbench import run_cc_microbench
-from repro.machine.costs import SP2_COSTS
-from repro.sim.account import CounterNames
 from repro.util.tables import TextTable
 
 __all__ = ["AblationResult", "run"]
@@ -90,6 +86,11 @@ class AblationResult:
 
 def run(*, iters: int = 30) -> AblationResult:
     """Run every ablation."""
+    from repro.apps.water import WaterParams, WaterSystem, run_ccpp_water
+    from repro.experiments.microbench import run_cc_microbench
+    from repro.machine.costs import SP2_COSTS
+    from repro.sim.account import CounterNames
+
     result = AblationResult()
 
     # 1. stub caching: warm-path 0-Word vs perpetual cold path

@@ -46,21 +46,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro._version import __version__
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.serde import canonical_json
 
 __all__ = ["ResultCache", "GCReport", "default_cache_root"]
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:
-        import repro
-
-        return getattr(repro, "__version__", "0")
 
 
 def default_cache_root() -> Path:
@@ -91,7 +81,10 @@ class ResultCache:
 
     def __init__(self, root: str | Path | None = None, *, version: str | None = None):
         self.root = Path(root) if root is not None else default_cache_root()
-        self.version = version if version is not None else _package_version()
+        # the source's own version, never installed-distribution metadata:
+        # a stale `pip install -e` record once keyed CI's cache by a
+        # version the source had already left
+        self.version = version if version is not None else __version__
         self.hits = 0
         self.misses = 0
         self.stores = 0

@@ -27,15 +27,14 @@ a *pause* shorter than the detection threshold never kills a node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.apps.em3d.graph import Em3dGraph, Em3dParams
-from repro.apps.em3d.recovery import DEFAULT_RETRY, run_recovering_em3d
-from repro.apps.em3d.reference import reference_steps
 from repro.errors import DeadlockError
 from repro.experiments import serde
-from repro.machine.faults import FaultPlan
-from repro.util.rng import derive_seed, make_rng
 from repro.util.tables import TextTable
+
+if TYPE_CHECKING:
+    from repro.machine.faults import FaultPlan
 
 __all__ = ["ChaosResult", "run", "main", "build_plan"]
 
@@ -66,6 +65,9 @@ def build_plan(scenario_seed: int, n_procs: int, horizon_us: float) -> FaultPlan
     fault-free job time: node failures land inside ``[0.1, 0.9]`` of it,
     so a kill actually interrupts the run instead of outliving it.
     """
+    from repro.machine.faults import FaultPlan
+    from repro.util.rng import derive_seed, make_rng
+
     rng = make_rng(derive_seed(scenario_seed, "chaos-plan"))
     plan = FaultPlan(seed=scenario_seed)
     if rng.random() < 0.7:
@@ -215,6 +217,11 @@ def run(
     n_procs: int = 4,
 ) -> ChaosResult:
     """Run the chaos matrix; fully deterministic from the arguments."""
+    from repro.apps.em3d.graph import Em3dGraph, Em3dParams
+    from repro.apps.em3d.recovery import DEFAULT_RETRY, run_recovering_em3d
+    from repro.apps.em3d.reference import reference_steps
+    from repro.util.rng import derive_seed
+
     graph = Em3dGraph(
         Em3dParams(
             n_nodes=n_nodes, degree=degree, n_procs=n_procs,

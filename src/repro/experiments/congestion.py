@@ -30,14 +30,15 @@ clock: ``bytes / elapsed_us`` = B/µs = MB/s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.experiments import serde
-from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
-from repro.machine.network import Packet
-from repro.machine.topology import make_topology
 from repro.util.tables import TextTable
+
+if TYPE_CHECKING:
+    from repro.machine.cluster import Cluster
+    from repro.machine.costs import CostModel
 
 __all__ = [
     "CongestionResult",
@@ -277,6 +278,9 @@ def _drive(
     Raw network traffic — no threads block on anything, so ``run()``
     just delivers everything; elapsed is the last arrival time.
     """
+    from repro.machine.cluster import Cluster
+    from repro.machine.network import Packet
+
     cluster = Cluster(n, costs=costs, topology=topology)
     net = cluster.network
     for src, dst in pairs:
@@ -330,9 +334,15 @@ def run(
     topology: str = DEFAULT_TOPOLOGY,
     loads: tuple[int, ...] = DEFAULT_LOADS,
     msg_bytes: int = 4096,
-    costs: CostModel = SP2_COSTS,
+    costs: CostModel | None = None,
 ) -> CongestionResult:
-    """Run the three congestion patterns; see the module docstring."""
+    """Run the three congestion patterns; see the module docstring
+    (``costs=None`` is the calibrated SP-2 model)."""
+    from repro.machine.costs import SP2_COSTS
+    from repro.machine.topology import make_topology
+
+    if costs is None:
+        costs = SP2_COSTS
     if nodes < 4 or nodes % 2:
         raise ReproError(f"congestion needs an even node count >= 4, got {nodes}")
     if make_topology(topology, nodes).contention is False:

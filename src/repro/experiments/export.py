@@ -14,11 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.experiments.figure5 import Figure5Result
-from repro.experiments.figure6 import Figure6Result
-from repro.experiments.table4 import Table4Result
+from repro.experiments import registry
+
+if TYPE_CHECKING:
+    from repro.experiments.figure5 import Figure5Result
+    from repro.experiments.figure6 import Figure6Result
+    from repro.experiments.table4 import Table4Result
 
 __all__ = ["table4_csv", "figure5_csv", "figure6_csv", "result_json"]
 
@@ -31,16 +34,16 @@ def result_json(result: Any) -> str:
     return json.dumps(result.to_json(), indent=2) + "\n"
 
 
-def _coerce(result: Any, cls: type) -> Any:
+def _coerce(result: Any, artifact: str) -> Any:
     """Accept a live result or its ``to_json()`` payload."""
     if isinstance(result, dict):
-        return cls.from_json(result)
+        return registry.get(artifact).result_from_json(result)
     return result
 
 
 def table4_csv(result: Table4Result | dict) -> str:
     """Table 4 as CSV: one row per benchmark per language."""
-    result = _coerce(result, Table4Result)
+    result = _coerce(result, "table4")
     out = io.StringIO()
     w = csv.writer(out)
     w.writerow(
@@ -77,7 +80,7 @@ def _breakdown_rows(writer, label_parts, row):
 
 def figure5_csv(result: Figure5Result | dict) -> str:
     """Figure 5 as CSV: one row per (version, pct, language) bar."""
-    result = _coerce(result, Figure5Result)
+    result = _coerce(result, "figure5")
     out = io.StringIO()
     w = csv.writer(out)
     w.writerow(
@@ -91,7 +94,7 @@ def figure5_csv(result: Figure5Result | dict) -> str:
 
 def figure6_csv(result: Figure6Result | dict) -> str:
     """Figure 6 as CSV: one row per (app-label, language) bar."""
-    result = _coerce(result, Figure6Result)
+    result = _coerce(result, "figure6")
     out = io.StringIO()
     w = csv.writer(out)
     w.writerow(

@@ -23,11 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.am import RetryPolicy
-from repro.apps.em3d import Em3dGraph, Em3dParams, run_splitc_em3d
 from repro.experiments import serde
-from repro.experiments.microbench import am_base_rtt
-from repro.machine.faults import FaultPlan
 from repro.util.tables import TextTable
 
 __all__ = ["FaultAblationResult", "run", "main"]
@@ -38,8 +34,10 @@ DEFAULT_SEEDS = (1, 2)
 
 #: retransmit schedule used for every faulty cell — tighter than the
 #: library default so a 10% cell finishes in reasonable wall time while
-#: still dwarfing the 55 us clean RTT on every drop
-RETRY = RetryPolicy(timeout_us=200.0, backoff=2.0, max_timeout_us=3200.0, max_retries=20)
+#: still dwarfing the 55 us clean RTT on every drop.  ``RetryPolicy``
+#: keyword arguments: the policy itself is built in ``run()``, so this
+#: module imports without the AM layer
+RETRY_SCHEDULE = dict(timeout_us=200.0, backoff=2.0, max_timeout_us=3200.0, max_retries=20)
 
 
 @dataclass(slots=True)
@@ -107,7 +105,9 @@ class FaultAblationResult:
         )
 
 
-def _em3d_graph(seed: int) -> Em3dGraph:
+def _em3d_graph(seed: int):
+    from repro.apps.em3d import Em3dGraph, Em3dParams
+
     return Em3dGraph(
         Em3dParams(n_nodes=64, degree=6, n_procs=4, pct_remote=0.4, seed=seed)
     )
@@ -121,6 +121,12 @@ def run(
     steps: int = 2,
 ) -> FaultAblationResult:
     """Run the full sweep; deterministic for fixed (drops, seeds, sizes)."""
+    from repro.am import RetryPolicy
+    from repro.apps.em3d import run_splitc_em3d
+    from repro.experiments.microbench import am_base_rtt
+    from repro.machine.faults import FaultPlan
+
+    retry = RetryPolicy(**RETRY_SCHEDULE)
     result = FaultAblationResult()
     result.clean_rtt_us = am_base_rtt(iters=iters)
     result.clean_em3d_us = run_splitc_em3d(_em3d_graph(seeds[0]), steps=steps).elapsed_us
@@ -134,7 +140,7 @@ def run(
                 plan.drop("am.", rate=drop)
             stats: dict = {}
             rtt = am_base_rtt(
-                iters=iters, faults=plan, reliable=True, retry=RETRY, stats_out=stats
+                iters=iters, faults=plan, reliable=True, retry=retry, stats_out=stats
             )
             result.rtt_cells[drop][seed] = {"rtt_us": rtt, **stats}
 
@@ -146,7 +152,7 @@ def run(
                 steps=steps,
                 faults=em3d_plan,
                 reliable=True,
-                retry=RETRY,
+                retry=retry,
             )
             result.em3d_cells[drop][seed] = {
                 "elapsed_us": out.elapsed_us,

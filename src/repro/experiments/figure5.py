@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.apps.em3d import Em3dGraph, Em3dParams, run_ccpp_em3d, run_splitc_em3d
 from repro.experiments import serde
 from repro.experiments.breakdown import BreakdownRow, render_rows
 
@@ -77,6 +76,8 @@ def run(
     "ring" / "fattree:..." re-runs the same workload over a contended
     fabric — an axis the sweep CLI can grid over).
     """
+    from repro.apps.em3d import Em3dGraph, Em3dParams, run_ccpp_em3d, run_splitc_em3d
+
     if quick:
         base_params = dict(n_nodes=160, degree=8, n_procs=4, seed=seed)
     else:

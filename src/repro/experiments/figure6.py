@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.apps.lu import LuParams, LuWorkload, run_ccpp_lu, run_splitc_lu
-from repro.apps.water import WaterParams, WaterSystem, run_ccpp_water, run_splitc_water
 from repro.experiments import serde
 from repro.experiments.breakdown import BreakdownRow, render_rows
 
@@ -70,6 +68,9 @@ def run(
     seed: int = 1997,
 ) -> Figure6Result:
     """Regenerate Figure 6."""
+    from repro.apps.lu import LuParams, LuWorkload, run_ccpp_lu, run_splitc_lu
+    from repro.apps.water import WaterParams, WaterSystem, run_ccpp_water, run_splitc_water
+
     water_sizes = (32, 96) if quick else (64, 512)
     lu_config = LuParams(n=128, block=16, n_procs=4, seed=seed) if quick else LuParams(
         n=512, block=16, n_procs=4, seed=seed

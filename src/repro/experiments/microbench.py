@@ -15,13 +15,11 @@ what the paper's instrumented AM layer reports.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.am import install_am
-from repro.experiments import serde
 from repro.ccpp import (
     CCContext,
     CCppRuntime,
@@ -30,6 +28,7 @@ from repro.ccpp import (
     processor_class,
     remote,
 )
+from repro.experiments.results import MicroRow
 from repro.machine.cluster import Cluster
 from repro.machine.costs import SP2_COSTS, CostModel
 from repro.marshal import Marshallable
@@ -52,42 +51,6 @@ __all__ = [
 
 _WARMUP = 4
 _DEFAULT_ITERS = 50
-
-
-@dataclass(slots=True)
-class MicroRow:
-    """Per-iteration means for one micro-benchmark."""
-
-    name: str
-    total_us: float
-    am_us: float
-    threads_us: float
-    runtime_us: float
-    cpu_us: float
-    yields: float
-    creates: float
-    syncs: float
-
-    def scaled(self, factor: float) -> "MicroRow":
-        """Per-element view (used by the Prefetch rows)."""
-        return MicroRow(
-            self.name,
-            self.total_us * factor,
-            self.am_us * factor,
-            self.threads_us * factor,
-            self.runtime_us * factor,
-            self.cpu_us * factor,
-            self.yields * factor,
-            self.creates * factor,
-            self.syncs * factor,
-        )
-
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MicroRow":
-        return serde.load_fields(cls, payload)
 
 
 class _Recorder:

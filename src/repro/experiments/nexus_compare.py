@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.apps.em3d import Em3dGraph, Em3dParams, run_ccpp_em3d
-from repro.apps.lu import LuParams, LuWorkload, run_ccpp_lu
-from repro.apps.water import WaterParams, WaterSystem, run_ccpp_water
 from repro.experiments import paper
-from repro.nexus import make_nexus_runtime
 from repro.util.tables import TextTable
 
 __all__ = ["NexusCompareResult", "run"]
@@ -67,6 +63,11 @@ class NexusCompareResult:
 
 def run(*, quick: bool = True, seed: int = 1997) -> NexusCompareResult:
     """Regenerate the ThAM/Nexus comparison."""
+    from repro.apps.em3d import Em3dGraph, Em3dParams, run_ccpp_em3d
+    from repro.apps.lu import LuParams, LuWorkload, run_ccpp_lu
+    from repro.apps.water import WaterParams, WaterSystem, run_ccpp_water
+    from repro.nexus import make_nexus_runtime
+
     result = NexusCompareResult()
 
     em3d_params = (

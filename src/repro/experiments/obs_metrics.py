@@ -20,21 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.am import RetryPolicy
-from repro.apps.em3d import Em3dGraph, Em3dParams, run_splitc_em3d
-from repro.experiments.microbench import am_base_rtt, run_cc_microbench
-from repro.machine.cluster import Cluster
-from repro.machine.faults import FaultPlan
-from repro.obs import Metrics, collect_cluster_gauges
-from repro.splitc import SplitCRuntime
 from repro.util.tables import TextTable
 
 __all__ = ["MetricsReport", "run", "main"]
-
-#: retransmit schedule for the lossy RTT cell (same as the faults sweep)
-RETRY = RetryPolicy(timeout_us=200.0, backoff=2.0, max_timeout_us=3200.0, max_retries=20)
 
 
 @dataclass(slots=True)
@@ -105,12 +93,23 @@ class MetricsReport:
         return cls(sections=payload["sections"], gauges=payload["gauges"])
 
 
-def _snapshot_all(metrics: Metrics) -> dict[str, dict]:
+def _snapshot_all(metrics) -> dict[str, dict]:
     return {name: h.snapshot() for name, h in metrics.histograms().items()}
 
 
 def run(*, iters: int = 50, quick: bool = True) -> MetricsReport:
     """Collect every distribution; deterministic for fixed (iters, sizes)."""
+    import numpy as np
+
+    from repro.am import RetryPolicy
+    from repro.apps.em3d import Em3dGraph, Em3dParams, run_splitc_em3d
+    from repro.experiments.faults import RETRY_SCHEDULE  # same as the faults sweep
+    from repro.experiments.microbench import am_base_rtt, run_cc_microbench
+    from repro.machine.cluster import Cluster
+    from repro.machine.faults import FaultPlan
+    from repro.obs import Metrics, collect_cluster_gauges
+    from repro.splitc import SplitCRuntime
+
     report = MetricsReport()
 
     m = Metrics()
@@ -128,7 +127,8 @@ def run(*, iters: int = 50, quick: bool = True) -> MetricsReport:
     m = Metrics()
     plan = FaultPlan(seed=7)
     plan.drop("am.", rate=0.05)
-    am_base_rtt(iters=iters, faults=plan, reliable=True, retry=RETRY, metrics=m)
+    retry = RetryPolicy(**RETRY_SCHEDULE)
+    am_base_rtt(iters=iters, faults=plan, reliable=True, retry=retry, metrics=m)
     report.sections["am rtt 5% drop"] = _snapshot_all(m)
 
     m = Metrics()

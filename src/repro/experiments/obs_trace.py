@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.apps.em3d import Em3dGraph, Em3dParams, run_splitc_em3d
-from repro.obs import Metrics, SpanRecorder, write_chrome_trace
+if TYPE_CHECKING:
+    from repro.obs import Metrics, SpanRecorder
 
 __all__ = ["TraceCaptureResult", "run", "main"]
 
@@ -57,11 +58,16 @@ class TraceCaptureResult:
 
     def write(self, path: str | Path) -> Path:
         """Write the Chrome trace-event JSON for this run."""
+        from repro.obs import write_chrome_trace
+
         return write_chrome_trace(self.tracer, path)
 
 
 def run(*, quick: bool = True, version: str = "bulk") -> TraceCaptureResult:
     """Capture one traced EM3D run (deterministic for fixed sizes)."""
+    from repro.apps.em3d import Em3dGraph, Em3dParams, run_splitc_em3d
+    from repro.obs import Metrics, SpanRecorder
+
     params = (
         Em3dParams(n_nodes=80, degree=5, n_procs=4, pct_remote=1.0)
         if quick

@@ -150,8 +150,8 @@ class ExperimentSpec:
 
     name: str
     title: str
-    module: str  # import path holding the entry function and result type
-    result_type: str  # class in ``module`` implementing to_json/from_json
+    module: str  # import path holding the entry function
+    result_type: str  # class in ``result_module`` implementing to_json/from_json
     entry: str = "run"
     params: tuple[ParamSpec, ...] = ()
     #: False for artifacts whose result holds live objects (e.g. a span
@@ -161,10 +161,16 @@ class ExperimentSpec:
     file_stem: str = ""
     #: relative serial wall-clock, for longest-first pool scheduling
     cost_hint: float = 1.0
+    #: where ``result_type`` lives when ``module`` itself cannot be
+    #: imported without the simulator (defaults to ``module``): loading a
+    #: cached result must not cost the runtimes that computed it
+    result_module: str = ""
 
     def __post_init__(self) -> None:
         if not self.file_stem:
             object.__setattr__(self, "file_stem", self.name)
+        if not self.result_module:
+            object.__setattr__(self, "result_module", self.module)
 
     # -- schema ----------------------------------------------------------
     def param(self, name: str) -> ParamSpec:
@@ -204,7 +210,7 @@ class ExperimentSpec:
 
     # -- serialization ---------------------------------------------------
     def result_class(self) -> type:
-        return getattr(importlib.import_module(self.module), self.result_type)
+        return getattr(importlib.import_module(self.result_module), self.result_type)
 
     def result_from_json(self, payload: Any) -> Any:
         return self.result_class().from_json(payload)
@@ -373,6 +379,7 @@ register(ExperimentSpec(
     title="§6 — bulk-transfer scaling ('factor of about 200')",
     module="repro.experiments.scaling",
     result_type="ScalingResult",
+    result_module="repro.experiments.results",
     params=(
         ParamSpec("sizes", "ints", (20, 200, 2000, 20000),
                   "doubles per transfer"),

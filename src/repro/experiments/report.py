@@ -6,8 +6,11 @@ experiment registry and the process-pool runner — so it takes the same
 render (``.txt``) plus, where defined, the machine-readable CSV
 (``.csv``) and the Perfetto trace JSON.  Used by
 ``repro-experiments ... --out DIR`` and handy for archiving a full
-reproduction run.  File contents depend only on the results (never on
-scheduling), so a ``jobs=4`` report is byte-identical to a serial one.
+reproduction run.  The artifact files depend only on the results — never
+on scheduling, on whether a result came from the cache, or on what the
+process ran before — so a ``jobs=4`` report, a warm rerun and a cold one
+are byte-identical.  (``manifest.json`` is the exception by design: it
+records timestamps, cache-hit counts and the client's pid.)
 
 The run goes through the in-process
 :class:`~repro.service.client.ExperimentClient`, so alongside the
@@ -23,7 +26,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.experiments import export, registry
+from repro.experiments import registry
 from repro.experiments.cache import ResultCache
 
 __all__ = ["write_all", "ARTIFACTS", "standard_overrides"]
@@ -71,6 +74,8 @@ def _write_text(out: Path, name: str, text: str, written: list[Path]) -> None:
 
 
 def _csv_writers() -> dict[str, Callable[[Any], str]]:
+    from repro.experiments import export
+
     return {
         "table4": export.table4_csv,
         "figure5": export.figure5_csv,

@@ -1,0 +1,111 @@
+"""Result types of the artifacts whose own modules need the simulator.
+
+Every artifact module keeps its result dataclasses, ``from_json`` and
+``render`` importable without the simulated machine, so a cached rerun
+loads a result at the price of reading it.  :mod:`.microbench` and
+:mod:`.scaling` cannot: they define ``@processor_class`` /
+``Marshallable`` types at module scope, which needs the CC++ runtime at
+import time.  Their result types live here instead (both modules
+re-export them), and ``ExperimentSpec.result_module`` points the cache
+and the daemon client at this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from repro.experiments import serde
+from repro.util.tables import TextTable
+
+__all__ = ["MicroRow", "ScalingPoint", "ScalingResult"]
+
+
+@dataclass(slots=True)
+class MicroRow:
+    """Per-iteration means for one micro-benchmark."""
+
+    name: str
+    total_us: float
+    am_us: float
+    threads_us: float
+    runtime_us: float
+    cpu_us: float
+    yields: float
+    creates: float
+    syncs: float
+
+    def scaled(self, factor: float) -> "MicroRow":
+        """Per-element view (used by the Prefetch rows)."""
+        return MicroRow(
+            self.name,
+            self.total_us * factor,
+            self.am_us * factor,
+            self.threads_us * factor,
+            self.runtime_us * factor,
+            self.cpu_us * factor,
+            self.yields * factor,
+            self.creates * factor,
+            self.syncs * factor,
+        )
+
+    def to_json(self) -> dict:
+        return serde.dump_fields(self)
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "MicroRow":
+        return serde.load_fields(cls, payload)
+
+
+@dataclass(slots=True)
+class ScalingPoint:
+    words: int
+    sc_us: float
+    cc_us: float
+
+    @property
+    def nbytes(self) -> int:
+        return 8 * self.words
+
+    @property
+    def ratio(self) -> float:
+        return self.cc_us / self.sc_us
+
+    def to_json(self) -> dict:
+        return serde.dump_fields(self)
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "ScalingPoint":
+        return serde.load_fields(cls, payload)
+
+
+@dataclass(slots=True)
+class ScalingResult:
+    points: list[ScalingPoint] = field(default_factory=list)
+
+    def ratios(self) -> list[float]:
+        return [p.ratio for p in self.points]
+
+    def render(self) -> str:
+        t = TextTable(
+            ["transfer", "split-c us", "cc++ us", "ratio"],
+            title=(
+                "Bulk-read scaling — the paper's 'factor of about 200' remark"
+            ),
+        )
+        for p in self.points:
+            t.add_row(
+                [
+                    f"{p.words} doubles ({p.nbytes} B)",
+                    f"{p.sc_us:.1f}",
+                    f"{p.cc_us:.1f}",
+                    f"{p.ratio:.2f}",
+                ]
+            )
+        return t.render()
+
+    def to_json(self) -> dict:
+        return {"points": [p.to_json() for p in self.points]}
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "ScalingResult":
+        return cls(points=[ScalingPoint.from_json(p) for p in payload["points"]])

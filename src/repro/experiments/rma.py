@@ -32,30 +32,13 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from repro.apps.em3d import (
-    Em3dGraph,
-    Em3dParams,
-    reference_steps,
-    run_ccpp_em3d,
-    run_rma_em3d,
-    run_splitc_em3d,
-)
 from repro.experiments import serde
-from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
-from repro.rma import install_rma, run_injection
-from repro.splitc import SplitCRuntime
-from repro.splitc.collective import (
-    all_reduce_add,
-    broadcast,
-    ensure_scratch,
-    make_tree,
-)
 from repro.util.tables import TextTable
+
+if TYPE_CHECKING:
+    from repro.machine.costs import CostModel
 
 __all__ = [
     "RmaMicroRow",
@@ -268,6 +251,9 @@ def _measure_micro(iters: int, costs: CostModel) -> list[RmaMicroRow]:
     """All micro rows on one 2-node cluster: node 1 is a pure RMA target
     (a daemon that registers the window and polls), node 0 times both
     completion events of every operation."""
+    from repro.machine.cluster import Cluster
+    from repro.rma import install_rma
+
     cluster = Cluster(2, costs=costs)
     rt = install_rma(cluster)
     sums: dict[str, tuple[float, float]] = {}
@@ -343,6 +329,15 @@ def _collective_program(rounds: int, ops, cluster, marks, outs):
 def _measure_collectives(
     nprocs: int, radix: int, rounds: int, costs: CostModel
 ) -> list[TreePoint]:
+    from repro.machine.cluster import Cluster
+    from repro.splitc import SplitCRuntime
+    from repro.splitc.collective import (
+        all_reduce_add,
+        broadcast,
+        ensure_scratch,
+        make_tree,
+    )
+
     results: dict[str, dict] = {}
     timings: dict[str, dict[str, float]] = {}
     for algo in ("linear", "tree"):
@@ -394,6 +389,17 @@ def _measure_collectives(
 # ---------------------------------------------------------------------------
 
 def _measure_em3d(comm: str, quick: bool, seed: int, costs: CostModel) -> Em3dCommRow:
+    import numpy as np
+
+    from repro.apps.em3d import (
+        Em3dGraph,
+        Em3dParams,
+        reference_steps,
+        run_ccpp_em3d,
+        run_rma_em3d,
+        run_splitc_em3d,
+    )
+
     if quick:
         params = Em3dParams(n_nodes=120, degree=6, n_procs=4, pct_remote=0.5, seed=seed)
     else:
@@ -432,9 +438,15 @@ def run(
     threads: tuple[int, ...] = (1, 2, 4, 8),
     quick: bool = True,
     seed: int = 1997,
-    costs: CostModel = SP2_COSTS,
+    costs: CostModel | None = None,
 ) -> RmaResult:
-    """Regenerate the RMA artifact (all four sections)."""
+    """Regenerate the RMA artifact (all four sections; ``costs=None`` is
+    the calibrated SP-2 model)."""
+    from repro.machine.costs import SP2_COSTS
+    from repro.rma import run_injection
+
+    if costs is None:
+        costs = SP2_COSTS
     rounds = 3 if quick else 8
     msgs = 64 if quick else 256
     result = RmaResult(micro=_measure_micro(iters, costs))

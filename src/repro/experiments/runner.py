@@ -36,10 +36,7 @@ import importlib
 import sys
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Any
 
 from repro.experiments.cache import ResultCache
@@ -148,6 +145,12 @@ def run_tasks(
         return [outcomes[i] for i in range(len(tasks))]
 
     # -- parallel: longest-first submission, crash-retry inline ----------
+    # (the pool machinery is imported here: a serial or fully cached run
+    # never pays for concurrent.futures.process / multiprocessing)
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
     order = sorted(pending, key=lambda i: -tasks[i].spec.cost_hint)
     crashed: list[int] = []
     with ProcessPoolExecutor(

@@ -15,19 +15,17 @@ trend the sentence predicts.
 from __future__ import annotations
 
 from collections.abc import Generator
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.ccpp import CCppRuntime, ProcessorObject, processor_class, remote
-from repro.experiments import serde
+from repro.experiments.results import ScalingPoint, ScalingResult
 from repro.machine.cluster import Cluster
 from repro.machine.costs import SP2_COSTS, CostModel
 from repro.marshal import Marshallable
 from repro.marshal.packer import Packer, Unpacker
 from repro.splitc import SplitCRuntime
-from repro.util.tables import TextTable
 
 __all__ = ["ScalingResult", "ScalingPoint", "run"]
 
@@ -60,61 +58,6 @@ class ScalingServer(ProcessorObject):
     @remote(threaded=True)
     def get(self, n: int):
         return ScaledArray(self.arrays[int(n)])
-
-
-@dataclass(slots=True)
-class ScalingPoint:
-    words: int
-    sc_us: float
-    cc_us: float
-
-    @property
-    def nbytes(self) -> int:
-        return 8 * self.words
-
-    @property
-    def ratio(self) -> float:
-        return self.cc_us / self.sc_us
-
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ScalingPoint":
-        return serde.load_fields(cls, payload)
-
-
-@dataclass(slots=True)
-class ScalingResult:
-    points: list[ScalingPoint] = field(default_factory=list)
-
-    def ratios(self) -> list[float]:
-        return [p.ratio for p in self.points]
-
-    def render(self) -> str:
-        t = TextTable(
-            ["transfer", "split-c us", "cc++ us", "ratio"],
-            title=(
-                "Bulk-read scaling — the paper's 'factor of about 200' remark"
-            ),
-        )
-        for p in self.points:
-            t.add_row(
-                [
-                    f"{p.words} doubles ({p.nbytes} B)",
-                    f"{p.sc_us:.1f}",
-                    f"{p.cc_us:.1f}",
-                    f"{p.ratio:.2f}",
-                ]
-            )
-        return t.render()
-
-    def to_json(self) -> dict:
-        return {"points": [p.to_json() for p in self.points]}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ScalingResult":
-        return cls(points=[ScalingPoint.from_json(p) for p in payload["points"]])
 
 
 def _measure_cc(sizes: tuple[int, ...], costs: CostModel) -> dict[int, float]:

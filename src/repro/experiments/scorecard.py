@@ -10,16 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments import (
-    ablations,
-    figure5,
-    figure6,
-    nexus_compare,
-    paper,
-    scaling,
-    serde,
-    table4,
-)
+from repro.experiments import serde
 from repro.util.tables import TextTable
 
 __all__ = ["Check", "Scorecard", "run"]
@@ -81,6 +72,16 @@ class Scorecard:
 def run(*, quick: bool = True, iters: int = 30) -> Scorecard:
     """Grade the reproduction.  ``quick`` selects the reduced workloads
     (same shape); micro-benchmark absolutes are size-independent."""
+    from repro.experiments import (
+        ablations,
+        figure5,
+        figure6,
+        nexus_compare,
+        paper,
+        scaling,
+        table4,
+    )
+
     card = Scorecard()
 
     # ---- Table 4 ---------------------------------------------------------

@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import paper, serde
-from repro.experiments.microbench import (
-    CC_BENCHMARKS,
-    SC_BENCHMARKS,
-    MicroRow,
-    am_base_rtt,
-    mpl_rtt,
-    run_cc_microbench,
-    run_sc_microbench,
-)
+from repro.experiments.results import MicroRow
 from repro.util.tables import TextTable
 
 __all__ = ["Table4Result", "run"]
@@ -109,6 +101,8 @@ _EXTRA_SCENARIOS = ("am-rtt", "mpl-rtt")
 
 def scenario_names() -> tuple[str, ...]:
     """Every name ``run(scenarios=...)`` accepts (for ``--scenario`` help)."""
+    from repro.experiments.microbench import CC_BENCHMARKS, SC_BENCHMARKS
+
     return tuple(dict.fromkeys([*CC_BENCHMARKS, *SC_BENCHMARKS])) + _EXTRA_SCENARIOS
 
 
@@ -120,6 +114,15 @@ def run(*, iters: int = 50, scenarios: list[str] | None = None) -> Table4Result:
     Split-C variant, and the pseudo-names ``am-rtt`` / ``mpl-rtt`` run the
     raw-layer round-trip references.  Unknown names raise ``ValueError``.
     """
+    from repro.experiments.microbench import (
+        CC_BENCHMARKS,
+        SC_BENCHMARKS,
+        am_base_rtt,
+        mpl_rtt,
+        run_cc_microbench,
+        run_sc_microbench,
+    )
+
     if scenarios is not None:
         known = set(scenario_names())
         unknown = [s for s in scenarios if s not in known]

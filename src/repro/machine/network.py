@@ -28,7 +28,7 @@ the paper's AM-vs-runtime cost split is untouched.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.errors import SimulationError
@@ -39,8 +39,6 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import NullTracer, Tracer
 
 __all__ = ["Packet", "Network"]
-
-_packet_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -56,7 +54,8 @@ class Packet:
     (:mod:`repro.am`): ``seq`` is the per-channel sequence number (-1 =
     unsequenced), ``ack`` a piggybacked cumulative acknowledgment (-1 =
     none), and ``attempt`` counts retransmissions of the same sequence
-    number (0 = original send).
+    number (0 = original send).  ``pid`` numbers the packets of one
+    network, assigned at injection (-1 = not sent): no process-wide count.
     """
 
     src: int
@@ -66,11 +65,11 @@ class Packet:
     nbytes: int
     send_time: float = 0.0
     arrival_time: float = 0.0
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    pid: int = -1
     seq: int = -1
     ack: int = -1
     attempt: int = 0
-    # memoized describe() — every field it reads is fixed at construction
+    # memoized describe() — every field it reads is fixed once injected
     # (retransmits are fresh packets), and traced runs describe each
     # packet at least twice (send + deliver)
     _descr: str | None = None
@@ -126,6 +125,7 @@ class Network:
         self.packets_dropped = 0
         self.packets_duplicated = 0
         self.bytes_carried = 0
+        self._pids = itertools.count()
         #: packets scheduled for delivery but not yet landed, by pid
         #: (diagnostics for the deadlock dump; also backs ``in_flight``)
         self._in_flight: dict[int, Packet] = {}
@@ -189,6 +189,7 @@ class Network:
             wire = net_costs.wire_latency + delay
             if self._h_queue is not None:
                 self._h_queue.record(queued)
+        packet.pid = next(self._pids)
         packet.send_time = now
         packet.arrival_time = now + wire
         self.packets_sent += 1
@@ -242,13 +243,12 @@ class Network:
                 data = getattr(payload, "data", None)
                 if type(data) is memoryview:
                     payload = replace(payload, data=bytes(data))
-                copy = Packet(
-                    src=packet.src, dst=packet.dst, kind=packet.kind,
-                    payload=payload, nbytes=packet.nbytes,
-                    seq=packet.seq, ack=packet.ack, attempt=packet.attempt,
+                copy = replace(
+                    packet,
+                    payload=payload,
+                    pid=next(self._pids),
+                    _descr=None,
                 )
-                copy.send_time = now
-                copy.arrival_time = now + wire
                 self._schedule_delivery(copy, dst, wire)
 
         self._schedule_delivery(packet, dst, wire)

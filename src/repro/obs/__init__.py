@@ -14,17 +14,18 @@ one (the determinism suite holds us to that).
   with one track per node and flow events linking send → deliver.
 """
 
-from repro.obs.metrics import LogHistogram, MetricNames, Metrics, collect_cluster_gauges
-from repro.obs.perfetto import chrome_trace_events, write_chrome_trace
-from repro.obs.spans import Span, SpanRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LogHistogram",
-    "MetricNames",
-    "Metrics",
-    "Span",
-    "SpanRecorder",
-    "chrome_trace_events",
-    "collect_cluster_gauges",
-    "write_chrome_trace",
-]
+_EXPORTS = {
+    "LogHistogram": "repro.obs.metrics",
+    "MetricNames": "repro.obs.metrics",
+    "Metrics": "repro.obs.metrics",
+    "Span": "repro.obs.spans",
+    "SpanRecorder": "repro.obs.spans",
+    "chrome_trace_events": "repro.obs.perfetto",
+    "collect_cluster_gauges": "repro.obs.metrics",
+    "write_chrome_trace": "repro.obs.perfetto",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

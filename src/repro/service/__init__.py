@@ -10,15 +10,16 @@ typed client facade.
   daemon) or against a running daemon.
 """
 
-from repro.service.client import ExperimentClient
-from repro.service.protocol import default_address, parse_address
-from repro.service.server import ExperimentService, ServiceConfig, ServiceError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentClient",
-    "ExperimentService",
-    "ServiceConfig",
-    "ServiceError",
-    "default_address",
-    "parse_address",
-]
+_EXPORTS = {
+    "ExperimentClient": "repro.service.client",
+    "ExperimentService": "repro.service.server",
+    "ServiceConfig": "repro.service.server",
+    "ServiceError": "repro.service.server",
+    "default_address": "repro.service.protocol",
+    "parse_address": "repro.service.protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -229,6 +229,16 @@ class ExperimentService:
         self._join()
 
     def _join(self) -> None:
+        if self._listener is not None:
+            # wake the accept thread with a connection to ourselves: left
+            # alone it only notices the stop flag when its accept()
+            # timeout fires (shutdown() does not wake a unix listener)
+            from repro.service import protocol
+
+            try:
+                protocol.connect(self.address, timeout=1.0).close()
+            except protocol.ProtocolError:
+                pass  # unreachable: the timeout still ends the loop
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=5.0)
@@ -734,6 +744,11 @@ class ExperimentService:
             except (TimeoutError, _socket.timeout):
                 continue
             except OSError:
+                return
+            with self._cond:
+                stopped = self._stopped
+            if stopped:  # _join()'s wake-up call
+                conn.close()
                 return
             handler = threading.Thread(
                 target=self._handle, args=(conn,), daemon=True

@@ -1,26 +1,20 @@
 """Small shared utilities: units, deterministic RNG, text tables, stats."""
 
-from repro.util.rng import make_rng
-from repro.util.stats import OnlineStats, geometric_mean, mean, percentile
-from repro.util.tables import TextTable
-from repro.util.units import (
-    US_PER_MS,
-    US_PER_S,
-    fmt_time_us,
-    us_to_ms,
-    us_to_s,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "US_PER_MS",
-    "US_PER_S",
-    "fmt_time_us",
-    "us_to_ms",
-    "us_to_s",
-    "make_rng",
-    "TextTable",
-    "OnlineStats",
-    "mean",
-    "geometric_mean",
-    "percentile",
-]
+_EXPORTS = {
+    "US_PER_MS": "repro.util.units",
+    "US_PER_S": "repro.util.units",
+    "fmt_time_us": "repro.util.units",
+    "us_to_ms": "repro.util.units",
+    "us_to_s": "repro.util.units",
+    "make_rng": "repro.util.rng",
+    "TextTable": "repro.util.tables",
+    "OnlineStats": "repro.util.stats",
+    "mean": "repro.util.stats",
+    "geometric_mean": "repro.util.stats",
+    "percentile": "repro.util.stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,0 +1,163 @@
+"""Integration: module-scope imports follow the work.
+
+What a start pays for is what it imports, so these tests pin the import
+*graph* — which packages a given CLI invocation may load — not a time.
+Each scenario runs in a fresh interpreter and reports ``sys.modules``;
+the lazy package ``__init__`` files (PEP 562) are checked in-process.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+SIMULATOR = (
+    "repro.sim", "repro.threads", "repro.machine", "repro.am", "repro.ccpp",
+    "repro.splitc", "repro.rma", "repro.apps",
+)
+
+
+def _fresh(body: str, tmp_path, *argv: str) -> tuple[set[str], str]:
+    """Run ``body`` in a fresh interpreter; returns (sys.modules, stdout)."""
+    report = tmp_path / "modules.json"
+    script = textwrap.dedent(body) + textwrap.dedent("""
+        import json, sys
+        with open(sys.argv[1], "w") as fh:
+            json.dump(sorted(sys.modules), fh)
+    """)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(report), *argv],
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    return set(json.loads(report.read_text())), done.stdout
+
+
+def _loaded(modules: set[str], *packages: str) -> list[str]:
+    """The modules of ``packages`` (a package or anything below it)."""
+    return sorted(
+        m for m in modules
+        if any(m == p or m.startswith(p + ".") for p in packages)
+    )
+
+
+_CLI = """
+    import sys
+    from repro.experiments import cli
+    try:
+        code = cli.main(sys.argv[2:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+    assert not code, code
+"""
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A result cache filled by a cold ``run all --iters 5 --jobs 2`` in a
+    fresh interpreter; yields (cache dir, that run's stdout)."""
+    root = tmp_path_factory.mktemp("import-budget")
+    cache = root / "cache"
+    _, stdout = _fresh(
+        _CLI, root, "run", "all", "--iters", "5", "--jobs", "2",
+        "--cache-dir", str(cache),
+    )
+    return cache, stdout
+
+
+class TestColdStart:
+    def test_importing_the_cli_loads_no_numpy(self, tmp_path):
+        modules, _ = _fresh("import repro.experiments.cli", tmp_path)
+        assert _loaded(modules, "numpy", "scipy", *SIMULATOR) == []
+
+    @pytest.mark.parametrize("argv", [("list",), ("--help",), ("run", "--help")])
+    def test_list_and_help_load_no_numpy_and_no_simulator(self, tmp_path, argv):
+        modules, stdout = _fresh(_CLI, tmp_path, *argv)
+        assert stdout
+        assert _loaded(modules, "numpy", "scipy", *SIMULATOR) == []
+        assert _loaded(modules, "multiprocessing", "repro.service.server") == []
+
+
+class TestWarmRun:
+    def test_cached_artifact_loads_no_simulator(self, warm_cache, tmp_path):
+        cache, _ = warm_cache
+        modules, stdout = _fresh(
+            _CLI, tmp_path, "run", "figure6", "--cache-dir", str(cache)
+        )
+        assert stdout.startswith("=== figure6 ===")
+        assert _loaded(modules, "scipy", "numpy", *SIMULATOR) == []
+        assert _loaded(modules, "multiprocessing", "repro.service.server") == []
+
+    def test_warm_run_all_loads_only_what_trace_needs(self, warm_cache, tmp_path):
+        cache, cold_stdout = warm_cache
+        entries = sorted(p.name for p in cache.rglob("*.json"))
+        modules, stdout = _fresh(
+            _CLI, tmp_path, "run", "all", "--iters", "5", "--cache-dir", str(cache)
+        )
+        # `trace` is the one artifact never cached: its Split-C EM3D step
+        # still runs, so numpy and the Split-C stack are legitimately here
+        assert _loaded(modules, "repro.splitc") != []
+        assert _loaded(
+            modules, "scipy", "repro.ccpp", "repro.rma", "repro.ft", "repro.mpl",
+            "repro.nexus", "repro.apps.water", "repro.apps.lu",
+            "repro.service.server", "multiprocessing",
+        ) == []
+        # serial-from-cache output == the --jobs 2 run that computed it
+        assert stdout == cold_stdout
+        assert sorted(p.name for p in cache.rglob("*.json")) == entries
+
+
+LAZY_PACKAGES = (
+    "repro.experiments", "repro.apps.em3d", "repro.apps.water", "repro.apps.lu",
+    "repro.service", "repro.obs", "repro.util",
+)
+
+
+class TestLazyPackages:
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_every_public_name_resolves_and_is_listed(self, name):
+        package = importlib.import_module(name)
+        assert package.__all__
+        listed = dir(package)
+        for public in package.__all__:
+            assert getattr(package, public) is not None
+            assert public in listed
+        # a resolved name is cached: the next access skips __getattr__
+        assert set(package.__all__) <= set(vars(package))
+
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_unknown_attribute_raises_attribute_error(self, name):
+        package = importlib.import_module(name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            package.no_such_name
+        with pytest.raises(ImportError):
+            exec(f"from {name} import no_such_name")
+
+    def test_a_name_imports_only_its_own_module(self, tmp_path):
+        modules, _ = _fresh(
+            "from repro.apps.em3d import Em3dGraph, Em3dParams", tmp_path
+        )
+        assert "repro.apps.em3d.graph" in modules
+        assert _loaded(modules, "repro.ccpp", "repro.splitc", "repro.machine") == []
+
+
+def test_lu_binds_scipy_on_first_panel_solve(tmp_path):
+    """``apps/lu/blocked.py`` imports ``scipy.linalg`` inside the first
+    ``panel_l``/``panel_u`` call — here in the middle of a simulated run —
+    and the factorization is still right."""
+    modules, _ = _fresh(
+        """
+        import sys
+        from repro.apps.lu import LuParams, LuWorkload, check_factorization, run_splitc_lu
+
+        work = LuWorkload(LuParams(n=64, block=16, n_procs=4))
+        assert "scipy" not in sys.modules
+        result = run_splitc_lu(work)
+        assert "scipy.linalg" in sys.modules
+        assert check_factorization(work, result.packed)
+        """,
+        tmp_path,
+    )
+    assert _loaded(modules, "repro.ccpp") == []

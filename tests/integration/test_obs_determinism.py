@@ -82,8 +82,9 @@ class TestSpanShape:
 def test_quick_trace_file_is_pinned(tmp_path):
     """sha256 of the `obs_trace.run(quick=True)` Perfetto file, taken on
     the commit before the exporter began writing JSON text itself: any
-    byte a rewrite moves shows here.  A fresh interpreter, because packet
-    ids (part of every send/deliver detail) count up process-wide."""
+    byte a rewrite moves shows here.  (A fresh interpreter because the pin
+    predates per-network packet ids; since those, an in-process run
+    writes the same bytes — ``test_report_and_proc_counts`` checks that.)"""
     out = tmp_path / "quick.json"
     subprocess.run(
         [sys.executable, "-m", "repro.experiments.obs_trace", "--out", str(out)],

@@ -6,6 +6,7 @@ import pytest
 from repro.apps.em3d import Em3dGraph, Em3dParams, reference_steps, run_ccpp_em3d, run_splitc_em3d
 from repro.apps.lu import LuParams, LuWorkload, reference_lu, run_ccpp_lu, run_splitc_lu
 from repro.apps.water import WaterParams, WaterSystem, reference_water, run_splitc_water
+from repro.experiments.cache import ResultCache
 from repro.experiments.report import write_all
 
 
@@ -21,6 +22,21 @@ class TestReportWriter:
         write_all(tmp_path, artifacts=("table1",))
         paths = write_all(tmp_path, artifacts=("table1",))
         assert paths[0].read_text().startswith("Table 1")
+
+    def test_trace_json_does_not_depend_on_process_history(self, tmp_path):
+        """A cold report simulates ``scaling`` before ``trace``, a warm one
+        reads it from the cache: the same ``trace.json`` either way.
+        (Packet ids in the send/deliver details used to count up
+        process-wide — ``am.short#5012`` cold, ``am.short#0`` warm.)"""
+        cache = ResultCache(tmp_path / "cache")
+        kwargs = dict(artifacts=("scaling", "trace"), cache=cache)
+        write_all(tmp_path / "cold", **kwargs)
+        assert (cache.hits, cache.stores) == (0, 1)
+        write_all(tmp_path / "warm", **kwargs)
+        assert (cache.hits, cache.stores) == (1, 1)
+        cold = (tmp_path / "cold" / "trace.json").read_bytes()
+        assert cold == (tmp_path / "warm" / "trace.json").read_bytes()
+        assert b"am.short#0 " in cold
 
 
 class TestOtherProcCounts:

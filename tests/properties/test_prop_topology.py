@@ -52,8 +52,8 @@ def _inject(spec, ops):
     sent = []
     for src, dst, nbytes in ops:
         pkt = Packet(src=src, dst=dst, kind="prop", payload=None, nbytes=nbytes)
-        sent.append(pkt.pid)
         cluster.network.transmit(pkt)
+        sent.append(pkt.pid)  # the network numbers a packet at injection
     cluster.run()
     return cluster, sent, log
 

@@ -4,6 +4,7 @@ concurrent-writer safety, integrity re-hash, and size-capped LRU GC."""
 import json
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,26 @@ class TestAddressing:
         ).key(spec, params)
         c = ResultCache("/tmp/x", version="1")
         assert c.key(spec, {}) != c.key(registry.get("table1"), {})
+
+    def test_one_package_version_everywhere(self, tmp_path):
+        """The cache key's version, ``repro.__version__`` and the
+        distribution's version are one value: pyproject takes it from
+        ``repro._version`` instead of carrying a literal of its own (the
+        literal once said 1.0.0 while the source said 1.1.0, so an
+        installed checkout never saw the 1.1.0 cache invalidation)."""
+        tomllib = pytest.importorskip("tomllib")
+        import repro
+        from repro import _version
+
+        root = Path(__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as fh:
+            meta = tomllib.load(fh)
+        assert "version" not in meta["project"]
+        assert meta["project"]["dynamic"] == ["version"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro._version.__version__"
+        }
+        assert ResultCache(tmp_path).version == repro.__version__ == _version.__version__
 
     def test_default_root_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cc"))
