@@ -306,18 +306,19 @@ def run_noop(*, n: int = 0) -> NoopResult:
 @scenario("runner_overhead")
 def runner_overhead(stats_out: dict | None = None) -> int:
     """Orchestration overhead of the experiment runner, isolated from the
-    experiments themselves: 200 no-op tasks through ``run_tasks`` against
-    a fresh content-addressed cache — schema validation, per-task seed
-    hashing, cache keying, store, deterministic merge.  This is the fixed
-    per-task cost the registry/runner/cache stack adds on top of every
-    artifact run (inline path; spawn start-up is priced by the machine,
-    not by this code, so it is deliberately out of scope)."""
+    experiments themselves: one 200-task no-op job driven through the job
+    queue in this thread against a fresh content-addressed cache — schema
+    validation, the pick, per-task seed hashing, cache keying, store, the
+    event log.  This is the fixed per-task cost the registry/queue/cache
+    stack adds on top of every artifact run (inline path; spawn start-up
+    is priced by the machine, not by this code, so it is deliberately out
+    of scope)."""
     import shutil
     import tempfile
 
     from repro.experiments.cache import ResultCache
     from repro.experiments.registry import ExperimentSpec, ParamSpec
-    from repro.experiments.runner import Task, run_tasks
+    from repro.experiments.runner import JobQueue, Task
 
     spec = ExperimentSpec(
         name="noop", title="noop", module="scenarios", entry="run_noop",
@@ -327,12 +328,14 @@ def runner_overhead(stats_out: dict | None = None) -> int:
     try:
         cache = ResultCache(root, version="bench")
         tasks = [Task(spec, spec.validate({"n": i})) for i in range(200)]
-        outcomes = run_tasks(tasks, jobs=1, cache=cache, progress=lambda m: None)
+        queue = JobQueue(cache=cache)
+        job = queue.enqueue(tasks, client="bench", artifact="noop")
+        queue.drive(job)
         if stats_out is not None:
             stats_out.update(
                 hits=cache.hits, misses=cache.misses, stores=cache.stores
             )
-        return len(outcomes)
+        return len(queue.results(job))
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

@@ -20,8 +20,8 @@ published numbers for side-by-side comparison.
 
 The artifacts are orchestrated through :mod:`.registry` (one
 :class:`~repro.experiments.registry.ExperimentSpec` per artifact with a
-validated parameter schema), executed by the process-pool runner in
-:mod:`.runner` (deterministic merge: parallel output is byte-identical
+validated parameter schema), scheduled by the job queue in
+:mod:`.runner` (results in input order: parallel output is byte-identical
 to serial) and memoized by the content-addressed result cache in
 :mod:`.cache`.  ``python -m repro.experiments.cli run <artifact>`` runs
 one from the command line; ``sweep`` runs parameter grids.

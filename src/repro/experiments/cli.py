@@ -10,16 +10,14 @@ Subcommands::
     repro-experiments status|stream|cancel <job>    # follow / control a job
     repro-experiments list-jobs | stats             # daemon introspection
 
-Also usable as ``python -m repro.experiments.cli``.  The pre-subcommand
-form (``repro-experiments table4 --scenario 0-Word``) is **deprecated**
-(one release of warning) and maps onto ``run``.
+Also usable as ``python -m repro.experiments.cli``.
 
 ``run`` and ``sweep`` are thin wrappers over the typed
 :class:`~repro.service.client.ExperimentClient`: by default the client
-runs in-process (validated through the registry, executed on the
-process pool, cached on disk — exactly the historical path, stdout
-byte-identical), and with ``--daemon ADDR`` the same calls go to a
-running ``serve`` daemon instead.  ``--jobs N`` shards work across a
+runs in-process (validated through the registry, scheduled by the job
+queue in this process, cached on disk), and with ``--daemon ADDR`` the
+same calls go to a running ``serve`` daemon instead — stdout is
+byte-identical either way.  ``--jobs N`` shards work across a
 spawn process pool and merges deterministically; results are cached on
 disk by (package version, artifact, params) — ``--no-cache`` bypasses,
 ``--refresh`` recomputes and overwrites.
@@ -31,23 +29,10 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from typing import Any
 
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentParamError
-
-_COMMANDS = (
-    "run", "list", "sweep", "serve", "submit", "status", "stream",
-    "cancel", "list-jobs", "stats",
-)
-
-_DEPRECATION_NOTE = (
-    "the positional form `repro-experiments <artifact> ...` is deprecated "
-    "and will be removed next release; use `repro-experiments run "
-    "<artifact> ...` (see `repro-experiments list`)"
-)
-
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -297,32 +282,84 @@ def _make_client(args: argparse.Namespace):
 
 
 def _echo_stream(client, job_id: str) -> None:
-    """Daemon progress to stderr (the in-process backend already printed
-    the runner's own progress lines while executing)."""
+    """Daemon progress to stderr (the in-process backend prints the same
+    lines itself, as its queue emits the events)."""
+    from repro.service.client import echo_progress
+
     for event in client.stream(job_id):
-        data = event.data
-        if event.kind == "task.started":
-            print(f"[{data.get('label')}] running", file=sys.stderr, flush=True)
-        elif event.kind == "task.cached":
-            print(f"[{data.get('label')}] cache hit", file=sys.stderr, flush=True)
-        elif event.kind == "task.finished" and data.get("source") != "cache":
-            print(
-                f"[{data.get('label')}] done ({data.get('source')})",
-                file=sys.stderr, flush=True,
-            )
-        elif event.terminal:
-            print(
-                f"[{job_id}] {event.kind} {json.dumps(data, sort_keys=True)}",
-                file=sys.stderr, flush=True,
-            )
+        echo_progress(event)
 
 
-def _print_run_results(client, job_id: str) -> None:
-    record = client.status(job_id)
-    for name, result in zip(record.artifacts, client.result(job_id)):
-        print(f"=== {name} ===")
-        print(registry.get(name).render(result))
-        print()
+def _run_request(args: argparse.Namespace) -> dict[str, Any]:
+    """``client.submit`` arguments for one task per named artifact."""
+    names = registry.ARTIFACT_NAMES if args.artifact == "all" else [args.artifact]
+    return {"tasks": [(n, _overrides(registry.get(n), args)) for n in names]}
+
+
+def _sweep_request(args: argparse.Namespace) -> dict[str, Any]:
+    """``client.submit`` arguments for a grid over one artifact: every
+    --axis is an axis, and so is every multi-valued --param (the
+    single-valued ones are fixed)."""
+    if args.artifact == "all":  # only `submit` lets it get this far
+        raise ExperimentParamError("--axis sweeps one artifact, not 'all'")
+    spec = registry.get(args.artifact)
+    axes: dict[str, list[Any]] = {}
+    fixed_params: list[str] = []
+    for item in args.axis + args.param:
+        if "=" not in item:
+            raise ExperimentParamError(f"expected K=V1,V2,..., got {item!r}")
+        key, _, value = item.partition("=")
+        values = spec.param(key).parse_axis(value)
+        if len(values) > 1 or item in args.axis:
+            axes[key] = values
+        else:
+            fixed_params.append(item)
+    if not axes:
+        raise ExperimentParamError(
+            "a sweep needs at least one multi-valued --axis/--param"
+        )
+    args.param = fixed_params
+    return {"artifact": spec.name, "params": _overrides(spec, args), "axes": axes}
+
+
+def _submit_job(
+    args: argparse.Namespace, request: dict[str, Any], *, follow: bool = True
+) -> int:
+    """Submit ``request`` and print the job's results the way ``run`` /
+    ``sweep`` always have (without ``follow``: just the job id)."""
+    client, remote = _make_client(args)
+    try:
+        job_id = client.submit(**request, priority=args.priority)
+        if not follow:
+            print(job_id)
+            return 0
+        if remote:
+            _echo_stream(client, job_id)
+        results = client.result(job_id)
+        record = client.status(job_id)
+    except Exception as exc:
+        return _client_error(exc)
+
+    if "axes" not in request:
+        for name, result in zip(record.artifacts, results):
+            print(f"=== {name} ===")
+            print(registry.get(name).render(result))
+            print()
+        return 0
+    from repro.experiments.sweep import job_sweep_csv, render_points
+
+    print(render_points(registry.get(args.artifact), record.labels, results))
+    text = job_sweep_csv(request["axes"], record)
+    print()
+    print(text, end="")
+    if getattr(args, "csv", None):
+        from pathlib import Path
+
+        path = Path(args.csv)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {path}")
+    return 0
 
 
 def _cmd_list() -> int:
@@ -341,23 +378,16 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    names = list(registry.ARTIFACT_NAMES) if args.artifact == "all" else [args.artifact]
+def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenario:
         args.param = args.param + ["scenarios=" + ",".join(args.scenario)]
-
-    try:
-        requests = [
-            (name, _overrides(registry.get(name), args)) for name in names
-        ]
-    except ExperimentParamError as exc:
-        parser.error(str(exc))
+    request = _run_request(args)
 
     # `trace --out x.json`: write the Perfetto JSON straight to the named
     # file (open it at ui.perfetto.dev)
     if args.artifact == "trace" and args.out and args.out.endswith(".json"):
         spec = registry.get("trace")
-        result = spec.run_fn()(**spec.validate(requests[0][1]))
+        result = spec.run_fn()(**spec.validate(request["tasks"][0][1]))
         print(spec.render(result))
         print(f"wrote {result.write(args.out)}")
         return 0
@@ -365,12 +395,11 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.out:
         from repro.experiments.report import write_all
 
-        stems = [registry.get(n).file_stem for n in names]
         paths = write_all(
             args.out,
             quick=not args.full,
             iters=args.iters,
-            artifacts=tuple(stems),
+            artifacts=tuple(registry.get(n).file_stem for n, _ in request["tasks"]),
             jobs=_jobs(args),
             cache=_make_cache(args),
             refresh=args.refresh,
@@ -379,76 +408,13 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             print(f"wrote {path}")
         return 0
 
-    client, remote = _make_client(args)
-    try:
-        job_id = client.submit(tasks=requests, priority=args.priority)
-        if remote:
-            _echo_stream(client, job_id)
-        _print_run_results(client, job_id)
-    except Exception as exc:
-        return _client_error(exc)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments.sweep import job_sweep_csv, render_points
-
-    spec = registry.get(args.artifact)
-    try:
-        axes: dict[str, list[Any]] = {}
-        fixed_params: list[str] = []
-        for item in args.axis + args.param:
-            if "=" not in item:
-                raise ExperimentParamError(f"expected K=V1,V2,..., got {item!r}")
-            key, _, value = item.partition("=")
-            values = spec.param(key).parse_axis(value)
-            if len(values) > 1 or item in args.axis:
-                axes[key] = values
-            else:
-                fixed_params.append(item)
-        args.param = fixed_params
-        fixed = _overrides(spec, args)
-        if not axes:
-            raise ExperimentParamError(
-                "a sweep needs at least one multi-valued --axis/--param"
-            )
-    except ExperimentParamError as exc:
-        parser.error(str(exc))
-
-    client, remote = _make_client(args)
-    try:
-        job_id = client.submit(
-            spec.name, fixed, axes=axes, priority=args.priority
-        )
-        if remote:
-            _echo_stream(client, job_id)
-        results = client.result(job_id)
-        record = client.status(job_id)
-    except ExperimentParamError as exc:
-        parser.error(str(exc))
-    except Exception as exc:
-        return _client_error(exc)
-
-    print(render_points(spec, record.labels, results))
-    text = job_sweep_csv(axes, record)
-    print()
-    print(text, end="")
-    if args.csv:
-        from pathlib import Path
-
-        path = Path(args.csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    return 0
+    return _submit_job(args, request)
 
 
 def _client_error(exc: Exception) -> int:
-    from repro.service.protocol import ProtocolError
-    from repro.service.server import ServiceError
-
-    if isinstance(exc, (ProtocolError, ServiceError, ExperimentParamError,
-                        RuntimeError, TimeoutError)):
+    # a failed or cancelled job, the daemon's ProtocolError and the queue's
+    # JobError are all RuntimeErrors; a schema error goes on to main()
+    if isinstance(exc, (RuntimeError, TimeoutError)):
         print(f"repro-experiments: {exc}", file=sys.stderr)
         return 1
     raise exc
@@ -489,64 +455,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_submit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.service.client import ExperimentClient
-
-    client = ExperimentClient.connect(
-        args.daemon or None, client=args.client
-    )
-    try:
-        if args.axis:
-            if args.artifact == "all":
-                parser.error("--axis sweeps one artifact, not 'all'")
-            spec = registry.get(args.artifact)
-            axes: dict[str, list[Any]] = {}
-            for item in args.axis:
-                if "=" not in item:
-                    raise ExperimentParamError(
-                        f"--axis expects K=V1,V2,..., got {item!r}"
-                    )
-                key, _, value = item.partition("=")
-                axes[key] = spec.param(key).parse_axis(value)
-            fixed = _overrides(spec, args)
-            job_id = client.submit(
-                spec.name, fixed, axes=axes, priority=args.priority
-            )
-        else:
-            names = (
-                list(registry.ARTIFACT_NAMES)
-                if args.artifact == "all" else [args.artifact]
-            )
-            requests = [
-                (name, _overrides(registry.get(name), args)) for name in names
-            ]
-            job_id = client.submit(tasks=requests, priority=args.priority)
-    except ExperimentParamError as exc:
-        parser.error(str(exc))
-    except Exception as exc:
-        return _client_error(exc)
-
-    if not args.follow:
-        print(job_id)
-        return 0
-    try:
-        _echo_stream(client, job_id)
-        if args.axis:
-            from repro.experiments.sweep import job_sweep_csv, render_points
-
-            spec = registry.get(args.artifact)
-            results = client.result(job_id)
-            record = client.status(job_id)
-            print(render_points(spec, record.labels, results))
-            print()
-            print(job_sweep_csv(axes, record), end="")
-        else:
-            _print_run_results(client, job_id)
-    except Exception as exc:
-        return _client_error(exc)
-    return 0
-
-
 def _cmd_job_verb(args: argparse.Namespace) -> int:
     from repro.service.client import ExperimentClient
 
@@ -582,28 +490,23 @@ def _cmd_job_verb(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # deprecated back-compat shim:
-    # `repro-experiments table4 --scenario ...` -> `run ...`
-    if argv and argv[0] not in _COMMANDS and not argv[0].startswith("-"):
-        warnings.warn(_DEPRECATION_NOTE, DeprecationWarning, stacklevel=2)
-        print(f"warning: {_DEPRECATION_NOTE}", file=sys.stderr)
-        argv.insert(0, "run")
-
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "list":
             return _cmd_list()
         if args.command == "run":
-            return _cmd_run(args, parser)
+            return _cmd_run(args)
         if args.command == "sweep":
-            return _cmd_sweep(args, parser)
+            return _submit_job(args, _sweep_request(args))
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "submit":
-            return _cmd_submit(args, parser)
+            request = _sweep_request(args) if args.axis else _run_request(args)
+            return _submit_job(args, request, follow=args.follow)
         return _cmd_job_verb(args)
+    except ExperimentParamError as exc:
+        parser.error(str(exc))
     except BrokenPipeError:
         # stdout went away (e.g. `status ... | head`); exit quietly with
         # the conventional SIGPIPE status

@@ -1,7 +1,7 @@
 """One-call report generation: every artifact to a directory.
 
 ``write_all(out_dir)`` regenerates each table/figure through the
-experiment registry and the process-pool runner — so it takes the same
+experiment registry and the in-process job queue — so it takes the same
 ``jobs``/``cache`` controls as the CLI — and writes the human-readable
 render (``.txt``) plus, where defined, the machine-readable CSV
 (``.csv``) and the Perfetto trace JSON.  Used by

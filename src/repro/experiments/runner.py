@@ -1,49 +1,60 @@
-"""Process-pool experiment runner with a deterministic merge.
+"""The job queue: the one scheduler every experiment run goes through.
 
-``run_tasks`` executes a list of :class:`Task` (spec + validated params)
-and returns outcomes **in input order**, whatever the completion order —
-so a parallel run renders byte-identically to a serial one.  The moving
-parts:
+:class:`JobQueue` takes jobs of validated :class:`Task` (spec + params)
+and owns everything between a submit and its terminal event.  It has no
+socket and no thread of its own — somebody drives it: the in-process
+client (``ExperimentClient.in_process``) calls :meth:`JobQueue.drive` in
+its own thread until the job it submitted is terminal; the daemon
+(:class:`repro.service.server.ExperimentService`) is this class plus a
+scheduler thread, a socket and a drain protocol.
 
-* **Sharding** — each task is shipped to a ``spawn`` worker as
-  ``(module, entry, params)``; only names and plain data cross the
-  process boundary, results come back pickled.  ``spawn`` (not ``fork``)
-  so every worker starts from a clean interpreter: no inherited stub
-  caches, buffer pools or RNG state — a worker computes exactly what a
-  fresh serial process would.
-* **Scheduling** — pending tasks are submitted longest-first (by
-  ``spec.cost_hint``) so the critical path (the scorecard) starts
-  immediately instead of last.
-* **Seeding** — each worker seeds ``random`` and ``numpy`` from a hash
-  of (spec name, params) before running, so any incidental RNG use is
-  deterministic per task, not per scheduling order.
-* **Retry** — a worker crash (the pool breaks) retries each unfinished
-  task **once, inline in the parent**; a second failure propagates.
-  Ordinary exceptions raised by the experiment propagate immediately.
-* **Caching** — with a :class:`~repro.experiments.cache.ResultCache`,
-  hits skip execution entirely (unless ``refresh``) and fresh results
-  are stored on the way out.
+What the queue decides, once, for both (docs/architecture.md,
+"Experiment orchestration", has the long form):
 
-Progress lines are streamed to ``progress`` (stderr by default), never
-stdout — stdout belongs to the rendered artifacts and must not vary
-with scheduling.
+* **Pick** — the smallest ``(-priority, submit order, -cost_hint,
+  index)`` among queued tasks, skipping clients at their running-task
+  quota; inside a job longest-first, so the critical path (the
+  scorecard) starts immediately instead of last.
+* **Resolve** — a :class:`~repro.experiments.cache.ResultCache` hit
+  completes without a worker (unless ``refresh``); a task identical to
+  one in flight waits for that computation (``source="dedup"``).
+* **Execute** — in the driving thread, or on a lazily built ``spawn``
+  pool (not ``fork``: every worker starts from a clean interpreter, no
+  inherited stub caches, buffer pools or RNG state).  Only ``(module,
+  entry, params)`` names and plain data cross the process boundary;
+  each task seeds ``random`` and ``numpy`` from a hash of (spec name,
+  params), so incidental RNG use does not depend on scheduling order.
+* **Crash policy** — a worker that dies breaks its pool: the pool is
+  retired, every task that was in flight on it is requeued once
+  (``source="retry"``) and the next task that needs a pool gets a fresh
+  one; a second crash fails the job.  An ordinary exception raised by an
+  experiment fails the job at once.
+* **Record** — one writer of each job's :class:`JobRecord` and dense,
+  seq-numbered :class:`JobEvent` log; results are kept in input order
+  whatever the completion order, which is why a parallel run renders
+  byte-identically to a serial one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import importlib
-import sys
+import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from typing import Any
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.registry import ExperimentSpec
-from repro.experiments.serde import canonical_json
+from repro.experiments.serde import JobEvent, JobRecord, canonical_json
+from repro.experiments.sweep import numeric_summary
+from repro.obs.metrics import MetricNames, Metrics
 
-__all__ = ["Task", "TaskOutcome", "run_tasks", "task_seed"]
+__all__ = ["JobError", "JobQueue", "Task", "task_seed"]
 
 
 @dataclass(frozen=True)
@@ -60,21 +71,18 @@ class Task:
             object.__setattr__(self, "label", self.spec.name)
 
 
-@dataclass
-class TaskOutcome:
-    """How one task finished."""
+def _identity(spec: ExperimentSpec, params: dict[str, Any]) -> str:
+    """What makes two tasks the same computation."""
+    return canonical_json({"spec": spec.name, "params": params})
 
-    task: Task
-    result: Any
-    source: str  # "run" | "cache" | "retry"
-    elapsed_s: float
-    attempts: int = 1
+
+def _seed_of(identity: str) -> int:
+    return int.from_bytes(hashlib.sha256(identity.encode()).digest()[:4], "big")
 
 
 def task_seed(spec: ExperimentSpec, params: dict[str, Any]) -> int:
     """Deterministic per-task RNG seed from (spec name, params)."""
-    text = canonical_json({"spec": spec.name, "params": params})
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
+    return _seed_of(_identity(spec, params))
 
 
 def _execute(module: str, entry: str, params: dict[str, Any], seed: int) -> Any:
@@ -92,93 +100,612 @@ def _execute(module: str, entry: str, params: dict[str, Any], seed: int) -> Any:
     return fn(**params)
 
 
-def _default_progress(message: str) -> None:
-    print(message, file=sys.stderr, flush=True)
+class JobError(RuntimeError):
+    """A request the queue cannot honour (bad job id, empty job, ...)."""
 
 
-def run_tasks(
-    tasks: Sequence[Task],
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    refresh: bool = False,
-    progress: Callable[[str], None] | None = None,
-) -> list[TaskOutcome]:
-    """Run every task; outcomes come back in input order."""
-    say = progress if progress is not None else _default_progress
-    outcomes: dict[int, TaskOutcome] = {}
+#: task states that still owe their job a result
+_OPEN = ("queued", "running", "dedup-wait")
 
-    # -- cache hits resolve in the parent, before any worker spawns ------
-    pending: list[int] = []
-    for i, task in enumerate(tasks):
-        if cache is not None and not refresh:
-            t0 = time.perf_counter()
-            hit = cache.load(task.spec, task.params)
-            if hit is not None:
-                outcomes[i] = TaskOutcome(
-                    task, hit, "cache", time.perf_counter() - t0
-                )
-                say(f"[{task.label}] cache hit ({cache.path(task.spec, task.params)})")
-                continue
-        pending.append(i)
 
-    def finish(i: int, result: Any, source: str, elapsed: float, attempts: int) -> None:
-        task = tasks[i]
-        outcomes[i] = TaskOutcome(task, result, source, elapsed, attempts)
-        if cache is not None:
-            cache.store(task.spec, task.params, result)
-        say(f"[{task.label}] done in {elapsed:.1f}s ({source})")
+@dataclass(eq=False)
+class _TaskState:
+    """Scheduler-side state of one task of one job."""
 
-    def run_inline(i: int, source: str, attempts: int) -> None:
-        task = tasks[i]
-        t0 = time.perf_counter()
-        result = _execute(
-            task.spec.module, task.spec.entry, task.params,
-            task_seed(task.spec, task.params),
-        )
-        finish(i, result, source, time.perf_counter() - t0, attempts)
+    task: Task
+    index: int
+    #: the task's identity: keys the in-flight table, seeds its RNGs
+    key: str
+    state: str = "queued"  # queued | running | dedup-wait | done | dropped
+    attempts: int = 1
+    #: the cache was asked and had no usable entry: do not ask again
+    cache_missed: bool = False
+    queued_at: float = 0.0
+    started_at: float = 0.0
 
-    if jobs <= 1 or len(pending) <= 1:
-        for i in pending:
-            say(f"[{tasks[i].label}] running")
-            run_inline(i, "run", 1)
-        return [outcomes[i] for i in range(len(tasks))]
 
-    # -- parallel: longest-first submission, crash-retry inline ----------
-    # (the pool machinery is imported here: a serial or fully cached run
-    # never pays for concurrent.futures.process / multiprocessing)
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import get_context
+class _Job:
+    """A submitted job: record + tasks + its event log."""
 
-    order = sorted(pending, key=lambda i: -tasks[i].spec.cost_hint)
-    crashed: list[int] = []
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(pending)), mp_context=get_context("spawn")
-    ) as pool:
-        futures = {}
-        started = time.perf_counter()
-        for i in order:
-            task = tasks[i]
-            futures[pool.submit(
-                _execute, task.spec.module, task.spec.entry, task.params,
-                task_seed(task.spec, task.params),
-            )] = i
-            say(f"[{task.label}] queued")
-        not_done = set(futures)
-        while not_done:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for fut in done:
-                i = futures[fut]
-                try:
-                    result = fut.result()
-                except BrokenProcessPool:
-                    crashed.append(i)
+    def __init__(self, record: JobRecord, seq: int, tasks: list[_TaskState]):
+        self.record = record
+        self.seq = seq  # submit order
+        self.tasks = tasks
+        self.open = len(tasks)  # tasks in an _OPEN state
+        self.events: list[JobEvent] = []
+        self.results: list[Any | None] = [None] * len(tasks)
+        self.payloads: list[Any | None] = [None] * len(tasks)
+        self.failure: BaseException | None = None
+
+
+class JobQueue:
+    """Jobs in, terminal events out.  Not a thread: call :meth:`drive`
+    (until one job is done), :meth:`run_pending` (until nothing can
+    move) or subclass it with a scheduler thread."""
+
+    def __init__(
+        self,
+        *,
+        workers: int = 0,
+        quota: int = 0,
+        keep_jobs: int = 256,
+        cache: ResultCache | None = None,
+        refresh: bool = False,
+        job_ids: str = "j{:04d}",
+        on_event: Callable[[JobEvent], None] | None = None,
+        metrics: Metrics | None = None,
+    ):
+        #: pool size; 0 executes every task in the driving thread
+        self.workers = workers
+        #: max tasks of one client running at once (0 = unlimited)
+        self.quota = quota
+        #: terminal jobs kept for status/list-jobs before being dropped
+        self.keep_jobs = keep_jobs
+        self.cache = cache
+        #: recompute cache hits (and overwrite them)
+        self.refresh = refresh
+        self.metrics = metrics or Metrics()
+        self._job_ids = job_ids
+        self._on_event = on_event
+        self._h_depth = self.metrics.histogram(MetricNames.SVC_QUEUE_DEPTH)
+        self._h_wait = self.metrics.histogram(MetricNames.SVC_WAIT)
+        self._h_exec = self.metrics.histogram(MetricNames.SVC_EXEC)
+        self._h_stream = self.metrics.histogram(MetricNames.SVC_STREAM_LAG)
+
+        self._cond = threading.Condition()
+        self._jobs: dict[str, _Job] = {}
+        self._job_seq = 0
+        #: queued tasks as (-priority, job seq, -cost_hint, index, job, task
+        #: state); an entry whose task is no longer queued is skipped
+        self._ready: list[tuple] = []
+        self._depth = 0  # tasks in state "queued"
+        self._open = 0  # tasks in an _OPEN state, over all jobs
+        self._running: dict[str, int] = {}  # client -> tasks in state "running"
+        #: keys being computed by a running task
+        self._inflight: set[str] = set()
+        #: key -> tasks waiting on that computation
+        self._dedup_waiters: dict[str, list[tuple[_Job, _TaskState]]] = {}
+        self._slots = 0  # tasks on the pool
+        self._started_at = time.monotonic()
+        self._busy_s = 0.0  # accumulated busy-slot seconds (worker_util)
+        self._counts = {
+            "jobs_submitted": 0, "tasks_submitted": 0, "tasks_executed": 0,
+            "cache_hits": 0, "dedup_hits": 0, "cancelled": 0, "failed": 0,
+        }
+        self._pool = None
+        self._retired: list = []  # broken pools, shut down off their own thread
+
+    # ------------------------------------------------------------------
+    # the verbs
+    # ------------------------------------------------------------------
+    def enqueue(
+        self, tasks: Sequence[Task], *, client: str, artifact: str, priority: int = 0
+    ) -> str:
+        """Queue one job of validated tasks; returns its id."""
+        if not tasks:
+            raise JobError("a job needs at least one task")
+        now = time.monotonic()
+        with self._cond:
+            self._job_seq += 1
+            record = JobRecord(
+                job_id=self._job_ids.format(self._job_seq),
+                client=client,
+                artifact=artifact,
+                priority=priority,
+                artifacts=[t.spec.name for t in tasks],
+                params=[t.params for t in tasks],
+                labels=[t.label for t in tasks],
+                submitted_s=time.time(),
+                tasks_total=len(tasks),
+            )
+            job = _Job(record, self._job_seq, [
+                _TaskState(t, i, _identity(t.spec, t.params), queued_at=now)
+                for i, t in enumerate(tasks)
+            ])
+            self._jobs[record.job_id] = job
+            self._emit(job, "job.queued", {
+                "artifact": artifact, "tasks": len(tasks),
+                "priority": priority, "client": client,
+            })
+            for ts in job.tasks:
+                heapq.heappush(self._ready, self._entry(job, ts))
+            self._depth += len(tasks)
+            self._open += len(tasks)
+            self._counts["jobs_submitted"] += 1
+            self._counts["tasks_submitted"] += len(tasks)
+            self._trim_jobs_locked()
+            self._cond.notify_all()
+        return record.job_id
+
+    def status(self, job_id: str) -> JobRecord:
+        with self._cond:
+            return self._job(job_id).record
+
+    def events(self, job_id: str, from_seq: int = 0) -> list[JobEvent]:
+        """Non-blocking poll: events with ``seq >= from_seq``."""
+        with self._cond:
+            return list(self._job(job_id).events[from_seq:])
+
+    def wait(self, job_id: str, timeout: float | None = None) -> JobRecord:
+        """Block until the job is terminal (or timeout); returns the
+        record."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            job = self._job(job_id)
+            while not job.record.terminal:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    break
+                self._cond.wait(remaining if remaining is not None else 0.5)
+            return job.record
+
+    def stream(self, job_id: str, from_seq: int = 0) -> Iterator[JobEvent]:
+        """Yield events from ``from_seq``, blocking for new ones until
+        the terminal event has been delivered."""
+        next_seq = from_seq
+        replayed = False
+        while True:
+            with self._cond:
+                job = self._job(job_id)
+                while len(job.events) <= next_seq and not job.record.terminal:
+                    self._cond.wait(0.5)
+                batch = list(job.events[next_seq:])
+            if not replayed:
+                self._h_stream.record(float(len(batch)))
+                replayed = True
+            for event in batch:
+                yield event
+                next_seq = event.seq + 1
+                if event.terminal:
+                    return
+
+    def results(self, job_id: str) -> list[Any]:
+        """The job's live result objects, in task order (waits for the
+        job; raises if it failed or was cancelled)."""
+        record = self.wait(job_id)
+        with self._cond:
+            job = self._job(job_id)
+        if record.state != "done":
+            raise RuntimeError(
+                f"job {job_id} {record.state}: {record.error or 'no results'}"
+            ) from job.failure
+        return list(job.results)
+
+    def cancel(self, job_id: str) -> JobRecord:
+        with self._cond:
+            job = self._job(job_id)
+            if not job.record.terminal:
+                self._cancel_locked(job, reason="client request")
+                self._cond.notify_all()
+            return job.record
+
+    def list_jobs(self) -> list[JobRecord]:
+        with self._cond:
+            return [j.record for j in self._jobs.values()]
+
+    def stats(self) -> dict[str, Any]:
+        """Queue/worker/cache gauges and histogram snapshots."""
+        with self._cond:
+            uptime = max(time.monotonic() - self._started_at, 1e-9)
+            util = self._busy_s / (uptime * self.workers) if self.workers else 0.0
+            self.metrics.gauge(MetricNames.SVC_WORKER_UTIL, util)
+            self.metrics.gauge(MetricNames.SVC_JOBS, float(self._counts["jobs_submitted"]))
+            self.metrics.gauge(MetricNames.SVC_CACHE_HITS, float(self._counts["cache_hits"]))
+            self.metrics.gauge(MetricNames.SVC_DEDUP_HITS, float(self._counts["dedup_hits"]))
+            out = {
+                "uptime_s": uptime,
+                "workers": self.workers,
+                "quota": self.quota,
+                "queue_depth": self._depth,
+                "running": self._slots,
+                "worker_util": util,
+                "counts": dict(self._counts),
+                "gauges": dict(sorted(self.metrics.gauges.items())),
+                "histograms": {
+                    name: hist.snapshot()
+                    for name, hist in self.metrics.histograms().items()
+                    if hist.count
+                },
+            }
+            if self.cache is not None:
+                out["cache"] = {
+                    "hits": self.cache.hits,
+                    "misses": self.cache.misses,
+                    "stores": self.cache.stores,
+                    "integrity_failures": self.cache.integrity_failures,
+                }
+            return out
+
+    def close(self) -> None:
+        """Shut the worker pool down, waiting for its processes."""
+        self._retire(self._pool)
+        self._reap_retired()
+
+    # ------------------------------------------------------------------
+    # driving
+    # ------------------------------------------------------------------
+    def drive(self, job_id: str) -> None:
+        """Run the queue in the calling thread until ``job_id`` is
+        terminal.  With a pool configured, cache hits are resolved first
+        and the pool is only built if more than one task is left to
+        execute; it lives for this one job."""
+        with self._cond:
+            job = self._job(job_id)
+        inline = self.workers == 0
+        if not inline:
+            self.run_pending(cached_only=True)
+            inline = job.open <= 1
+        try:
+            self._run_until(lambda: job.record.terminal, inline=inline)
+        finally:
+            self.close()
+
+    def run_pending(self, **how) -> int:
+        """Dispatch until nothing can move (no queued task, or no slot
+        for one that needs a worker).  Returns the number of tasks
+        dispatched."""
+        dispatched = 0
+        while True:
+            with self._cond:
+                action = self._pick_locked(**how)
+            if action is None:
+                return dispatched
+            self._dispatch(*action, **how)
+            dispatched += 1
+
+    def _run_until(self, done: Callable[[], bool], **how) -> None:
+        """Dispatch, sleeping on the condition while nothing can move,
+        until ``done()`` (evaluated under the lock)."""
+        while True:
+            with self._cond:
+                if done():
+                    return
+                action = self._pick_locked(**how)
+                if action is None:
+                    self._cond.wait(0.2)
                     continue
-                finish(i, result, "run", time.perf_counter() - started, 1)
+            self._dispatch(*action, **how)
 
-    for i in sorted(crashed):
-        say(f"[{tasks[i].label}] worker crashed; retrying inline")
-        run_inline(i, "retry", 2)
+    # ------------------------------------------------------------------
+    # pick
+    # ------------------------------------------------------------------
+    def _entry(self, job: _Job, ts: _TaskState) -> tuple:
+        # (job seq, index) is unique, so the comparison never reaches the objects
+        return (
+            -job.record.priority, job.seq, -ts.task.spec.cost_hint, ts.index, job, ts
+        )
 
-    return [outcomes[i] for i in range(len(tasks))]
+    def _hit_only_locked(self, cached_only: bool, inline: bool) -> bool:
+        """May only a task whose result is already cached be claimed now?"""
+        return cached_only or (not inline and 0 < self.workers <= self._slots)
+
+    def _pick_locked(
+        self, *, cached_only: bool = False, inline: bool = False
+    ) -> tuple[_Job, _TaskState] | None:
+        """Claim the next dispatchable task — or None when nothing can
+        move.  Tasks identical to one in flight are folded into it on
+        the way; tasks that cannot be claimed now (client at quota, or a
+        worker is needed and none is free) are set aside and restored."""
+        if not self._depth:
+            self._ready.clear()  # only entries of dropped tasks are left
+            return None
+        self._h_depth.record(float(self._depth))
+        hit_only = self._hit_only_locked(cached_only, inline)
+        aside = []
+        picked = None
+        while self._ready:
+            entry = heapq.heappop(self._ready)
+            job, ts = entry[-2:]
+            if ts.state != "queued":
+                continue  # cancelled or failed while it waited
+            if self.quota and self._running.get(job.record.client, 0) >= self.quota:
+                aside.append(entry)
+            elif ts.key in self._inflight:
+                self._move(job, ts, "dedup-wait")
+                self._dedup_waiters.setdefault(ts.key, []).append((job, ts))
+            elif hit_only and not self._cache_could_hit(ts):
+                aside.append(entry)  # maybe a later task is a cache hit
+            else:
+                self._move(job, ts, "running")
+                ts.started_at = time.monotonic()
+                self._inflight.add(ts.key)
+                picked = job, ts
+                break
+        for entry in aside:
+            heapq.heappush(self._ready, entry)
+        return picked
+
+    def _cache_could_hit(self, ts: _TaskState) -> bool:
+        """Cheap pre-check (file existence) letting cache hits bypass a
+        full worker pool; the authoritative load happens in _dispatch."""
+        if self.cache is None or self.refresh or ts.cache_missed:
+            return False
+        return self.cache.path(ts.task.spec, ts.task.params).exists()
+
+    def _move(self, job: _Job, ts: _TaskState, state: str) -> None:
+        """The one place a task changes state: keeps the counters true,
+        and a job is running once one of its tasks has left the queue."""
+        client = job.record.client
+        if job.record.state == "queued":
+            job.record.state = "running"
+        if ts.state == "queued":
+            self._depth -= 1
+        elif ts.state == "running":
+            self._running[client] -= 1
+        if state == "queued":
+            self._depth += 1
+        elif state == "running":
+            self._running[client] = self._running.get(client, 0) + 1
+        delta = (state in _OPEN) - (ts.state in _OPEN)
+        job.open += delta
+        self._open += delta
+        ts.state = state
+
+    # ------------------------------------------------------------------
+    # resolve and execute
+    # ------------------------------------------------------------------
+    def _dispatch(
+        self, job: _Job, ts: _TaskState, *, cached_only: bool = False,
+        inline: bool = False,
+    ) -> None:
+        """Outside the lock: resolve a claimed task via the cache, or
+        execute it."""
+        task = ts.task
+        inline = inline or self.workers == 0
+        if self.cache is not None and not (self.refresh or ts.cache_missed):
+            hit = self.cache.load(task.spec, task.params)
+            if hit is not None:
+                with self._cond:
+                    self._complete_locked(job, ts, hit, "cache")
+                return
+            ts.cache_missed = True
+        with self._cond:
+            if self._hit_only_locked(cached_only, inline):
+                # claimed as a likely cache hit, but the envelope is
+                # gone or corrupt: back to the queue
+                self._requeue_locked(job, ts)
+                return
+            self._emit(job, "task.started", {
+                "index": ts.index, "label": task.label, "attempt": ts.attempts,
+            })
+            if not inline:
+                self._slots += 1
+        args = (task.spec.module, task.spec.entry, task.params, _seed_of(ts.key))
+        if inline:
+            try:
+                result = _execute(*args)
+            except Exception as exc:
+                self._task_failed(job, ts, exc)
+            else:
+                self._task_succeeded(job, ts, result)
+            return
+        from concurrent.futures import BrokenExecutor
+
+        while True:
+            pool = self._ensure_pool()
+            try:
+                future = pool.submit(_execute, *args)
+            except BrokenExecutor:
+                # a worker died and the pool's own thread has not told us yet
+                self._retire(pool)
+                continue
+            future.add_done_callback(partial(self._on_future, job, ts, pool))
+            return
+
+    def _ensure_pool(self):
+        self._reap_retired()
+        with self._cond:
+            if self._pool is None:
+                # imported here: a serial or fully cached run never pays
+                # for concurrent.futures.process / multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+                from multiprocessing import get_context
+
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=get_context("spawn")
+                )
+            return self._pool
+
+    def _retire(self, pool) -> None:
+        with self._cond:
+            if pool is not None and self._pool is pool:
+                self._pool = None
+                self._retired.append(pool)
+
+    def _reap_retired(self) -> None:
+        # never from a pool's own callback thread: shutdown joins it
+        while self._retired:
+            self._retired.pop().shutdown(wait=True)
+
+    def _on_future(self, job: _Job, ts: _TaskState, pool, future) -> None:
+        from concurrent.futures import BrokenExecutor
+
+        with self._cond:
+            self._slots -= 1
+            self._busy_s += time.monotonic() - ts.started_at
+        try:
+            result = future.result()
+        except BrokenExecutor as exc:
+            self._retire(pool)
+            if ts.attempts > 1:
+                self._task_failed(job, ts, exc)
+                return
+            with self._cond:
+                ts.attempts += 1
+                self._requeue_locked(job, ts)
+        except Exception as exc:
+            self._task_failed(job, ts, exc)
+        else:
+            self._task_succeeded(job, ts, result)
+
+    def _requeue_locked(self, job: _Job, ts: _TaskState) -> None:
+        self._inflight.remove(ts.key)
+        self._move(job, ts, "queued")
+        heapq.heappush(self._ready, self._entry(job, ts))
+        self._cond.notify_all()
+
+    def _store(self, task: Task, result: Any) -> None:
+        self.cache.store(task.spec, task.params, result)
+
+    def _task_succeeded(self, job: _Job, ts: _TaskState, result: Any) -> None:
+        if self.cache is not None:
+            self._store(ts.task, result)
+        self._h_exec.record((time.monotonic() - ts.started_at) * 1e3)
+        with self._cond:
+            self._counts["tasks_executed"] += 1
+            self._complete_locked(
+                job, ts, result, "run" if ts.attempts == 1 else "retry"
+            )
+
+    def _task_failed(self, job: _Job, ts: _TaskState, exc: BaseException) -> None:
+        import traceback  # not worth loading on the path where nothing fails
+
+        message = "".join(
+            traceback.format_exception_only(type(exc), exc)
+        ).strip()
+        with self._cond:
+            self._inflight.remove(ts.key)
+            self._move(job, ts, "done")
+            self._fail_job_locked(job, ts, message, exc)
+            # dedup waiters of a failed computation fail their jobs too
+            for wjob, wts in self._pop_waiters_locked(ts.key):
+                self._move(wjob, wts, "done")
+                self._fail_job_locked(wjob, wts, message, exc)
+            self._cond.notify_all()
+
+    # ------------------------------------------------------------------
+    # record
+    # ------------------------------------------------------------------
+    def _emit(self, job: _Job, kind: str, data: dict) -> None:
+        event = JobEvent(
+            kind=kind, job_id=job.record.job_id, seq=len(job.events), data=data
+        )
+        job.events.append(event)
+        if self._on_event is not None:
+            self._on_event(event)
+
+    def _complete_locked(
+        self, job: _Job, ts: _TaskState, result: Any, source: str
+    ) -> None:
+        """Record one resolved task and fan out to its dedup waiters."""
+        self._inflight.remove(ts.key)
+        self._finish_task_locked(job, ts, result, source)
+        for wjob, wts in self._pop_waiters_locked(ts.key):
+            self._finish_task_locked(wjob, wts, result, "dedup")
+        self._cond.notify_all()
+
+    def _pop_waiters_locked(self, key: str) -> Iterator[tuple[_Job, _TaskState]]:
+        """The tasks still waiting on ``key`` (a waiter dropped since it
+        joined — its job was cancelled or failed — stays listed)."""
+        for wjob, wts in self._dedup_waiters.pop(key, ()):
+            if wts.state == "dedup-wait":
+                yield wjob, wts
+
+    def _finish_task_locked(
+        self, job: _Job, ts: _TaskState, result: Any, source: str
+    ) -> None:
+        self._move(job, ts, "done")  # even for a cancelled job: drain must see it settle
+        if job.record.terminal:
+            return
+        record, task = job.record, ts.task
+        self._h_wait.record((time.monotonic() - ts.queued_at) * 1e3)
+        if source == "cache":
+            record.cache_hits += 1
+            self._counts["cache_hits"] += 1
+            self._emit(job, "task.cached", {"index": ts.index, "label": task.label})
+        elif source == "dedup":
+            record.dedup_hits += 1
+            self._counts["dedup_hits"] += 1
+        record.tasks_done += 1
+        job.results[ts.index] = result
+        to_json = getattr(result, "to_json", None)
+        payload = job.payloads[ts.index] = to_json() if callable(to_json) else None
+        self._emit(job, "task.finished", {
+            "index": ts.index, "label": task.label, "source": source,
+        })
+        self._emit(job, "row", {
+            "index": ts.index, "label": task.label,
+            "artifact": task.spec.name,
+            "params": task.params,
+            "summary": numeric_summary(payload) if payload is not None else {},
+            "result": payload,
+        })
+        if not job.open:
+            record.state = "done"
+            record.finished_s = time.time()
+            record.results = list(job.payloads)
+            self._emit(job, "job.done", {
+                "tasks": record.tasks_total,
+                "cache_hits": record.cache_hits,
+                "dedup_hits": record.dedup_hits,
+                "elapsed_s": record.finished_s - record.submitted_s,
+            })
+
+    def _drop_waiting_locked(self, job: _Job) -> int:
+        """A terminal job's queued and dedup-waiting tasks will never
+        run; its running ones finish and are ignored."""
+        dropped = 0
+        for ts in job.tasks:
+            if ts.state in ("queued", "dedup-wait"):
+                self._move(job, ts, "dropped")
+                dropped += 1
+        return dropped
+
+    def _fail_job_locked(
+        self, job: _Job, ts: _TaskState, message: str, exc: BaseException
+    ) -> None:
+        if job.record.terminal:
+            return
+        job.record.state = "failed"
+        job.record.finished_s = time.time()
+        job.record.error = message
+        job.failure = exc
+        self._counts["failed"] += 1
+        self._drop_waiting_locked(job)
+        self._emit(job, "job.failed", {
+            "error": message, "index": ts.index, "label": ts.task.label,
+        })
+
+    def _cancel_locked(self, job: _Job, *, reason: str) -> None:
+        job.record.state = "cancelled"
+        job.record.finished_s = time.time()
+        job.record.error = f"cancelled: {reason}"
+        self._counts["cancelled"] += 1
+        self._emit(job, "job.cancelled", {
+            "reason": reason, "dropped_tasks": self._drop_waiting_locked(job),
+            "done_tasks": job.record.tasks_done,
+        })
+
+    def _job(self, job_id: str) -> _Job:
+        job = self._jobs.get(job_id)
+        if job is None:
+            raise JobError(f"unknown job '{job_id}'")
+        return job
+
+    def _trim_jobs_locked(self) -> None:
+        """Forget the oldest terminal jobs beyond ``keep_jobs`` (the job
+        table is in submit order, so this rarely looks past its head)."""
+        excess = max(len(self._jobs) - self.keep_jobs, 0)
+        oldest = (j.record.job_id for j in self._jobs.values() if j.record.terminal)
+        for job_id in list(islice(oldest, excess)):
+            del self._jobs[job_id]

@@ -124,8 +124,9 @@ def _check_version(cls_name: str, version: Any) -> int:
 class JobEvent:
     """One line of a job's streamed JSONL log.
 
-    Kinds: ``job.queued``, ``task.started``, ``task.finished`` (data has
-    ``source``: run | cache | dedup), ``task.cached``, ``row`` (one
+    Kinds: ``job.queued``, ``task.started`` (``attempt`` is 2 after a
+    worker crash), ``task.finished`` (data has ``source``: run | retry |
+    cache | dedup), ``task.cached``, ``row`` (one
     incremental sweep row: params + numeric summary + result payload)
     and the terminal trio ``job.done`` / ``job.failed`` /
     ``job.cancelled``.  ``seq`` is per-job, dense from 0, so a client

@@ -2,8 +2,8 @@
 
 ``repro-experiments sweep <artifact> --param k=v1,v2 --param j=w`` runs
 the cartesian product of every multi-valued axis (single-valued params
-are fixed), one task per grid point, through the same process-pool
-runner and result cache as ``run`` — so ``--jobs`` shards points across
+are fixed), one task per grid point, through the same job queue and
+result cache as ``run`` — so ``--jobs`` shards points across
 workers and a re-sweep after changing one axis only recomputes the new
 cells.
 
@@ -21,16 +21,16 @@ import csv
 import io
 import itertools
 from collections.abc import Mapping, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.experiments.registry import ExperimentSpec
-from repro.experiments.runner import Task, TaskOutcome
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import Task
 
 __all__ = [
     "grid_tasks",
-    "sweep_csv",
     "job_sweep_csv",
-    "render_sweep",
     "render_points",
     "numeric_summary",
 ]
@@ -46,6 +46,8 @@ def grid_tasks(
 ) -> list[Task]:
     """One validated task per grid point of ``axes`` (fixed params merged
     into every point)."""
+    from repro.experiments.runner import Task  # the runner imports this module
+
     if not axes:
         raise ValueError("a sweep needs at least one --param axis")
     names = list(axes)
@@ -102,21 +104,15 @@ def numeric_summary(payload: Any, prefix: str = "") -> dict[str, float]:
     return out
 
 
-def _summaries(outcomes: Sequence[TaskOutcome]) -> list[dict[str, float]]:
-    rows = []
-    for o in outcomes:
-        if hasattr(o.result, "to_json"):
-            rows.append(numeric_summary(o.result.to_json()))
-        else:
-            rows.append({})
-    return rows
-
-
-def _csv_table(
-    names: Sequence[str],
-    points: Sequence[Sequence[Any]],
-    summaries: Sequence[Mapping[str, float]],
-) -> str:
+def job_sweep_csv(axes: Mapping[str, Sequence[Any]], record: Any) -> str:
+    """The merged sweep table of a finished
+    :class:`~repro.experiments.serde.JobRecord`: axis columns (the point
+    values, from the record's per-task params), then the union of every
+    point's numeric-summary columns in first-seen order (from its stored
+    result payloads) — so a daemon-side sweep exports the identical CSV."""
+    names = list(axes)
+    payloads = record.results or [None] * len(record.params)
+    summaries = [numeric_summary(p) if p is not None else {} for p in payloads]
     columns: list[str] = []
     for row in summaries:
         for key in row:
@@ -124,40 +120,13 @@ def _csv_table(
                 columns.append(key)
     out = io.StringIO()
     w = csv.writer(out)
-    w.writerow(list(names) + columns)
-    for point, row in zip(points, summaries):
+    w.writerow(names + columns)
+    for params, row in zip(record.params, summaries):
         w.writerow(
-            [_fmt(v) for v in point]
+            [_fmt(params[n]) for n in names]
             + [("" if key not in row else f"{row[key]:g}") for key in columns]
         )
     return out.getvalue()
-
-
-def sweep_csv(
-    axes: Mapping[str, Sequence[Any]], outcomes: Sequence[TaskOutcome]
-) -> str:
-    """The merged sweep table: axis columns, then the union of every
-    point's numeric-summary columns (first-seen order)."""
-    names = list(axes)
-    return _csv_table(
-        names,
-        [[o.task.params[n] for n in names] for o in outcomes],
-        _summaries(outcomes),
-    )
-
-
-def job_sweep_csv(axes: Mapping[str, Sequence[Any]], record: Any) -> str:
-    """:func:`sweep_csv` from a :class:`~repro.experiments.serde.JobRecord`
-    instead of live outcomes — the point values come from the record's
-    per-task params and the summary columns from its stored result
-    payloads, so a daemon-side sweep exports the identical CSV."""
-    names = list(axes)
-    payloads = record.results or [None] * len(record.params)
-    return _csv_table(
-        names,
-        [[params[n] for n in names] for params in record.params],
-        [numeric_summary(p) if p is not None else {} for p in payloads],
-    )
 
 
 def render_points(
@@ -167,15 +136,4 @@ def render_points(
     return "\n\n".join(
         f"--- {label} ---\n{spec.render(result)}"
         for label, result in zip(labels, results)
-    )
-
-
-def render_sweep(
-    spec: ExperimentSpec,
-    axes: Mapping[str, Sequence[Any]],
-    outcomes: Sequence[TaskOutcome],
-) -> str:
-    """Every point's render under a parameter header, in grid order."""
-    return render_points(
-        spec, [o.task.label for o in outcomes], [o.result for o in outcomes]
     )

@@ -4,12 +4,12 @@ The same ``submit`` / ``status`` / ``result`` / ``stream`` calls work
 against two backends:
 
 * **in-process** (``ExperimentClient.in_process(...)``) — no daemon:
-  ``submit`` validates, expands sweeps, and executes immediately
-  through the same process-pool runner and result cache the CLI always
-  used, then records the job's event log so ``stream``/``status``
-  replay exactly what a daemon would have sent.  The ``run``/``sweep``
-  CLI subcommands are thin wrappers over this backend, which is why
-  their stdout is unchanged.
+  ``submit`` validates, expands sweeps, and drives the same
+  :class:`~repro.experiments.runner.JobQueue` the daemon schedules with
+  in the calling thread until the job is terminal, so
+  ``stream``/``status`` replay the event log a daemon would have sent.
+  The ``run``/``sweep`` CLI subcommands are thin wrappers over this
+  backend.
 * **daemon** (``ExperimentClient.connect(address)``) — every call is
   one JSONL exchange with a running ``repro-experiments serve``
   (:mod:`repro.service.protocol`); ``stream`` tails the job live.
@@ -23,20 +23,19 @@ byte-identical to a local run.
 from __future__ import annotations
 
 import getpass
+import json
 import os
-import time
-from typing import Any, Iterator, Sequence
+import sys
+from functools import partial
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.experiments import registry
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import Task, run_tasks
+from repro.experiments.runner import JobQueue, Task
 from repro.experiments.serde import JobEvent, JobRecord
-from repro.experiments.sweep import grid_tasks, numeric_summary
+from repro.experiments.sweep import grid_tasks
 
-__all__ = ["ExperimentClient"]
-
-#: (artifact, param overrides, label) — the submit unit
-TaskRequest = "tuple[str, dict | None, str]"
+__all__ = ["ExperimentClient", "echo_progress"]
 
 
 def _whoami() -> str:
@@ -47,143 +46,43 @@ def _whoami() -> str:
     return f"{user}@{os.getpid()}"
 
 
-class _InProcessJobs:
-    """The no-daemon backend: run at submit, replay on demand."""
+def echo_progress(
+    event: JobEvent, say: Callable[[str], None] | None = None
+) -> None:
+    """Render one job event as a progress line and hand it to ``say``
+    (default: print to stderr) — the one renderer of both backends'
+    progress.  Events with nothing to tell a user render nothing."""
+    data = event.data
+    label = data.get("label")
+    if event.kind == "task.started":
+        retry = data.get("attempt", 1) > 1
+        line = f"[{label}] " + ("worker crashed; retrying" if retry else "running")
+    elif event.kind == "task.cached":
+        line = f"[{label}] cache hit"
+    elif event.kind == "task.finished" and data.get("source") != "cache":
+        line = f"[{label}] done ({data.get('source')})"
+    elif event.terminal:
+        line = f"[{event.job_id}] {event.kind} {json.dumps(data, sort_keys=True)}"
+    else:
+        return
+    if say is None:
+        print(line, file=sys.stderr, flush=True)
+    else:
+        say(line)
 
-    def __init__(
-        self,
-        *,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        refresh: bool = False,
-        progress=None,
-    ):
-        self.jobs = jobs
-        self.cache = cache
-        self.refresh = refresh
-        self.progress = progress
-        self._seq = 0
-        self._records: dict[str, JobRecord] = {}
-        self._events: dict[str, list[JobEvent]] = {}
-        self._results: dict[str, list[Any]] = {}
+
+class _LocalJobs(JobQueue):
+    """The no-daemon backend: the job queue, driven by the submitting
+    thread until the job is terminal."""
 
     def submit(
         self, tasks: list[Task], *, artifact: str, priority: int, client: str
     ) -> str:
-        self._seq += 1
-        job_id = f"local-{self._seq:04d}"
-        record = JobRecord(
-            job_id=job_id,
-            client=client,
-            artifact=artifact,
-            priority=priority,
-            artifacts=[t.spec.name for t in tasks],
-            params=[t.params for t in tasks],
-            labels=[t.label for t in tasks],
-            submitted_s=time.time(),
-            tasks_total=len(tasks),
-            state="running",
+        job_id = self.enqueue(
+            tasks, client=client, artifact=artifact, priority=priority
         )
-        events: list[JobEvent] = []
-
-        def emit(kind: str, data: dict) -> None:
-            events.append(JobEvent(
-                kind=kind, job_id=job_id, seq=len(events), data=data,
-            ))
-
-        emit("job.queued", {
-            "artifact": artifact, "tasks": len(tasks),
-            "priority": priority, "client": client,
-        })
-        kwargs = {} if self.progress is None else {"progress": self.progress}
-        outcomes = run_tasks(
-            tasks, jobs=self.jobs, cache=self.cache,
-            refresh=self.refresh, **kwargs,
-        )
-        payloads: list[Any] = []
-        for index, outcome in enumerate(outcomes):
-            payload = (
-                outcome.result.to_json()
-                if hasattr(outcome.result, "to_json") else None
-            )
-            payloads.append(payload)
-            if outcome.source == "cache":
-                record.cache_hits += 1
-                emit("task.cached", {"index": index, "label": outcome.task.label})
-            else:
-                emit("task.started", {"index": index, "label": outcome.task.label})
-            record.tasks_done += 1
-            emit("task.finished", {
-                "index": index, "label": outcome.task.label,
-                "source": outcome.source,
-            })
-            emit("row", {
-                "index": index, "label": outcome.task.label,
-                "artifact": outcome.task.spec.name,
-                "params": outcome.task.params,
-                "summary": numeric_summary(payload) if payload is not None else {},
-                "result": payload,
-            })
-        record.state = "done"
-        record.finished_s = time.time()
-        record.results = payloads
-        emit("job.done", {
-            "tasks": record.tasks_total,
-            "cache_hits": record.cache_hits,
-            "dedup_hits": record.dedup_hits,
-            "elapsed_s": record.finished_s - record.submitted_s,
-        })
-        self._records[job_id] = record
-        self._events[job_id] = events
-        self._results[job_id] = [o.result for o in outcomes]
+        self.drive(job_id)
         return job_id
-
-    def _record(self, job_id: str) -> JobRecord:
-        record = self._records.get(job_id)
-        if record is None:
-            raise KeyError(f"unknown job '{job_id}'")
-        return record
-
-    def status(self, job_id: str) -> JobRecord:
-        return self._record(job_id)
-
-    def wait(self, job_id: str, timeout: float | None = None) -> JobRecord:
-        return self._record(job_id)
-
-    def events(self, job_id: str, from_seq: int = 0) -> list[JobEvent]:
-        self._record(job_id)
-        return self._events[job_id][from_seq:]
-
-    def stream(self, job_id: str, from_seq: int = 0) -> Iterator[JobEvent]:
-        yield from self.events(job_id, from_seq)
-
-    def results(self, job_id: str) -> list[Any]:
-        self._record(job_id)
-        return list(self._results[job_id])
-
-    def cancel(self, job_id: str) -> JobRecord:
-        return self._record(job_id)  # already terminal: cancel is a no-op
-
-    def list_jobs(self) -> list[JobRecord]:
-        return list(self._records.values())
-
-    def stats(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "backend": "in-process",
-            "jobs": self.jobs,
-            "counts": {"jobs_submitted": self._seq},
-        }
-        if self.cache is not None:
-            out["cache"] = {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "stores": self.cache.stores,
-                "integrity_failures": self.cache.integrity_failures,
-            }
-        return out
-
-    def close(self) -> None:
-        pass
 
 
 class _DaemonJobs:
@@ -291,10 +190,16 @@ class ExperimentClient:
         cache: ResultCache | None = None,
         refresh: bool = False,
         client: str | None = None,
-        progress=None,
+        progress: Callable[[str], None] | None = None,
     ) -> "ExperimentClient":
+        """``jobs`` worker processes (``<= 1``: run in this thread);
+        ``progress`` receives one line per job event as it is emitted
+        (default: print to stderr)."""
         return cls(
-            _InProcessJobs(jobs=jobs, cache=cache, refresh=refresh, progress=progress),
+            _LocalJobs(
+                workers=jobs if jobs > 1 else 0, cache=cache, refresh=refresh,
+                job_ids="local-{:04d}", on_event=partial(echo_progress, say=progress),
+            ),
             client=client,
         )
 

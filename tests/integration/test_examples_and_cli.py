@@ -30,7 +30,7 @@ def test_example_runs(script, capsys):
 def test_cli_table1(capsys):
     from repro.experiments.cli import main
 
-    assert main(["table1"]) == 0
+    assert main(["run", "table1"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "CC++ runtime" in out
@@ -38,7 +38,7 @@ def test_cli_table1(capsys):
 
 def test_cli_entrypoint_via_subprocess():
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments.cli", "table1"],
+        [sys.executable, "-m", "repro.experiments.cli", "run", "table1"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -51,4 +51,4 @@ def test_cli_rejects_unknown_artifact():
     from repro.experiments.cli import main
 
     with pytest.raises(SystemExit):
-        main(["figure7"])
+        main(["run", "figure7"])

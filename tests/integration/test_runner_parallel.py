@@ -1,4 +1,5 @@
-"""Integration: the process-pool runner, the orchestrating CLI, sweeps.
+"""Integration: the job queue as the in-process client drives it, the
+orchestrating CLI, sweeps.
 
 The headline guarantee: a parallel run is **byte-identical** to a serial
 one — sharding and completion order are invisible in stdout — and a
@@ -8,6 +9,7 @@ second cached invocation renders without re-running any simulation.
 import io
 import contextlib
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,8 +19,10 @@ from repro.experiments import registry
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main
 from repro.experiments.registry import ExperimentSpec, ParamSpec
-from repro.experiments.runner import Task, run_tasks, task_seed
-from repro.experiments.sweep import grid_tasks, numeric_summary, sweep_csv
+from repro.experiments.runner import Task, task_seed
+from repro.experiments.sweep import grid_tasks, numeric_summary
+from repro.service import ExperimentClient, ExperimentService
+from repro.service.server import ServiceConfig
 
 
 # --- a tiny spec the spawn workers can import by module path -------------
@@ -51,6 +55,11 @@ def run_crashy(*, marker: str = "") -> TinyResult:
     os._exit(3)
 
 
+def run_dies(*, marker: str = "") -> TinyResult:
+    """Dies on every attempt."""
+    os._exit(3)
+
+
 _HERE = "tests.integration.test_runner_parallel"
 
 
@@ -62,6 +71,33 @@ def tiny_spec(name="tiny", entry="run_tiny", **extra) -> ExperimentSpec:
         else (ParamSpec("marker", "str", ""),),
         **extra,
     )
+
+
+# the daemon resolves artifacts by name, so these two are registered
+for _spec in (tiny_spec(), tiny_spec("crashy", "run_crashy")):
+    try:
+        registry.get(_spec.name)
+    except KeyError:
+        registry.register(_spec)
+
+
+def run_job(tasks, **client_options):
+    """One in-process job over ``tasks``: (client, job id, results)."""
+    client_options.setdefault("progress", lambda m: None)
+    client = ExperimentClient.in_process(**client_options)
+    job = client._backend.submit(
+        list(tasks), artifact="test", priority=0, client="test"
+    )
+    return client, job, client.result(job)
+
+
+def sources(client, job) -> list[str]:
+    """``source`` of each task's ``task.finished`` event, in task order."""
+    finished = sorted(
+        (e.data["index"], e.data["source"])
+        for e in client.events(job) if e.kind == "task.finished"
+    )
+    return [source for _, source in finished]
 
 
 def cli(argv, cache_dir, monkeypatch, capsys):
@@ -79,29 +115,35 @@ class TestRunner:
             Task(tiny_spec(cost_hint=float(i)), {"value": i}, label=f"t{i}")
             for i in range(5)
         ]
-        outcomes = run_tasks(tasks, jobs=2, progress=lambda m: None)
-        assert [o.result.value for o in outcomes] == [0, 1, 2, 3, 4]
-        assert all(o.source == "run" for o in outcomes)
+        client, job, results = run_job(tasks, jobs=2)
+        assert [r.value for r in results] == [0, 1, 2, 3, 4]
+        assert sources(client, job) == ["run"] * 5
+        # ... while the tasks were started longest-first
+        started = [e.data["label"] for e in client.events(job) if e.kind == "task.started"]
+        assert started == ["t4", "t3", "t2", "t1", "t0"]
 
     def test_parallel_equals_serial(self):
         tasks = [Task(tiny_spec(), {"value": i}) for i in range(4)]
-        serial = run_tasks(tasks, jobs=1, progress=lambda m: None)
-        parallel = run_tasks(tasks, jobs=3, progress=lambda m: None)
-        assert [o.result for o in serial] == [o.result for o in parallel]
+        _, _, serial = run_job(tasks, jobs=1)
+        _, _, parallel = run_job(tasks, jobs=3)
+        assert serial == parallel
 
-    def test_worker_crash_retries_once_inline(self, tmp_path):
+    def test_worker_crash_retries_once(self, tmp_path):
         marker = tmp_path / "crash.marker"
         tasks = [
             Task(tiny_spec(), {"value": 7}),
             Task(tiny_spec("crashy", "run_crashy"), {"marker": str(marker)}),
         ]
         lines = []
-        outcomes = run_tasks(tasks, jobs=2, progress=lines.append)
+        client, job, results = run_job(tasks, jobs=2, progress=lines.append)
         assert marker.read_text() == "attempted"  # it really died once
-        crashed = outcomes[1]
-        assert crashed.result == TinyResult(0)
-        assert crashed.source == "retry" and crashed.attempts == 2
-        assert outcomes[0].result == TinyResult(7)
+        assert results == [TinyResult(7), TinyResult(0)]
+        assert sources(client, job)[1] == "retry"
+        restarted = [
+            e.data for e in client.events(job)
+            if e.kind == "task.started" and e.data["index"] == 1
+        ]
+        assert [d.get("attempt", 1) for d in restarted] == [1, 2]
         assert any("crashed" in line for line in lines)
 
     def test_task_seed_deterministic_and_param_sensitive(self):
@@ -112,12 +154,96 @@ class TestRunner:
     def test_cache_skips_execution_and_refresh_reruns(self, tmp_path):
         cache = ResultCache(tmp_path, version="t")
         tasks = [Task(tiny_spec(), {"value": 3})]
-        first = run_tasks(tasks, cache=cache, progress=lambda m: None)
-        second = run_tasks(tasks, cache=cache, progress=lambda m: None)
-        assert (first[0].source, second[0].source) == ("run", "cache")
-        assert second[0].result == first[0].result
-        refreshed = run_tasks(tasks, cache=cache, refresh=True, progress=lambda m: None)
-        assert refreshed[0].source == "run"
+        c1, j1, first = run_job(tasks, cache=cache)
+        c2, j2, second = run_job(tasks, cache=cache)
+        assert (sources(c1, j1), sources(c2, j2)) == (["run"], ["cache"])
+        assert second == first
+        c3, j3, _ = run_job(tasks, cache=cache, refresh=True)
+        assert sources(c3, j3) == ["run"]
+
+    def test_warm_parallel_job_spawns_no_pool(self, tmp_path):
+        """With at most one task left after cache resolution the job runs
+        in the calling thread: a warm `--jobs 2` rerun builds no pool."""
+        cache = ResultCache(tmp_path, version="t")
+        tasks = [Task(tiny_spec(), {"value": i}) for i in range(3)]
+        run_job(tasks[:2], cache=cache)
+        built = []
+        client = ExperimentClient.in_process(
+            jobs=2, cache=cache, progress=lambda m: None
+        )
+        client._backend._ensure_pool = lambda: built.append(1)  # must not be called
+        job = client._backend.submit(tasks, artifact="t", priority=0, client="t")
+        assert client.result(job) == [TinyResult(i) for i in range(3)]
+        assert sources(client, job) == ["cache", "cache", "run"] and not built
+
+    def test_same_event_sequence_in_process_and_from_the_daemon(self, tmp_path):
+        """One writer of the event log: the in-process client and an
+        `ExperimentService` emit the same events in the same order."""
+        def seeded(name):  # a cache that already holds the middle task
+            cache = ResultCache(tmp_path / name, version="t")
+            run_job([Task(tiny_spec(), {"value": 2})], cache=cache)
+            return cache
+
+        def shape(events):
+            return [(e.kind, e.data.get("index"), e.data.get("source")) for e in events]
+
+        batch = [("tiny", {"value": v}) for v in (1, 2, 3)]
+        local = ExperimentClient.in_process(
+            cache=seeded("local"), progress=lambda m: None
+        )
+        local_log = shape(local.events(local.submit(tasks=batch)))
+
+        service = ExperimentService(
+            None, config=ServiceConfig(workers=0), cache=seeded("daemon")
+        ).start()
+        try:
+            job = service.submit("c", [(n, p, "") for n, p in batch])
+            assert service.wait(job, timeout=30).state == "done"
+            assert shape(service.events(job)) == local_log
+        finally:
+            service.stop()
+        assert [k for k, _, _ in local_log] == [
+            "job.queued",
+            "task.started", "task.finished", "row",
+            "task.cached", "task.finished", "row",
+            "task.started", "task.finished", "row",
+            "job.done",
+        ]
+
+
+class TestCrashPolicy:
+    def test_daemon_survives_a_worker_crash(self, tmp_path):
+        """A worker that dies breaks its pool; the queue retries the task
+        on a fresh one, the next job runs, and the daemon still stops."""
+        service = ExperimentService(None, config=ServiceConfig(workers=1)).start()
+        stopper = threading.Thread(target=service.stop, daemon=True)
+        try:
+            marker = tmp_path / "crash.marker"
+            first = service.submit("c", [("crashy", {"marker": str(marker)}, "")])
+            record = service.wait(first, timeout=60)
+            assert marker.read_text() == "attempted"
+            assert record.state == "done", record.error
+            finished = [e for e in service.events(first) if e.kind == "task.finished"]
+            assert [e.data["source"] for e in finished] == ["retry"]
+            second = service.submit("c", [("tiny", {"value": 5}, "")])
+            assert service.wait(second, timeout=60).state == "done"
+            assert service.status(second).results == [{"value": 5}]
+        finally:
+            stopper.start()
+            stopper.join(timeout=30)
+        assert not stopper.is_alive()
+
+    def test_second_crash_fails_the_job(self):
+        tasks = [
+            Task(tiny_spec(), {"value": 1}),
+            Task(tiny_spec("dies", "run_dies"), {"marker": ""}),
+        ]
+        client = ExperimentClient.in_process(jobs=2, progress=lambda m: None)
+        job = client._backend.submit(tasks, artifact="t", priority=0, client="t")
+        record = client.status(job)
+        assert record.state == "failed" and "BrokenProcessPool" in record.error
+        with pytest.raises(RuntimeError, match="failed"):
+            client.result(job)
 
 
 class TestCli:
@@ -145,30 +271,15 @@ class TestCli:
         assert "cache hit" not in err1
         assert "cache hit" in err2 and "(run)" not in err2
 
-    def test_old_positional_form_still_works(self, tmp_path, monkeypatch, capsys):
-        rc, out, _ = cli(["table1"], tmp_path, monkeypatch, capsys)
-        assert rc == 0 and "Table 1" in out
-
-    def test_old_positional_form_warns_deprecation(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """One release of warning before the shim goes away."""
-        with pytest.warns(DeprecationWarning, match="positional form"):
-            rc, out, err = cli(["table1"], tmp_path, monkeypatch, capsys)
-        assert rc == 0 and "Table 1" in out
-        assert "deprecated" in err
-        assert "repro-experiments run" in err
-
-    def test_new_subcommands_not_hijacked_by_the_shim(
-        self, tmp_path, monkeypatch, capsys, recwarn
-    ):
-        rc, out, _ = cli(["list"], tmp_path, monkeypatch, capsys)
-        assert rc == 0
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
+    def test_bare_artifact_form_is_rejected(self, tmp_path, monkeypatch, capsys):
+        """The pre-subcommand form (`repro-experiments table1`) is gone."""
+        with pytest.raises(SystemExit) as exc:
+            cli(["table1"], tmp_path, monkeypatch, capsys)
+        assert exc.value.code == 2
 
     def test_scenario_flag_maps_to_param(self, tmp_path, monkeypatch, capsys):
         rc, out, _ = cli(
-            ["table4", "--iters", "3", "--scenario", "am-rtt"],
+            ["run", "table4", "--iters", "3", "--scenario", "am-rtt"],
             tmp_path, monkeypatch, capsys,
         )
         assert rc == 0 and "AM base RTT" in out
@@ -182,7 +293,7 @@ class TestCli:
 
     def test_scenario_rejected_uniformly_off_table4(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit):
-            cli(["figure5", "--scenario", "am-rtt"], tmp_path, monkeypatch, capsys)
+            cli(["run", "figure5", "--scenario", "am-rtt"], tmp_path, monkeypatch, capsys)
 
     def test_unknown_param_rejected(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit):
@@ -190,7 +301,7 @@ class TestCli:
 
     def test_rejects_unknown_artifact(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit):
-            cli(["figure7"], tmp_path, monkeypatch, capsys)
+            cli(["run", "figure7"], tmp_path, monkeypatch, capsys)
 
     def test_list_shows_every_artifact_and_schema(self, tmp_path, monkeypatch, capsys):
         rc, out, _ = cli(["list"], tmp_path, monkeypatch, capsys)

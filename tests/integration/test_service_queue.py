@@ -1,9 +1,12 @@
-"""Integration: the experiment service's queue semantics, driven
-synchronously (``workers=0`` + ``run_pending``) — priority order,
-per-client quota, in-flight dedup, cache resolution, cancel/drain —
-plus the versioned JobRecord/JobEvent envelope round trip.
+"""Integration: the job queue's semantics on the bare
+:class:`~repro.experiments.runner.JobQueue`, driven synchronously
+(``workers=0`` + ``run_pending``) — pick order, per-client quota,
+in-flight dedup, cache resolution, cancel — the daemon's submission
+boundary and drain, plus the versioned JobRecord/JobEvent envelope
+round trip.
 """
 
+import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -17,6 +20,7 @@ from repro.experiments.serde import (
     JobEvent,
     JobRecord,
 )
+from repro.experiments.runner import JobError, JobQueue, Task
 from repro.service.server import ExperimentService, ServiceConfig, ServiceError
 
 
@@ -67,6 +71,15 @@ def make_service(**config) -> ExperimentService:
 
 def one(value: int) -> list:
     return [("svc-tiny", {"value": value}, "")]
+
+
+def submit(queue: JobQueue, client: str, *values: int, priority: int = 0) -> str:
+    """Queue one job of svc-tiny tasks on the bare queue."""
+    spec = registry.get("svc-tiny")
+    return queue.enqueue(
+        [Task(spec, spec.validate({"value": v})) for v in values],
+        client=client, artifact="svc-tiny", priority=priority,
+    )
 
 
 class TestSerde:
@@ -141,116 +154,160 @@ class TestSubmitBoundary:
 
 class TestQueueSemantics:
     def test_inline_job_runs_to_done_with_full_event_log(self):
-        svc = make_service()
-        job = svc.submit("c", one(7))
-        assert svc.status(job).state == "queued"
-        assert svc.run_pending() == 1
-        record = svc.status(job)
+        q = JobQueue()
+        job = submit(q, "c", 7)
+        assert q.status(job).state == "queued"
+        assert q.run_pending() == 1
+        record = q.status(job)
         assert record.state == "done" and record.tasks_done == 1
         assert record.results == [{"value": 7}]
-        kinds = [e.kind for e in svc.events(job)]
+        kinds = [e.kind for e in q.events(job)]
         assert kinds == [
             "job.queued", "task.started", "task.finished", "row", "job.done",
         ]
-        seqs = [e.seq for e in svc.events(job)]
+        seqs = [e.seq for e in q.events(job)]
         assert seqs == list(range(len(kinds)))  # dense, from 0
 
     def test_wait_timeout_returns_non_terminal_record(self):
-        svc = make_service()
-        job = svc.submit("c", one(1))
-        record = svc.wait(job, timeout=0.01)
+        q = JobQueue()
+        job = submit(q, "c", 1)
+        record = q.wait(job, timeout=0.01)
         assert not record.terminal and record.state == "queued"
 
     def test_priority_order_beats_submission_order(self, tmp_path, monkeypatch):
         order = tmp_path / "order.log"
         monkeypatch.setenv(ORDER_ENV, str(order))
-        svc = make_service()
-        svc.submit("c", one(1), priority=0)
-        svc.submit("c", one(2), priority=5)
-        svc.submit("c", one(3), priority=0)
-        assert svc.run_pending() == 3
+        q = JobQueue()
+        submit(q, "c", 1, priority=0)
+        submit(q, "c", 2, priority=5)
+        submit(q, "c", 3, priority=0)
+        assert q.run_pending() == 3
         assert order.read_text().split() == ["2", "1", "3"]
 
+    def test_longest_task_of_a_job_is_picked_first(self, tmp_path, monkeypatch):
+        order = tmp_path / "order.log"
+        monkeypatch.setenv(ORDER_ENV, str(order))
+        spec = registry.get("svc-tiny")
+        tasks = [
+            Task(dataclasses.replace(spec, cost_hint=cost), {"value": i})
+            for i, cost in enumerate((1.0, 5.0, 1.0, 3.0))
+        ]
+        q = JobQueue()
+        job = q.enqueue(tasks, client="c", artifact="batch")
+        assert q.run_pending() == 4
+        assert order.read_text().split() == ["1", "3", "0", "2"]
+        assert q.status(job).results == [{"value": i} for i in range(4)]
+
     def test_quota_skips_saturated_client(self):
-        svc = ExperimentService(config=ServiceConfig(workers=4, quota=1))
-        svc.submit("hog", [("svc-tiny", {"value": 1}, ""),
-                           ("svc-tiny", {"value": 2}, "")])
-        other = svc.submit("interactive", one(3))
-        with svc._cond:
-            job1, _ = svc._pick_locked()  # hog's first task claims its quota
+        q = JobQueue(workers=4, quota=1)
+        submit(q, "hog", 1, 2)
+        other = submit(q, "interactive", 3)
+        with q._cond:
+            job1, _ = q._pick_locked()  # hog's first task claims its quota
             assert job1.record.client == "hog"
-            picked = svc._pick_locked()
-        assert picked is not None
-        job2, _ = picked
-        # hog's second task is skipped: the later client runs instead
-        assert job2.record.job_id == other
+            job2, _ = q._pick_locked()
+            # hog's second task is skipped: the later client runs instead
+            assert job2.record.job_id == other
+            assert q._pick_locked() is None  # ... and stays queued
+        assert q.stats()["queue_depth"] == 1
 
     def test_identical_inflight_task_dedups_instead_of_rerunning(self):
-        svc = make_service()
-        j1 = svc.submit("a", one(7))
-        with svc._cond:
-            action = svc._pick_locked()  # j1's task is now in flight
-        j2 = svc.submit("b", one(7))
-        with svc._cond:
-            assert svc._pick_locked() is None  # folded into the twin
-        svc._dispatch(*action)
-        r1, r2 = svc.status(j1), svc.status(j2)
+        q = JobQueue()
+        j1 = submit(q, "a", 7)
+        with q._cond:
+            action = q._pick_locked()  # j1's task is now in flight
+        j2 = submit(q, "b", 7)
+        with q._cond:
+            assert q._pick_locked() is None  # folded into the twin
+        q._dispatch(*action)
+        r1, r2 = q.status(j1), q.status(j2)
         assert r1.state == r2.state == "done"
         assert (r1.dedup_hits, r2.dedup_hits) == (0, 1)
         assert r2.results == r1.results == [{"value": 7}]
-        finished = [e for e in svc.events(j2) if e.kind == "task.finished"]
+        finished = [e for e in q.events(j2) if e.kind == "task.finished"]
         assert finished[0].data["source"] == "dedup"
-        assert svc._counts["tasks_executed"] == 1
+        assert q.stats()["counts"]["tasks_executed"] == 1
+
+    def test_many_identical_tasks_fold_without_recursion(self):
+        """The fold is a loop: 1 500 twins of an in-flight task used to
+        cost one Python frame each."""
+        q = JobQueue()
+        job = submit(q, "c", *[7] * 1500)
+        with q._cond:
+            action = q._pick_locked()  # the first is in flight
+            assert q._pick_locked() is None  # the other 1 499 fold into it
+        q._dispatch(*action)
+        record = q.status(job)
+        assert record.state == "done" and record.dedup_hits == 1499
+        assert record.results == [{"value": 7}] * 1500
+        assert q.stats()["counts"]["tasks_executed"] == 1
 
     def test_cache_resolves_repeat_jobs_without_execution(self, tmp_path):
-        cache = ResultCache(tmp_path, version="q")
-        svc = ExperimentService(
-            config=ServiceConfig(workers=0), cache=cache
-        )
-        j1 = svc.submit("a", one(5))
-        assert svc.run_pending() == 1
-        j2 = svc.submit("b", one(5))
-        assert svc.run_pending() == 1
-        r2 = svc.status(j2)
+        q = JobQueue(cache=ResultCache(tmp_path, version="q"))
+        j1 = submit(q, "a", 5)
+        assert q.run_pending() == 1
+        j2 = submit(q, "b", 5)
+        assert q.run_pending() == 1
+        r2 = q.status(j2)
         assert r2.state == "done" and r2.cache_hits == 1
-        assert "task.cached" in [e.kind for e in svc.events(j2)]
-        assert svc._counts["tasks_executed"] == 1
-        assert svc.status(j1).results == r2.results
+        assert "task.cached" in [e.kind for e in q.events(j2)]
+        assert q.stats()["counts"]["tasks_executed"] == 1
+        assert q.status(j1).results == r2.results
+
+    def test_unreadable_cache_entry_is_asked_once_then_executed(self, tmp_path):
+        cache = ResultCache(tmp_path, version="q")
+        q = JobQueue(cache=cache)
+        job = submit(q, "c", 5)
+        spec = registry.get("svc-tiny")
+        path = cache.path(spec, spec.validate({"value": 5}))
+        path.parent.mkdir(parents=True)
+        path.write_text("{not json", encoding="utf-8")
+        # the pre-pass that only claims likely hits gives the task back ...
+        assert q.run_pending(cached_only=True) == 1
+        assert q.stats()["queue_depth"] == 1 and not q.status(job).terminal
+        # ... once: asked again it has nothing to claim, and the task runs
+        assert q.run_pending(cached_only=True) == 0
+        assert q.run_pending() == 1
+        assert q.status(job).results == [{"value": 5}]
+        assert (cache.misses, cache.stores) == (1, 1)
 
     def test_cancel_drops_queued_tasks_and_ends_the_stream(self):
-        svc = make_service()
-        job = svc.submit("c", one(1))
-        record = svc.cancel(job)
+        q = JobQueue()
+        job = submit(q, "c", 1)
+        record = q.cancel(job)
         assert record.state == "cancelled"
         assert record.error.startswith("cancelled")
-        assert svc.run_pending() == 0  # nothing left to move
-        events = svc.events(job)
+        assert q.run_pending() == 0  # nothing left to move
+        events = q.events(job)
         assert events[-1].kind == "job.cancelled"
         assert events[-1].data["dropped_tasks"] == 1
         # cancelling a terminal job is a no-op
-        assert svc.cancel(job).state == "cancelled"
+        assert q.cancel(job).state == "cancelled"
 
     def test_terminal_jobs_trimmed_past_keep_jobs(self):
-        svc = make_service(keep_jobs=1)
-        j1 = svc.submit("c", one(1))
-        svc.run_pending()
-        j2 = svc.submit("c", one(2))
-        with pytest.raises(ServiceError, match="unknown job"):
-            svc.status(j1)
-        assert svc.status(j2).state == "queued"
+        q = JobQueue(keep_jobs=1)
+        j1 = submit(q, "c", 1)
+        q.run_pending()
+        j2 = submit(q, "c", 2)
+        with pytest.raises(JobError, match="unknown job"):
+            q.status(j1)
+        assert q.status(j2).state == "queued"
 
     def test_failed_task_fails_the_job_with_terminal_event(self, monkeypatch):
-        svc = make_service()
-        job = svc.submit("c", one(1))
+        q = JobQueue()
+        job = submit(q, "c", 1, 2)
 
         def boom(*a, **k):
             raise RuntimeError("kaput")
 
-        monkeypatch.setattr("repro.service.server._execute", boom)
-        svc.run_pending()
-        record = svc.status(job)
+        monkeypatch.setattr("repro.experiments.runner._execute", boom)
+        q.run_pending()
+        record = q.status(job)
         assert record.state == "failed" and "kaput" in record.error
-        assert svc.events(job)[-1].kind == "job.failed"
+        assert q.events(job)[-1].kind == "job.failed"
+        with pytest.raises(RuntimeError, match="failed: RuntimeError: kaput"):
+            q.results(job)
+        assert q.stats()["queue_depth"] == 0  # the sibling was dropped
 
     def test_stats_reports_counters_and_histograms(self, tmp_path):
         svc = ExperimentService(
@@ -267,9 +324,9 @@ class TestQueueSemantics:
         assert stats["queue_depth"] == 0 and not stats["draining"]
 
     def test_event_replay_from_seq(self):
-        svc = make_service()
-        job = svc.submit("c", one(1))
-        svc.run_pending()
-        tail = svc.events(job, from_seq=3)
+        q = JobQueue()
+        job = submit(q, "c", 1)
+        q.run_pending()
+        tail = q.events(job, from_seq=3)
         assert [e.kind for e in tail] == ["row", "job.done"]
         assert tail[0].seq == 3
