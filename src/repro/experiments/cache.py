@@ -113,10 +113,8 @@ class ResultCache:
 
     # -- load/store ------------------------------------------------------
     def load(self, spec: ExperimentSpec, params: dict[str, Any]) -> Any | None:
-        """The cached result, or None on miss (absent, corrupt, failed
-        integrity re-hash, or a non-cacheable spec)."""
-        if not spec.cacheable:
-            return None
+        """The cached result, or None on miss (absent, corrupt or failed
+        integrity re-hash)."""
         path = self.path(spec, params)
         try:
             envelope = json.loads(path.read_text(encoding="utf-8"))
@@ -141,11 +139,8 @@ class ResultCache:
             pass
         return result
 
-    def store(self, spec: ExperimentSpec, params: dict[str, Any], result: Any) -> Path | None:
-        """Write the result; returns the path, or None for non-cacheable
-        specs."""
-        if not spec.cacheable:
-            return None
+    def store(self, spec: ExperimentSpec, params: dict[str, Any], result: Any) -> Path:
+        """Write the result; returns the path."""
         path = self.path(spec, params)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = result.to_json()

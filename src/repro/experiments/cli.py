@@ -323,10 +323,13 @@ def _sweep_request(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _submit_job(
-    args: argparse.Namespace, request: dict[str, Any], *, follow: bool = True
+    args: argparse.Namespace, request: dict[str, Any], *, follow: bool = True,
+    trace_file: str | None = None,
 ) -> int:
     """Submit ``request`` and print the job's results the way ``run`` /
-    ``sweep`` always have (without ``follow``: just the job id)."""
+    ``sweep`` always have (without ``follow``: just the job id).  With
+    ``trace_file`` the job is one ``trace`` task and its Perfetto JSON is
+    also written there."""
     client, remote = _make_client(args)
     try:
         job_id = client.submit(**request, priority=args.priority)
@@ -345,6 +348,8 @@ def _submit_job(
             print(f"=== {name} ===")
             print(registry.get(name).render(result))
             print()
+        if trace_file:
+            print(f"wrote {results[0].write(trace_file)}")
         return 0
     from repro.experiments.sweep import job_sweep_csv, render_points
 
@@ -366,14 +371,14 @@ def _cmd_list() -> int:
     from repro.util.tables import TextTable
 
     t = TextTable(
-        ["artifact", "parameters", "cached", "title"],
+        ["artifact", "parameters", "title"],
         title="Experiments — `run <artifact>`, `sweep <artifact> --axis k=v1,v2`",
     )
     for spec in registry.specs():
         schema = ", ".join(
             f"{p.name}:{p.kind}={p.default}" for p in spec.params
         ) or "-"
-        t.add_row([spec.name, schema, "yes" if spec.cacheable else "no", spec.title])
+        t.add_row([spec.name, schema, spec.title])
     print(t.render())
     return 0
 
@@ -383,16 +388,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.param = args.param + ["scenarios=" + ",".join(args.scenario)]
     request = _run_request(args)
 
-    # `trace --out x.json`: write the Perfetto JSON straight to the named
-    # file (open it at ui.perfetto.dev)
-    if args.artifact == "trace" and args.out and args.out.endswith(".json"):
-        spec = registry.get("trace")
-        result = spec.run_fn()(**spec.validate(request["tasks"][0][1]))
-        print(spec.render(result))
-        print(f"wrote {result.write(args.out)}")
-        return 0
-
-    if args.out:
+    # `trace --out x.json`: the named file gets the Perfetto JSON itself
+    # (open it at ui.perfetto.dev), not a report directory
+    trace_file = (
+        args.out
+        if args.artifact == "trace" and args.out and args.out.endswith(".json")
+        else None
+    )
+    if args.out and not trace_file:
         from repro.experiments.report import write_all
 
         paths = write_all(
@@ -408,7 +411,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"wrote {path}")
         return 0
 
-    return _submit_job(args, request)
+    return _submit_job(args, request, trace_file=trace_file)
 
 
 def _client_error(exc: Exception) -> int:

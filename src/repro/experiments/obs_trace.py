@@ -9,64 +9,24 @@ arrows on every message.
 
 Because the tracer and metrics registry are passive observers, the traced
 run's accounting is bit-identical to an untraced run — the golden-trace
-suite holds us to that.
+suite holds us to that.  The result is plain data — counts plus the
+export as text (:class:`~repro.experiments.results.TraceCaptureResult`) —
+so it is cached and served by the daemon like every other artifact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING
+from collections import Counter
 
-if TYPE_CHECKING:
-    from repro.obs import Metrics, SpanRecorder
+from repro.experiments.results import TraceCaptureResult
 
 __all__ = ["TraceCaptureResult", "run", "main"]
-
-
-@dataclass(slots=True)
-class TraceCaptureResult:
-    """One traced run: the recorder (records + spans) plus run stats."""
-
-    tracer: SpanRecorder
-    metrics: Metrics
-    elapsed_us: float
-    n_procs: int
-    version: str
-    breakdown: dict[str, float] = field(default_factory=dict)
-
-    def render(self) -> str:
-        spans = self.tracer.spans
-        by_name: dict[str, int] = {}
-        for s in spans:
-            by_name[s.name] = by_name.get(s.name, 0) + 1
-        lines = [
-            f"Trace capture — em3d-{self.version} on {self.n_procs} nodes, "
-            f"{self.elapsed_us:.0f} virtual us measured",
-            f"  {len(self.tracer.records)} trace records "
-            f"({self.tracer.evicted} evicted), {len(spans)} spans "
-            f"({self.tracer.dropped_spans} dropped)",
-        ]
-        for name in sorted(by_name):
-            lines.append(f"    {name}: {by_name[name]}")
-        lines.append(
-            "  write the Perfetto JSON with "
-            "`repro-experiments trace --out trace.json` and open it at "
-            "https://ui.perfetto.dev"
-        )
-        return "\n".join(lines)
-
-    def write(self, path: str | Path) -> Path:
-        """Write the Chrome trace-event JSON for this run."""
-        from repro.obs import write_chrome_trace
-
-        return write_chrome_trace(self.tracer, path)
 
 
 def run(*, quick: bool = True, version: str = "bulk") -> TraceCaptureResult:
     """Capture one traced EM3D run (deterministic for fixed sizes)."""
     from repro.apps.em3d import Em3dGraph, Em3dParams, run_splitc_em3d
-    from repro.obs import Metrics, SpanRecorder
+    from repro.obs import Metrics, SpanRecorder, chrome_trace_text
 
     params = (
         Em3dParams(n_nodes=80, degree=5, n_procs=4, pct_remote=1.0)
@@ -75,17 +35,20 @@ def run(*, quick: bool = True, version: str = "bulk") -> TraceCaptureResult:
     )
     graph = Em3dGraph(params)
     tracer = SpanRecorder(maxlen=200_000)
-    metrics = Metrics()
     out = run_splitc_em3d(
-        graph, steps=1, version=version, tracer=tracer, metrics=metrics
+        graph, steps=1, version=version, tracer=tracer, metrics=Metrics()
     )
     return TraceCaptureResult(
-        tracer=tracer,
-        metrics=metrics,
         elapsed_us=out.elapsed_us,
         n_procs=params.n_procs,
         version=version,
+        records=len(tracer.records),
+        evicted=tracer.evicted,
+        spans=len(tracer.spans),
+        dropped_spans=tracer.dropped_spans,
+        spans_by_name=dict(Counter(s.name for s in tracer.spans)),
         breakdown=out.breakdown,
+        perfetto_json=chrome_trace_text(tracer),
     )
 
 

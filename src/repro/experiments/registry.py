@@ -154,9 +154,6 @@ class ExperimentSpec:
     result_type: str  # class in ``result_module`` implementing to_json/from_json
     entry: str = "run"
     params: tuple[ParamSpec, ...] = ()
-    #: False for artifacts whose result holds live objects (e.g. a span
-    #: recorder) rather than a JSON-able dataclass
-    cacheable: bool = True
     #: basename for files written by the report writer (defaults to name)
     file_stem: str = ""
     #: relative serial wall-clock, for longest-first pool scheduling
@@ -399,12 +396,12 @@ register(ExperimentSpec(
     title="Span-traced EM3D run (Perfetto export)",
     module="repro.experiments.obs_trace",
     result_type="TraceCaptureResult",
+    result_module="repro.experiments.results",
     params=(
         _quick(),
         ParamSpec("version", "str", "bulk", "EM3D variant",
                   choices=_EM3D_VERSIONS),
     ),
-    cacheable=False,  # the result holds the live SpanRecorder/Metrics
     cost_hint=0.1,
 ))
 register(ExperimentSpec(

@@ -17,7 +17,7 @@ The run goes through the in-process
 rendered artifacts the report directory gets ``manifest.json`` — the
 job's versioned :class:`~repro.experiments.serde.JobRecord` (per-task
 params, cache-hit counts, and every result payload), enough to rebuild
-any serializable artifact without re-running it.
+any artifact without re-running it.
 """
 
 from __future__ import annotations

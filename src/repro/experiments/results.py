@@ -7,17 +7,21 @@ loads a result at the price of reading it.  :mod:`.microbench` and
 ``Marshallable`` types at module scope, which needs the CC++ runtime at
 import time.  Their result types live here instead (both modules
 re-export them), and ``ExperimentSpec.result_module`` points the cache
-and the daemon client at this module.
+and the daemon client at this module.  :mod:`.obs_trace`'s result lives
+here for the same reason one step removed: its ``run()`` needs the
+recorders, its result is the text they exported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.experiments import serde
+from repro.util.files import write_text_atomic
 from repro.util.tables import TextTable
 
-__all__ = ["MicroRow", "ScalingPoint", "ScalingResult"]
+__all__ = ["MicroRow", "ScalingPoint", "ScalingResult", "TraceCaptureResult"]
 
 
 @dataclass(slots=True)
@@ -109,3 +113,50 @@ class ScalingResult:
     @classmethod
     def from_json(cls, payload: dict) -> "ScalingResult":
         return cls(points=[ScalingPoint.from_json(p) for p in payload["points"]])
+
+
+@dataclass(slots=True)
+class TraceCaptureResult:
+    """One traced run: its stats, what the recorder held, and the
+    Perfetto export of it as text (123 KB quick, 466 KB full)."""
+
+    elapsed_us: float
+    n_procs: int
+    version: str
+    records: int
+    evicted: int
+    spans: int
+    dropped_spans: int
+    spans_by_name: dict[str, int]
+    breakdown: dict[str, float]
+    #: what ``repro.obs.write_chrome_trace`` writes for the run's recorder
+    perfetto_json: str
+
+    def render(self) -> str:
+        lines = [
+            f"Trace capture — em3d-{self.version} on {self.n_procs} nodes, "
+            f"{self.elapsed_us:.0f} virtual us measured",
+            f"  {self.records} trace records "
+            f"({self.evicted} evicted), {self.spans} spans "
+            f"({self.dropped_spans} dropped)",
+        ]
+        for name in sorted(self.spans_by_name):
+            lines.append(f"    {name}: {self.spans_by_name[name]}")
+        lines.append(
+            "  write the Perfetto JSON with "
+            "`repro-experiments trace --out trace.json` and open it at "
+            "https://ui.perfetto.dev"
+        )
+        return "\n".join(lines)
+
+    def write(self, path: str | Path) -> Path:
+        """Write the Chrome trace-event JSON of this run (whole or not
+        at all); returns the path."""
+        return write_text_atomic(path, (self.perfetto_json,))
+
+    def to_json(self) -> dict:
+        return serde.dump_fields(self)
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "TraceCaptureResult":
+        return serde.load_fields(cls, payload)

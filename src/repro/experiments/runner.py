@@ -638,8 +638,7 @@ class JobQueue:
             self._counts["dedup_hits"] += 1
         record.tasks_done += 1
         job.results[ts.index] = result
-        to_json = getattr(result, "to_json", None)
-        payload = job.payloads[ts.index] = to_json() if callable(to_json) else None
+        payload = job.payloads[ts.index] = result.to_json()
         self._emit(job, "task.finished", {
             "index": ts.index, "label": task.label, "source": source,
         })
@@ -647,7 +646,7 @@ class JobQueue:
             "index": ts.index, "label": task.label,
             "artifact": task.spec.name,
             "params": task.params,
-            "summary": numeric_summary(payload) if payload is not None else {},
+            "summary": numeric_summary(payload),
             "result": payload,
         })
         if not job.open:

@@ -23,6 +23,7 @@ _EXPORTS = {
     "Span": "repro.obs.spans",
     "SpanRecorder": "repro.obs.spans",
     "chrome_trace_events": "repro.obs.perfetto",
+    "chrome_trace_text": "repro.obs.perfetto",
     "collect_cluster_gauges": "repro.obs.metrics",
     "write_chrome_trace": "repro.obs.perfetto",
 }

@@ -20,8 +20,9 @@ Virtual microseconds map 1:1 onto the format's ``ts`` microseconds.
 
 The schema is spelled twice on purpose: :func:`chrome_trace_events` builds
 it as dicts for callers that inspect events, :func:`write_chrome_trace`
-emits the same events straight as JSON text, because a trace is tens of
-thousands of events and the export is what a user waits for.  The text
+(to a file) and :func:`chrome_trace_text` (to a ``str``) emit the same
+events straight as JSON text, because a trace is tens of thousands of
+events and the export is what a user waits for.  The text
 is exactly what ``json.dumps(..., separators=(",", ":"))`` writes for
 the dicts; ``tests/properties/test_prop_perfetto.py`` holds the two
 to that.
@@ -30,7 +31,6 @@ to that.
 from __future__ import annotations
 
 import json
-import os
 import re
 from collections.abc import Iterator
 from itertools import islice
@@ -38,7 +38,9 @@ from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
 from typing import Any
 
-__all__ = ["chrome_trace_events", "write_chrome_trace"]
+from repro.util.files import write_text_atomic
+
+__all__ = ["chrome_trace_events", "chrome_trace_text", "write_chrome_trace"]
 
 #: packet id embedded in Packet.describe() output ("am.short#17 0->1 ...")
 _PID_RE = re.compile(r"#(\d+)\b")
@@ -200,6 +202,24 @@ def _event_texts(tracer: Any) -> Iterator[str]:
                 yield f'{{"name":"msg","cat":"flow","ph":"f","id":{fid}{tail},"bp":"e"}}'
 
 
+def _file_texts(tracer: Any) -> Iterator[str]:
+    """The export file's text, in order, in pieces of bounded size."""
+    yield '{"traceEvents":['
+    texts = _event_texts(tracer)
+    sep = ""
+    while chunk := ",".join(islice(texts, _CHUNK_EVENTS)):
+        yield sep + chunk
+        sep = ","
+    other = json.dumps(_other_data(tracer), separators=(",", ":"))
+    yield f'],"displayTimeUnit":"ms","otherData":{other}}}\n'
+
+
+def chrome_trace_text(tracer: Any) -> str:
+    """``tracer``'s run as Chrome trace-event JSON text: exactly what
+    :func:`write_chrome_trace` puts in the file."""
+    return "".join(_file_texts(tracer))
+
+
 def write_chrome_trace(tracer: Any, path: str | Path) -> Path:
     """Write ``tracer``'s run as a Chrome trace-event JSON file; returns
     the path written.  Open it at https://ui.perfetto.dev.
@@ -208,21 +228,4 @@ def write_chrome_trace(tracer: Any, path: str | Path) -> Path:
     rename: an interrupt or a full disk leaves the previous file at
     ``path`` (or none), never a truncated one.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write('{"traceEvents":[')
-            texts = _event_texts(tracer)
-            sep = ""
-            while chunk := ",".join(islice(texts, _CHUNK_EVENTS)):
-                fh.write(sep + chunk)
-                sep = ","
-            other = json.dumps(_other_data(tracer), separators=(",", ":"))
-            fh.write(f'],"displayTimeUnit":"ms","otherData":{other}}}\n')
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    return write_text_atomic(path, _file_texts(tracer))

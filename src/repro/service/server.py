@@ -209,11 +209,6 @@ class ExperimentService(JobQueue):
                 spec = registry.get(spec_name)
             except KeyError as exc:
                 raise ServiceError(str(exc)) from None
-            if self.address is not None and not spec.cacheable:
-                raise ServiceError(
-                    f"artifact '{spec_name}' holds live objects and cannot "
-                    f"be returned over the wire; run it in-process"
-                )
             validated.append(Task(spec, spec.validate(overrides or {}), label=label))
         if not artifact:
             artifact = validated[0].spec.name if len(validated) == 1 else "batch"

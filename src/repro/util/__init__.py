@@ -1,4 +1,5 @@
-"""Small shared utilities: units, deterministic RNG, text tables, stats."""
+"""Small shared utilities: units, deterministic RNG, text tables, stats,
+atomic file writes."""
 
 from repro._lazy import lazy_exports
 
@@ -14,6 +15,7 @@ _EXPORTS = {
     "mean": "repro.util.stats",
     "geometric_mean": "repro.util.stats",
     "percentile": "repro.util.stats",
+    "write_text_atomic": "repro.util.files",
 }
 
 __all__ = list(_EXPORTS)

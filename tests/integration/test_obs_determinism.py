@@ -79,6 +79,10 @@ class TestSpanShape:
         assert any(d.startswith("epoch ") for d in epochs)
 
 
+#: the quick `trace` artifact's Perfetto file, whoever writes it
+QUICK_TRACE_SHA256 = "0928e64307b955e80eb0a74c60ebdb797b3309dc8b1bdb4c03a17ebc931680cf"
+
+
 def test_quick_trace_file_is_pinned(tmp_path):
     """sha256 of the `obs_trace.run(quick=True)` Perfetto file, taken on
     the commit before the exporter began writing JSON text itself: any
@@ -90,6 +94,4 @@ def test_quick_trace_file_is_pinned(tmp_path):
         [sys.executable, "-m", "repro.experiments.obs_trace", "--out", str(out)],
         check=True, capture_output=True, timeout=120,
     )
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "0928e64307b955e80eb0a74c60ebdb797b3309dc8b1bdb4c03a17ebc931680cf"
-    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == QUICK_TRACE_SHA256

@@ -25,15 +25,16 @@ class TestReportWriter:
 
     def test_trace_json_does_not_depend_on_process_history(self, tmp_path):
         """A cold report simulates ``scaling`` before ``trace``, a warm one
-        reads it from the cache: the same ``trace.json`` either way.
+        reads both from the cache: the same ``trace.json`` either way.
         (Packet ids in the send/deliver details used to count up
-        process-wide — ``am.short#5012`` cold, ``am.short#0`` warm.)"""
+        process-wide — ``am.short#5012`` after ``scaling``, ``am.short#0``
+        alone.)"""
         cache = ResultCache(tmp_path / "cache")
         kwargs = dict(artifacts=("scaling", "trace"), cache=cache)
         write_all(tmp_path / "cold", **kwargs)
-        assert (cache.hits, cache.stores) == (0, 1)
+        assert (cache.hits, cache.stores) == (0, 2)
         write_all(tmp_path / "warm", **kwargs)
-        assert (cache.hits, cache.stores) == (1, 1)
+        assert (cache.hits, cache.stores) == (2, 2)
         cold = (tmp_path / "cold" / "trace.json").read_bytes()
         assert cold == (tmp_path / "warm" / "trace.json").read_bytes()
         assert b"am.short#0 " in cold

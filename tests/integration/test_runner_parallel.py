@@ -309,6 +309,7 @@ class TestCli:
         for name in registry.ARTIFACT_NAMES:
             assert name in out
         assert "scenarios" in out and "drops" in out
+        assert "cached" not in out  # every artifact is: the column is gone
 
     def test_out_dir_through_runner(self, tmp_path, monkeypatch, capsys):
         out_dir = tmp_path / "report"

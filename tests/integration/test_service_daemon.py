@@ -112,6 +112,7 @@ class TestCliDaemonPath:
         for argv in (
             ["run", "scaling", "--param", "sizes=20,200"],
             ["sweep", "scaling", "--axis", "sizes=20,200"],
+            ["run", "trace", "--out", str(tmp_path / "trace.json")],
         ):
             rc1, local_out, _ = cli(
                 argv + ["--no-cache"], tmp_path / "cc", monkeypatch, capsys

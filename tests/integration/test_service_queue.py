@@ -7,6 +7,7 @@ round trip.
 """
 
 import dataclasses
+import hashlib
 import os
 from dataclasses import dataclass
 
@@ -140,10 +141,31 @@ class TestSubmitBoundary:
         with pytest.raises(ExperimentParamError, match="no parameter"):
             make_service().submit("c", [("svc-tiny", {"bogus": 1}, "")])
 
-    def test_non_cacheable_artifact_rejected_over_the_wire(self):
-        svc = ExperimentService("/tmp/never-bound.sock")  # address set, not started
-        with pytest.raises(ServiceError, match="cannot .*be returned over the wire"):
-            svc.submit("c", [("trace", None, "")])
+    def test_trace_round_trips_over_the_wire(self, tmp_path):
+        """The one artifact the daemon used to refuse (its result held the
+        live recorder): plain data now, so it crosses a real socket and
+        the second submit is served from the daemon's cache."""
+        from repro.service import ExperimentClient
+        from tests.integration.test_obs_determinism import QUICK_TRACE_SHA256
+
+        address = str(tmp_path / "svc.sock")
+        svc = ExperimentService(
+            address, config=ServiceConfig(workers=0),
+            cache=ResultCache(tmp_path / "cache"),
+        ).start()
+        try:
+            client = ExperimentClient.connect(address)
+            first = client.submit("trace")
+            (result,) = client.result(first)
+            written = result.write(tmp_path / "t.json").read_bytes()
+            assert hashlib.sha256(written).hexdigest() == QUICK_TRACE_SHA256
+            second = client.submit("trace")
+            assert client.result(second) == [result]
+            kinds = [[e.kind for e in client.events(job)] for job in (first, second)]
+            assert "task.started" in kinds[0] and "task.cached" not in kinds[0]
+            assert "task.cached" in kinds[1] and "task.started" not in kinds[1]
+        finally:
+            svc.stop(drain=False)
 
     def test_draining_rejects_submits(self):
         svc = make_service()

@@ -5,6 +5,8 @@ builds the same schema as dicts.  For any recorded content the file must
 equal the standard encoder's rendering of the dict view, so the two
 spellings of the schema cannot drift and the hand-written text stays
 canonical JSON (escapes, float formatting, separators).
+``chrome_trace_text`` is the same export as a ``str`` (what the ``trace``
+artifact stores): its UTF-8 encoding is the file's bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import SpanRecorder, chrome_trace_events, perfetto, write_chrome_trace
+from repro.obs import (
+    SpanRecorder,
+    chrome_trace_events,
+    chrome_trace_text,
+    perfetto,
+    write_chrome_trace,
+)
 from repro.sim.trace import RecordingTracer
 
 _TIMES = st.one_of(
@@ -64,11 +72,15 @@ def _expected_file(tracer) -> str:
 
 
 def _written(tracer, chunk_events: int) -> str:
+    """The file ``write_chrome_trace`` leaves, which must also be what
+    ``chrome_trace_text`` returns, byte for byte."""
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(perfetto, "_CHUNK_EVENTS", chunk_events):
         path = write_chrome_trace(tracer, Path(tmp) / "t.json")
         assert [p.name for p in Path(tmp).iterdir()] == ["t.json"]  # no temp left
-        return path.read_text(encoding="utf-8")
+        written = path.read_bytes()
+        assert chrome_trace_text(tracer).encode() == written
+        return written.decode("utf-8")
 
 
 @given(

@@ -98,13 +98,6 @@ class TestLoadStore:
         path.write_text("{not json", encoding="utf-8")
         assert c.load(spec, {"sizes": (20,)}) is None
 
-    def test_non_cacheable_spec_never_stores(self, tmp_path):
-        trace = registry.get("trace")
-        c = ResultCache(tmp_path)
-        assert c.store(trace, {}, object()) is None
-        assert c.load(trace, {}) is None
-        assert c.stores == 0
-
     def test_envelope_is_readable_json_with_provenance(self, tmp_path, spec, result):
         c = ResultCache(tmp_path, version="9.9")
         path = c.store(spec, spec.validate({"sizes": (20,)}), result)

@@ -108,10 +108,6 @@ class TestBuiltinRegistry:
         with pytest.raises(ExperimentParamError, match="'warp'"):
             registry.get("figure5").validate({"versions": ("warp",)})
 
-    def test_trace_not_cacheable(self):
-        assert registry.get("trace").cacheable is False
-        assert registry.get("table4").cacheable is True
-
     def test_nexus_file_stem(self):
         assert registry.get("nexus").file_stem == "nexus_compare"
 
