@@ -85,16 +85,6 @@ def test_em3d_step_simulation_rate(benchmark):
 
 
 @pytest.mark.benchmark(group="simulator-throughput")
-def test_em3d_batched_step_rate(benchmark):
-    res = benchmark.pedantic(
-        lambda: SCENARIOS["em3d_batched_step"](),
-        rounds=1,
-        iterations=1,
-    )
-    assert res.elapsed_us > 0
-
-
-@pytest.mark.benchmark(group="simulator-throughput")
 def test_rma_put_roundtrip_rate(benchmark):
     now, _ = _bench(benchmark, "rma_put_roundtrip")
     assert now > 0

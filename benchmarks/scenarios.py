@@ -137,31 +137,11 @@ def _em3d_graph():
 def em3d_step(stats_out: dict | None = None) -> Any:
     """One EM3D step on a 160-node graph: the application-scale workload.
 
-    Pinned to the *reference* core (``batched=False``) so the committed
-    floor keeps its historical meaning and the reference path stays
-    continuously priced; the batched tier has its own scenario below.
     The graph (shared immutable structure) is built once and reused, as
     the historical benchmark did — the scenario times the simulated run."""
     from repro.apps.em3d import run_splitc_em3d
 
-    return run_splitc_em3d(
-        _em3d_graph(), steps=1, version="base", warmup_steps=0, batched=False
-    )
-
-
-@scenario("em3d_batched_step")
-def em3d_batched_step(stats_out: dict | None = None) -> Any:
-    """The em3d_step workload on the batched execution tier
-    (``batched=True``): fast AM handler forms plus the flattened compute
-    kernel.  Bit-identical results to ``em3d_step_160nodes`` — the
-    golden identity suite enforces that — so the only thing this
-    scenario can legitimately change is the wall clock.  The smoke gate
-    additionally asserts the tier stays faster than the reference core."""
-    from repro.apps.em3d import run_splitc_em3d
-
-    return run_splitc_em3d(
-        _em3d_graph(), steps=1, version="base", warmup_steps=0, batched=True
-    )
+    return run_splitc_em3d(_em3d_graph(), steps=1, version="base", warmup_steps=0)
 
 
 @scenario("traced_em3d_step")

@@ -39,10 +39,6 @@ from scenarios import SCENARIOS  # noqa: E402
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
-#: minimum batched-tier speedup over the reference core (same workload,
-#: same machine, same process — immune to hardware drift, unlike wall_ms)
-BATCHED_MIN_SPEEDUP = 1.10
-
 
 def measure(name: str, repeats: int) -> float:
     """Min wall-clock milliseconds over ``repeats`` runs (1 warmup)."""
@@ -94,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     width = max(len(n) for n in names)
-    measured: dict[str, float] = {}
     for name in names:
         entry = committed.get(name, {})
         floor = entry.get("wall_ms")
@@ -104,7 +99,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:<{width}}  CRASH  {type(exc).__name__}: {exc}")
             failures.append(f"{name} (crashed)")
             continue
-        measured[name] = got
         if floor is None:
             print(f"{name:<{width}}  {got:9.3f} ms  (no committed floor — skipped)")
             continue
@@ -117,21 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         if verdict != "ok":
             failures.append(name)
-
-    # The batched tier exists only to be faster: whenever both em3d
-    # scenarios ran, require the tier to beat the reference core by a
-    # machine-independent margin (wall-clock floors drift with hardware;
-    # this ratio must not).
-    ref, bat = measured.get("em3d_step_160nodes"), measured.get("em3d_batched_step")
-    if ref is not None and bat is not None:
-        speedup = ref / bat
-        ok = speedup >= BATCHED_MIN_SPEEDUP
-        print(
-            f"batched tier speedup: {speedup:.2f}x over the reference core "
-            f"(floor {BATCHED_MIN_SPEEDUP:.2f}x)  {'ok' if ok else 'REGRESSION'}"
-        )
-        if not ok:
-            failures.append("em3d_batched_step (speedup floor)")
 
     if failures:
         print(

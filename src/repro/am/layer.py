@@ -65,7 +65,7 @@ from repro.errors import (
 from repro.machine.network import Network, Packet
 from repro.obs.metrics import MetricNames
 from repro.sim.account import Category, CounterNames
-from repro.sim.effects import WAIT_INBOX, Charge, ChargeRun
+from repro.sim.effects import WAIT_INBOX, Charge
 
 __all__ = ["AMEndpoint", "RetryPolicy", "install_am"]
 
@@ -135,9 +135,6 @@ class AMEndpoint:
         self.reliable = reliable
         self.retry = (retry if retry is not None else RetryPolicy()).validate()
         self._handlers: dict[str, Handler] = {}
-        #: batched tier: non-generator fast forms of registered handlers
-        #: (see :meth:`register_fast`); empty unless a runtime opts in
-        self._fast_handlers: dict[str, Callable[..., Any]] = {}
         self._in_handler = False
         #: flow control: remaining send credits per destination, and how
         #: many messages we have consumed per source since the last refill
@@ -177,13 +174,6 @@ class AMEndpoint:
         self._chg_hit_bulk = Charge(
             net.poll_hit_cpu + net.bulk_recv_cpu + irq, Category.NET
         )
-        # batched tier: fused hit+reply run for request/reply fast
-        # handlers, and a memo of hit+post runs keyed by the identity of
-        # the (precomputed, immutable) post charge.  ``_crun_posts``
-        # keeps the keyed charges alive so ids can never be recycled.
-        self._crun_hit_reply = ChargeRun(self._chg_hit_short, self._chg_send_short)
-        self._crun_memo: dict[int, ChargeRun] = {}
-        self._crun_posts: list[Charge] = []
         # observability: pre-resolved histograms / span recorder, or None
         # (the default) — each guarded site costs one is-None test
         metrics = node.metrics
@@ -194,11 +184,6 @@ class AMEndpoint:
             self._h_service = None
             self._h_retx = None
         self._spans = node._spans
-        # batched tier gate, resolved once: the fused poll path stands
-        # down while spans or the service histogram record (exact
-        # mid-window observation order matters there), and both are fixed
-        # for the life of the endpoint.  Flips on in register_fast.
-        self._use_fast = False
         # hoisted per-send constants (the send path runs per message)
         self._short_max = net.short_max_bytes
         self._window = net.credit_window
@@ -220,45 +205,6 @@ class AMEndpoint:
 
     def has_handler(self, name: str) -> bool:
         return name in self._handlers
-
-    def register_fast(
-        self, name: str, fn: Callable[..., Any], *, replace: bool = False
-    ) -> None:
-        """Bind a *fast form* of an already-registered handler (batched
-        execution tier).
-
-        ``fn(ep, src, frame)`` is a plain function, not a generator: it
-        performs the handler's state mutations immediately and returns
-        ``(post, reply)`` where at most one is non-None —
-
-        * ``post``: a **precomputed, shared** :class:`Charge` the handler
-          would have yielded after servicing (cached per identity, so ad
-          hoc ``Charge`` allocations are not allowed here);
-        * ``reply``: ``(handler, args, nbytes)`` describing the short
-          reply the handler would have sent (credit-exempt, as replies
-          are).
-
-        The poll loop then fuses the service hit charge with the post or
-        reply-send charge into one :class:`ChargeRun`.  This is only
-        sound for handlers whose mutations no other node can observe
-        before the service charges elapse — which holds for all Split-C
-        box/memory handlers because their state is read exclusively by
-        this node's (suspended) threads.  The generator form must stay
-        registered: polls fall back to it whenever spans or metrics are
-        recording (exact mid-window observation order matters there) and
-        for bulk frames.
-        """
-        if name not in self._handlers:
-            raise RuntimeStateError(
-                f"register_fast({name!r}) on node {self.node.nid}: register "
-                "the generator handler first (slow paths still need it)"
-            )
-        if name in self._fast_handlers and not replace:
-            raise RuntimeStateError(
-                f"fast AM handler {name!r} already registered on node {self.node.nid}"
-            )
-        self._fast_handlers[name] = fn
-        self._use_fast = self._spans is None and self._h_service is None
 
     # ----------------------------------------------------------------- sends
 
@@ -622,40 +568,9 @@ class AMEndpoint:
             return 0
         handled = 0
         consumed = self._consumed
-        fast_handlers = self._fast_handlers
-        # The fused tier is exact for time/accounting (ChargeRun replays
-        # charge-by-charge if anything lands inside the window) but it
-        # reorders *observation-free* bookkeeping within the window, so
-        # ``_use_fast`` (precomputed) stands down while spans or the
-        # service histogram record.
-        use_fast = self._use_fast
-        counts = node.counters.counts
         while inbox:
             pkt = inbox.popleft()
             kind = pkt.kind
-            if use_fast and kind == KIND_SHORT:
-                frame = pkt.payload
-                fast = fast_handlers.get(frame.handler)
-                if fast is not None:
-                    post, reply = fast(self, pkt.src, frame)
-                    consumed[pkt.src] = consumed.get(pkt.src, 0) + 1
-                    if reply is not None:
-                        yield self._crun_hit_reply
-                        counts[CounterNames.MSG_SHORT] += 1
-                        rh, rargs, rnb = reply
-                        self._inject(pkt.src, KIND_SHORT, AMFrame(rh, rargs), rnb)
-                    elif post is not None:
-                        memo = self._crun_memo
-                        crun = memo.get(id(post))
-                        if crun is None:
-                            crun = ChargeRun(self._chg_hit_short, post)
-                            memo[id(post)] = crun
-                            self._crun_posts.append(post)
-                        yield crun
-                    else:
-                        yield self._chg_hit_short
-                    handled += 1
-                    continue
             if kind == KIND_CREDIT:
                 yield self._chg_hit_credit
                 self._credits[pkt.src] = (

@@ -55,9 +55,7 @@ def run_rma_em3d(
 
     Same harness contract as
     :func:`~repro.apps.em3d.splitc_impl.run_splitc_em3d` (fault plans,
-    reliable AM, topologies, golden-trace knobs); there is no batched
-    kernel variant — the RMA handlers register no fast forms, so runs
-    are identical under ``REPRO_BATCHED=0`` and ``1`` by construction.
+    reliable AM, topologies, golden-trace knobs).
     """
     layout = Em3dLayout(graph)
     p = graph.params

@@ -19,7 +19,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.apps.em3d.batched import BatchedEm3dKernel
 from repro.apps.em3d.graph import Em3dGraph
 from repro.apps.em3d.layout import VERSIONS, Em3dLayout, PhasePlan
 from repro.errors import ReproError
@@ -59,7 +58,6 @@ def run_splitc_em3d(
     reliable: bool = False,
     retry: Any = None,
     metrics: Any | None = None,
-    batched: bool | None = None,
     topology: Any | None = None,
 ) -> Em3dRunResult:
     """Run one Split-C EM3D configuration and measure it.
@@ -69,12 +67,6 @@ def run_splitc_em3d(
     and results exactly.  ``faults``/``reliable``/``retry`` run the same
     workload over a lossy fabric with the reliable AM sublayer (the
     drop-rate ablation in :mod:`repro.experiments.faults`).
-
-    ``batched`` selects the batched execution tier (None = the
-    ``REPRO_BATCHED`` default): fast AM handlers plus, for the base
-    version, the flattened compute kernel of
-    :mod:`repro.apps.em3d.batched` — bit-identical to the reference
-    path, just cheaper per event.
 
     ``topology`` is a :class:`~repro.machine.topology.Topology` or spec
     string ("flat", "ring", "fattree:arity=8"); None keeps the
@@ -93,20 +85,7 @@ def run_splitc_em3d(
         metrics=metrics,
         topology=topology,
     )
-    rt = SplitCRuntime(cluster, reliable=reliable, retry=retry, batched=batched)
-    # The kernel reorders observation-free bookkeeping inside fused
-    # charge windows, so it stands down while spans or metrics record.
-    use_kernel = (
-        rt.batched
-        and version == "base"
-        and metrics is None
-        and (tracer is None or not getattr(tracer, "wants_spans", False))
-    )
-    kernel = (
-        BatchedEm3dKernel(layout, VAL, costs.cpu.em3d_per_neighbor)
-        if use_kernel
-        else None
-    )
+    rt = SplitCRuntime(cluster, reliable=reliable, retry=retry)
 
     for proc in range(p.n_procs):
         mem = rt.memory(proc)
@@ -212,29 +191,14 @@ def run_splitc_em3d(
                 _, off = graph.value_slot(n.gid)
                 mem[off] = graph.initial[n.gid]
         yield from proc.barrier()
-        # The kernel path inlines one_step so every resume of the ~10
-        # yields per remote read walks two generator frames, not three
-        # (the yield-from chain is traversed on each send).
         for _ in range(warmup_steps):
-            if kernel is None:
-                yield from one_step(proc)
-            else:
-                yield from kernel.phase(proc, 0)
-                yield from proc.barrier()
-                yield from kernel.phase(proc, 1)
-                yield from proc.barrier()
+            yield from one_step(proc)
         if proc.my_node == 0:
             marks["t0"] = cluster.sim.now
             marks["acct0"] = [n.account.snapshot() for n in cluster.nodes]
             marks["cnt0"] = cluster.aggregate_counters().snapshot()
         for _ in range(steps):
-            if kernel is None:
-                yield from one_step(proc)
-            else:
-                yield from kernel.phase(proc, 0)
-                yield from proc.barrier()
-                yield from kernel.phase(proc, 1)
-                yield from proc.barrier()
+            yield from one_step(proc)
         if proc.my_node == 0:
             marks["t1"] = cluster.sim.now
 

@@ -22,9 +22,8 @@ rate under hotspot traffic — and this artifact reproduces them on the
 
 The traffic is injected straight into :meth:`Network.transmit` (no
 threads, no runtimes): packet order is a deterministic loop, so the
-whole artifact is bit-identical under ``REPRO_BATCHED=0/1`` and cheap
-enough to sweep.  Virtual throughput in MB/s uses the simulator's µs
-clock: ``bytes / elapsed_us`` = B/µs = MB/s.
+whole artifact is cheap enough to sweep.  Virtual throughput in MB/s
+uses the simulator's µs clock: ``bytes / elapsed_us`` = B/µs = MB/s.
 """
 
 from __future__ import annotations

@@ -23,9 +23,6 @@ Four sections, all in the simulator's virtual microseconds:
   against :func:`~repro.apps.em3d.reference.reference_steps`.  ``comm``
   is a typed choice axis, so ``sweep rma --param comm=rma,rmi,splitc``
   grids the paradigms.
-
-There are no batched fast forms for the RMA or tree handlers, so every
-section is bit-identical under ``REPRO_BATCHED=0`` and ``1``.
 """
 
 from __future__ import annotations

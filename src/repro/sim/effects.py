@@ -17,7 +17,6 @@ from repro.sim.account import Category
 __all__ = [
     "Effect",
     "Charge",
-    "ChargeRun",
     "Switch",
     "Park",
     "WaitInbox",
@@ -57,25 +56,6 @@ class Charge(Effect):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Charge(us={self.us!r}, category={self.category!r})"
-
-
-class ChargeRun(Effect):
-    """A run of consecutive :class:`Charge` effects yielded as one effect.
-
-    Semantically identical to yielding each item in order — the scheduler
-    accounts and advances per item, and when the whole window is free of
-    interleaving events it collapses the run into a single inline advance
-    (one trampoline entry instead of one per charge).  Like ``Charge``,
-    instances are immutable and may be cached/shared by hot paths.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self, *items: Charge):
-        self.items = items
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ChargeRun{self.items!r}"
 
 
 @dataclass(frozen=True, slots=True)

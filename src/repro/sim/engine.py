@@ -62,23 +62,9 @@ from collections import deque
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 
-import os
-
 from repro.errors import SimulationError
 
-__all__ = ["Event", "Simulator", "Watchdog", "batched_default"]
-
-
-def batched_default() -> bool:
-    """Whether the batched execution tier is enabled by default.
-
-    Controlled by the ``REPRO_BATCHED`` environment variable: unset or
-    anything but ``"0"`` enables it (the tier is bit-identical to the
-    reference core, so on is the safe default); ``REPRO_BATCHED=0``
-    forces every consumer that defaults through here back onto the
-    reference paths — this is what the CI identity job flips.
-    """
-    return os.environ.get("REPRO_BATCHED", "1") != "0"
+__all__ = ["Event", "Simulator", "Watchdog"]
 
 _INF = float("inf")
 
@@ -287,46 +273,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule at t={time}")
         raise SimulationError(f"cannot schedule at t={time} (now is t={now})")
 
-    def schedule_many(self, delay: float, fns) -> None:
-        """Schedule every callable in ``fns`` to run ``delay`` µs from now.
-
-        Bit-identical to N individual :meth:`schedule` calls (each entry
-        consumes its own sequence number, in iteration order), but the
-        delay is validated once and the hot names are bound once, so
-        producers can enqueue a whole batch in one call.  The delay is
-        validated even for an empty batch — a NaN/inf/negative delay is a
-        caller bug regardless of batch size and must not pass silently.
-        """
-        if _INF > delay > 0.0:
-            seq = self._seq
-            t = self._now + delay
-            heap = self._heap
-            push = heappush
-            for fn in fns:
-                seq += 1
-                push(heap, [t, seq, fn])
-            self._seq = seq
-            return
-        if delay == 0.0:
-            seq = self._seq
-            now = self._now
-            if self._fast_path:
-                append = self._immediate.append
-                for fn in fns:
-                    seq += 1
-                    append([now, seq, fn])
-            else:
-                heap = self._heap
-                push = heappush
-                for fn in fns:
-                    seq += 1
-                    push(heap, [now, seq, fn])
-            self._seq = seq
-            return
-        if delay != delay or delay == _INF:
-            raise SimulationError(f"cannot schedule a {delay} us delay")
-        raise SimulationError(f"cannot schedule {delay} us in the past")
-
     def schedule_event(self, delay: float, fn: Callable[[], None]) -> Event:
         """Like :meth:`schedule`, but returns a cancellable :class:`Event`.
 
@@ -408,44 +354,6 @@ class Simulator:
         self._seq += 1
         self._events_fired += 1
         self._inline_advances += 1
-        self._now = target
-        return True
-
-    def advance_inline_run(self, target: float, n: int) -> bool:
-        """Bulk form of :meth:`advance_inline` for a run of ``n`` charges
-        ending at absolute time ``target`` (the caller accumulates the
-        per-charge targets stepwise so float rounding matches the
-        one-at-a-time path bit for bit).
-
-        Succeeds only when *nothing* — pending event, lane entry, or an
-        active ``until`` bound — falls inside ``[now, target]``; then no
-        observer could have distinguished the n individual advances, and
-        the bookkeeping mirrors them exactly (``n`` sequence numbers,
-        ``n`` fired events).  Bounded runs always return False so the
-        per-charge path can honour ``max_events`` at the exact event.
-        """
-        if self._immediate or not self._fast_path:
-            return False
-        if not (_INF > target > self._now):
-            return False
-        heap = self._heap
-        if heap:
-            head = heap[0]
-            if head[2] is None:
-                while heap and heap[0][2] is None:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                if heap and heap[0][0] <= target:
-                    return False
-            elif head[0] <= target:
-                return False
-        if self._until is not None and target > self._until:
-            return False
-        if self._run_max is not None:
-            return False
-        self._seq += n
-        self._events_fired += n
-        self._inline_advances += n
         self._now = target
         return True
 

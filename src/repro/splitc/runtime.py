@@ -31,7 +31,6 @@ from repro.errors import RuntimeStateError
 from repro.machine.cluster import Cluster
 from repro.sim.account import Category
 from repro.sim.effects import Charge
-from repro.sim.engine import batched_default
 from repro.splitc.memory import Memory
 from repro.splitc.process import SCProcess
 
@@ -78,12 +77,8 @@ class SplitCRuntime:
         *,
         reliable: bool = False,
         retry: Any = None,
-        batched: bool | None = None,
     ):
         self.cluster = cluster
-        #: batched execution tier: register non-generator fast forms of
-        #: the short-message handlers (None = the REPRO_BATCHED default)
-        self.batched = batched_default() if batched is None else batched
         self.endpoints: list[AMEndpoint] = install_am(
             cluster, reliable=reliable, retry=retry
         )
@@ -113,23 +108,6 @@ class SplitCRuntime:
             ep.register_handler("sc.barrier", self._h_barrier)
             ep.register_handler("sc.barrier_go", self._h_barrier_go)
             ep.register_handler("sc.rpc", self._h_rpc)
-            if self.batched:
-                # Fast forms of every short handler whose body is a state
-                # mutation plus one precomputed charge or one reply (see
-                # AMEndpoint.register_fast for the soundness argument).
-                # Bulk handlers, sc.barrier (may fan out N-1 sends) and
-                # sc.rpc (arbitrary user code) keep generator-only forms.
-                ep.register_fast("sc.read", self._f_read)
-                ep.register_fast("sc.write", self._f_write)
-                ep.register_fast("sc.get", self._f_get)
-                ep.register_fast("sc.get_reply", self._f_get_reply)
-                ep.register_fast("sc.put", self._f_put)
-                ep.register_fast("sc.reply_val", self._f_reply_val)
-                ep.register_fast("sc.ack", self._f_ack)
-                ep.register_fast("sc.put_ack", self._f_put_ack)
-                ep.register_fast("sc.store", self._f_store)
-                ep.register_fast("sc.store_add", self._f_store_add)
-                ep.register_fast("sc.barrier_go", self._f_barrier_go)
         #: registered atomic-RPC functions, shared by all nodes (same
         #: program image everywhere — the SPMD assumption)
         self._rpc_fns: dict[str, Callable[..., Any]] = {}
@@ -276,98 +254,6 @@ class SplitCRuntime:
             arr[offset + k] += v
         self._state[nid].stores_received += 1
         yield self._chg_reply[ep.node.nid]
-
-    # fast forms (batched tier) ---------------------------------------------
-    # Identical state mutations to the generator handlers above, returning
-    # (post_charge, reply) instead of yielding, so the poll loop can fuse
-    # the hit charge with the handler's charge into one ChargeRun.
-
-    def _f_read(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        region, offset, slot = frame.args
-        # inlined Memory.load_gp minus the GlobalPtr allocation; any miss
-        # or out-of-bounds access replays the full path for its
-        # canonical GlobalPointerError diagnostics
-        mem = self.memories[ep.node.nid]
-        arr = mem._regions.get(region)
-        if arr is not None and 0 <= offset < len(arr):
-            value = arr[offset].item()
-        else:
-            value = mem.load_gp(region, offset)
-        return None, ("sc.reply_val", (slot, value), _REPLY_VAL_BYTES)
-
-    def _f_write(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        region, offset, value, slot = frame.args
-        mem = self.memories[ep.node.nid]
-        arr = mem._regions.get(region)
-        if arr is not None and 0 <= offset < len(arr):
-            arr[offset] = value
-        else:
-            mem.store_gp(region, offset, value)
-        return None, ("sc.ack", (slot,), _ACK_BYTES)
-
-    def _f_reply_val(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        slot, value = frame.args
-        nid = ep.node.nid
-        box = self._take_box(nid, slot)
-        box.value = value
-        box.done = True
-        return self._chg_reply[nid], None
-
-    def _f_ack(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        (slot,) = frame.args
-        nid = ep.node.nid
-        box = self._take_box(nid, slot)
-        box.done = True
-        return self._chg_reply[nid], None
-
-    def _f_get(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        region, offset, dest_region, dest_offset = frame.args
-        value = self.memories[ep.node.nid].load_gp(region, offset)
-        return None, (
-            "sc.get_reply",
-            (dest_region, dest_offset, value),
-            _REPLY_VAL_BYTES + 8,
-        )
-
-    def _f_get_reply(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        dest_region, dest_offset, value = frame.args
-        nid = ep.node.nid
-        self.memories[nid].store_gp(dest_region, dest_offset, value)
-        self._state[nid].pending -= 1
-        return self._chg_reply[nid], None
-
-    def _f_put(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        region, offset, value = frame.args
-        self.memories[ep.node.nid].store_gp(region, offset, value)
-        return None, ("sc.put_ack", (), _ACK_BYTES)
-
-    def _f_put_ack(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        nid = ep.node.nid
-        self._state[nid].pending -= 1
-        return self._chg_reply[nid], None
-
-    def _f_store(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        region, offset, value = frame.args
-        nid = ep.node.nid
-        self.memories[nid].store_gp(region, offset, value)
-        self._state[nid].stores_received += 1
-        return self._chg_reply[nid], None
-
-    def _f_store_add(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        region, offset, values = frame.args
-        nid = ep.node.nid
-        arr = self.memories[nid].region(region)
-        for k, v in enumerate(values):
-            arr[offset + k] += v
-        self._state[nid].stores_received += 1
-        return self._chg_reply[nid], None
-
-    def _f_barrier_go(self, ep: AMEndpoint, src: int, frame: AMFrame):
-        (epoch,) = frame.args
-        nid = ep.node.nid
-        st = self._state[nid]
-        st.barrier_released = max(st.barrier_released, epoch + 1)
-        return self._chg_sync[nid], None
 
     # bulk ------------------------------------------------------------------
 

@@ -40,7 +40,7 @@ from repro.errors import SimulationError
 from repro.obs.metrics import MetricNames
 from repro.sim.account import Category, CounterNames
 from repro.sim.trace import NullTracer
-from repro.sim.effects import Charge, ChargeRun, Park, Switch, WaitInbox
+from repro.sim.effects import Charge, Park, Switch, WaitInbox
 from repro.threads.thread import ThreadState, UThread
 
 __all__ = ["Scheduler"]
@@ -81,10 +81,6 @@ class Scheduler:
         self._advance_inline = self.sim.advance_inline
         self._tcosts = node.costs.threads
         self._idle_cidx = Category.IDLE.index
-        # ChargeRun fallback state: remaining items of a run that could
-        # not be collapsed and is being replayed charge-by-charge
-        self._crun_items: tuple[Charge, ...] | None = None
-        self._crun_idx = 0
 
     # ------------------------------------------------------------- inspection
 
@@ -303,33 +299,6 @@ class Scheduler:
             raise SimulationError("charge resume raced with another dispatch")
         self._step(thr, None)
 
-    def _resume_chargerun(self) -> None:
-        """Continue replaying a ChargeRun that suspended mid-run."""
-        thr = self.current
-        if thr is None:  # pragma: no cover - invariant guard
-            raise SimulationError("charge resume raced with another dispatch")
-        items = self._crun_items
-        idx = self._crun_idx
-        sim = self.sim
-        advance_inline = self._advance_inline
-        acct_us = self._acct_us
-        nitems = len(items)
-        while idx < nitems:
-            c = items[idx]
-            us = c.us
-            acct_us[c.cidx] += us
-            idx += 1
-            if us == 0.0 or advance_inline(us):
-                continue
-            self._crun_idx = idx
-            # mirrors the trampoline entry the reference path pays for
-            # each scheduled per-charge resume
-            self.steps += 1
-            sim.schedule(us, self._resume_chargerun)
-            return
-        self._crun_items = None
-        self._step(thr, None)
-
     # ------------------------------------------------------------- trampoline
 
     def _step(self, thr: UThread, send_value: Any) -> None:
@@ -344,7 +313,6 @@ class Scheduler:
         costs = self._tcosts
         send = thr.send
         advance_inline = self._advance_inline
-        advance_inline_run = sim.advance_inline_run
         acct_us = self._acct_us
         while True:
             try:
@@ -369,73 +337,6 @@ class Scheduler:
                     continue  # fused: nothing could interleave in the window
                 sim.schedule(us, self._resume_current)
                 return
-
-            if type(effect) is ChargeRun:
-                # A run of consecutive charges.  When the whole window is
-                # free of interleaving events, collapse it: one bulk
-                # advance, then account every item (bulk accounting is
-                # unobservable because nothing fires inside the window).
-                items = effect.items
-                if len(items) == 2:
-                    # Unrolled two-item run — the dominant shape (issue+send,
-                    # hit+reply, local-access+cpu trails).  Semantics are the
-                    # generic path's, specialized for two positive charges.
-                    c0, c1 = items
-                    us0 = c0.us
-                    us1 = c1.us
-                    if 0.0 < us0 and 0.0 < us1:
-                        if advance_inline_run(sim._now + us0 + us1, 2):
-                            acct_us[c0.cidx] += us0
-                            acct_us[c1.cidx] += us1
-                            continue
-                        # replay item by item, as the generic fallback would
-                        acct_us[c0.cidx] += us0
-                        if advance_inline(us0):
-                            acct_us[c1.cidx] += us1
-                            if advance_inline(us1):
-                                continue
-                            self._crun_items = items
-                            self._crun_idx = 2
-                            sim.schedule(us1, self._resume_chargerun)
-                            return
-                        self._crun_items = items
-                        self._crun_idx = 1
-                        sim.schedule(us0, self._resume_chargerun)
-                        return
-                t = sim._now
-                n = 0
-                for c in items:
-                    us = c.us
-                    if us < 0:
-                        raise ValueError(
-                            f"negative charge: {us} us to {c.category}"
-                        )
-                    if us != 0.0:
-                        # stepwise, matching the per-item advances of the
-                        # reference path bit for bit (float addition is
-                        # not associative)
-                        t = t + us
-                        n += 1
-                if n == 0 or sim.advance_inline_run(t, n):
-                    for c in items:
-                        acct_us[c.cidx] += c.us
-                    continue
-                # Fallback: replay the run exactly as N consecutive
-                # Charge effects (account, then advance or suspend).
-                idx = 0
-                nitems = len(items)
-                while idx < nitems:
-                    c = items[idx]
-                    us = c.us
-                    acct_us[c.cidx] += us
-                    idx += 1
-                    if us == 0.0 or advance_inline(us):
-                        continue
-                    self._crun_items = items
-                    self._crun_idx = idx
-                    sim.schedule(us, self._resume_chargerun)
-                    return
-                continue
 
             if type(effect) is Switch:
                 node.charge(Category.THREAD_MGMT, costs.context_switch)

@@ -1,15 +1,9 @@
-"""Properties of the tree collectives and the RMA layer.
+"""Properties of the tree collectives over a faulted fabric.
 
-Two families:
-
-* **batched-tier identity** — the tree and RMA handlers register no
-  fast forms, so a run under the batched tier must be bit-identical to
-  the reference core (results *and* final virtual time) even while the
-  surrounding Split-C runtime's own fast forms are active;
-* **faulted-fabric correctness** — over a lossy/jittery fabric with the
-  reliable AM sublayer on, every collective still produces the exact
-  linear-oracle values (reliability restores ordered exactly-once
-  delivery; the collectives sit entirely above it).
+Over a lossy/jittery fabric with the reliable AM sublayer on, every
+collective still produces the exact linear-oracle values (reliability
+restores ordered exactly-once delivery; the collectives sit entirely
+above it), and the same seed replays to the same virtual time.
 """
 
 from __future__ import annotations
@@ -19,16 +13,15 @@ from hypothesis import strategies as st
 
 from repro.machine.cluster import Cluster
 from repro.machine.faults import FaultPlan
-from repro.rma import install_rma
 from repro.splitc import SplitCRuntime
 from repro.splitc.collective import make_tree
 
 
-def _tree_workload(n: int, radix: int, *, faults=None, reliable=False, batched=None):
+def _tree_workload(n: int, radix: int, *, faults=None, reliable=False):
     """Rounds of bcast + allreduce + barrier; returns (outs, final virtual
     time)."""
     cluster = Cluster(n, faults=faults)
-    rt = SplitCRuntime(cluster, reliable=reliable, batched=batched)
+    rt = SplitCRuntime(cluster, reliable=reliable)
     tree = make_tree(rt, radix=radix)
     outs: dict[int, list[float]] = {}
 
@@ -43,47 +36,6 @@ def _tree_workload(n: int, radix: int, *, faults=None, reliable=False, batched=N
 
     rt.run_spmd(prog)
     return outs, cluster.sim.now
-
-
-def _rma_workload(*, batched=None):
-    """Puts/accumulates/gets between two nodes; returns (values, time)."""
-    cluster = Cluster(2)
-    rt = SplitCRuntime(cluster, batched=batched)
-    rma = install_rma(cluster, endpoints=rt.endpoints)
-    got: dict = {}
-
-    def prog(proc):
-        me = proc.my_node
-        win = rma.process(me)
-        yield from win.register("w", 8)
-        yield from proc.barrier()
-        other = 1 - me
-        h = yield from win.put(other, "w", me, [float(me + 1)] * 2, notify=True)
-        yield from win.wait_remote(h)
-        h = yield from win.accumulate(other, "w", 2, [10.0])
-        yield from win.wait_remote(h)
-        yield from win.wait_notify("w", 1)
-        yield from proc.barrier()
-        got[me] = list((yield from win.get(other, "w", 0, 4)))
-        yield from proc.barrier()
-
-    rt.run_spmd(prog)
-    return got, cluster.sim.now
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    n=st.integers(min_value=2, max_value=6),
-    radix=st.integers(min_value=1, max_value=4),
-)
-def test_tree_batched_tier_is_bit_identical(n, radix):
-    reference = _tree_workload(n, radix, batched=False)
-    batched = _tree_workload(n, radix, batched=True)
-    assert batched == reference
-
-
-def test_rma_batched_tier_is_bit_identical():
-    assert _rma_workload(batched=False) == _rma_workload(batched=True)
 
 
 def _expected(n: int) -> list[float]:

@@ -49,6 +49,33 @@ class TestHandlers:
             eps[0].register_handler("x", lambda *a: None)
         eps[0].register_handler("x", lambda *a: None, replace=True)
 
+    def test_replaced_runtime_handler_is_the_one_dispatched(self):
+        """``replace=True`` on a handler a language runtime registered
+        must take effect on a plain run, not only with a recorder
+        attached: ``poll`` has one dispatch table."""
+        from repro.splitc import SplitCRuntime
+
+        rt = SplitCRuntime(Cluster(2))
+        for nid in range(2):
+            rt.memory(nid).alloc("r", 4)
+        seen = []
+
+        def spy(ep, src, frame):
+            seen.append(frame.args)
+            yield from rt._h_store(ep, src, frame)
+
+        rt.endpoint(1).register_handler("sc.store", spy, replace=True)
+
+        def prog(proc):
+            if proc.my_node == 0:
+                yield from proc.store(proc.gptr(1, "r", 2), 7.0)
+            else:
+                yield from proc.await_stores(1)
+
+        rt.run_spmd(prog)
+        assert seen == [("r", 2, 7.0)]
+        assert rt.memory(1).region("r")[2] == 7.0
+
     def test_oversize_short_rejected_uniformly(self):
         """Any short frame past short_max_bytes is rejected — with or
         without a data payload (the old guard only fired with data and at

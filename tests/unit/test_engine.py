@@ -321,92 +321,3 @@ def test_max_events_counts_inline_advances():
     with pytest.raises(SimulationError, match="max_events"):
         sim.run(max_events=50)
     assert state["n"] <= 51
-
-
-# --------------------------------------------------------------- schedule_many
-
-
-def test_schedule_many_empty_batch_is_a_noop():
-    sim = Simulator()
-    sim.schedule_many(5.0, [])
-    sim.schedule_many(0.0, [])
-    assert sim._seq == 0
-    assert sim.step() is False
-    assert sim.now == 0.0
-
-
-@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
-def test_schedule_many_validates_delay_even_for_empty_batch(delay):
-    # a broken delay is a caller bug regardless of batch size
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_many(delay, [])
-
-
-@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.5])
-def test_schedule_many_rejects_bad_delay_with_items(delay):
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_many(delay, [lambda: None])
-
-
-@pytest.mark.parametrize("fast_path", [True, False])
-@pytest.mark.parametrize("delay", [0.0, 3.0])
-def test_schedule_many_matches_individual_schedules(fast_path, delay):
-    """One batched call is bit-identical to N individual schedule() calls:
-    same firing order, same sequence-number consumption, same clock."""
-
-    def drive(batch: bool) -> tuple[list, float, int]:
-        sim = Simulator(fast_path=fast_path)
-        fired = []
-        fns = [lambda t=tag: fired.append(t) for tag in range(6)]
-        sim.schedule(1.0, lambda: fired.append("early"))
-        if batch:
-            sim.schedule_many(delay, fns)
-        else:
-            for fn in fns:
-                sim.schedule(delay, fn)
-        sim.schedule(delay if delay else 1.0, lambda: fired.append("late"))
-        sim.run()
-        return fired, sim.now, sim._seq
-
-    assert drive(True) == drive(False)
-
-
-def test_schedule_many_interleaves_with_cancelled_handles():
-    """Batched entries merge by (time, seq) with handle-bearing events,
-    including ones cancelled before and after the batch is enqueued."""
-
-    def drive(batch: bool) -> tuple[list, int, int]:
-        sim = Simulator()
-        fired = []
-        before = [sim.schedule_event(2.0, lambda i=i: fired.append(("b", i)))
-                  for i in range(4)]
-        before[1].cancel()  # cancelled before the batch exists
-        fns = [lambda t=t: fired.append(("m", t)) for t in range(4)]
-        if batch:
-            sim.schedule_many(2.0, fns)
-        else:
-            for fn in fns:
-                sim.schedule(2.0, fn)
-        after = [sim.schedule_event(2.0, lambda i=i: fired.append(("a", i)))
-                 for i in range(3)]
-        sim.schedule(1.0, lambda: (before[3].cancel(), after[0].cancel()))
-        sim.run()
-        return fired, sim._seq, sim.events_fired
-
-    fired, _seq, _ev = drive(True)
-    assert drive(True) == drive(False)
-    assert ("b", 1) not in fired and ("b", 3) not in fired
-    assert ("a", 0) not in fired
-    # survivors fire in scheduling order across all three groups
-    assert fired[-8:] == [("b", 0), ("b", 2), ("m", 0), ("m", 1),
-                          ("m", 2), ("m", 3), ("a", 1), ("a", 2)]
-
-
-def test_schedule_many_accepts_any_iterable():
-    sim = Simulator()
-    fired = []
-    sim.schedule_many(1.0, (lambda t=tag: fired.append(t) for tag in range(3)))
-    sim.run()
-    assert fired == [0, 1, 2]

@@ -247,100 +247,6 @@ def test_blocked_threads_listed_in_deadlock_error():
     assert any("stuck-thread" in b for b in excinfo.value.blocked)
 
 
-# ------------------------------------------------------------------ ChargeRun
-
-
-def _charge_run_drive(effects):
-    """Run one thread yielding ``effects``; return (elapsed, accounts)."""
-    from repro.sim.effects import ChargeRun  # noqa: F401 (imported for callers)
-
-    def body(node):
-        for e in effects:
-            yield e
-
-    cluster = Cluster(1)
-    cluster.launch(0, body(cluster.nodes[0]))
-    cluster.run()
-    node = cluster.nodes[0]
-    return cluster.sim.now, {
-        c: node.account.get(c) for c in (Category.CPU, Category.RUNTIME)
-    }
-
-
-def test_charge_run_equals_individual_charges():
-    from repro.sim.effects import ChargeRun
-
-    items = (
-        Charge(1.0, Category.CPU),
-        Charge(3.5, Category.RUNTIME),
-        Charge(0.5, Category.CPU),
-    )
-    assert _charge_run_drive([ChargeRun(*items)]) == _charge_run_drive(list(items))
-
-
-def test_charge_run_two_items_equals_individual_charges():
-    # the scheduler unrolls the two-item shape; parity must still hold
-    from repro.sim.effects import ChargeRun
-
-    items = (Charge(1.0, Category.CPU), Charge(3.5, Category.RUNTIME))
-    assert _charge_run_drive([ChargeRun(*items)]) == _charge_run_drive(list(items))
-
-
-def test_charge_run_zero_items_cost_nothing():
-    from repro.sim.effects import ChargeRun
-
-    now, acct = _charge_run_drive(
-        [ChargeRun(Charge(0.0, Category.CPU), Charge(0.0, Category.RUNTIME))]
-    )
-    assert now == 0.0
-    assert acct[Category.CPU] == 0.0 and acct[Category.RUNTIME] == 0.0
-
-
-@pytest.mark.parametrize(
-    "items",
-    [
-        (Charge(-1.0, Category.CPU), Charge(1.0, Category.CPU)),
-        (Charge(1.0, Category.CPU), Charge(-1.0, Category.CPU)),
-        (Charge(1.0, Category.CPU), Charge(1.0, Category.CPU), Charge(-2.0)),
-    ],
-)
-def test_charge_run_rejects_negative_items(items):
-    from repro.sim.effects import ChargeRun
-
-    with pytest.raises((ValueError, SimulationError)):
-        _charge_run_drive([ChargeRun(*items)])
-
-
-@pytest.mark.parametrize("interrupt_at", [0.5, 1.5, 4.0, 4.5])
-def test_charge_run_interrupted_window_replays_exactly(interrupt_at):
-    """A foreign event inside the run's window defeats the collapse; the
-    item-by-item replay must interleave exactly like individual charges."""
-    from repro.sim.effects import ChargeRun
-
-    def drive(batch: bool):
-        order = []
-        items = (Charge(1.0, Category.CPU), Charge(3.5, Category.RUNTIME))
-
-        def body(node):
-            if batch:
-                yield ChargeRun(*items)
-            else:
-                for c in items:
-                    yield c
-            order.append(("resumed", node.sim.now))
-
-        cluster = Cluster(1)
-        node = cluster.nodes[0]
-        cluster.sim.schedule(interrupt_at, lambda: order.append(("evt", cluster.sim.now)))
-        cluster.launch(0, body(node))
-        cluster.run()
-        return order, cluster.sim.now, node.account.get(Category.CPU), node.account.get(
-            Category.RUNTIME
-        )
-
-    assert drive(True) == drive(False)
-
-
 # --- voluntary switch delay vs same-instant arrivals
 
 

@@ -218,41 +218,6 @@ class TestLivelockWatchdog:
         # finishes (no false DeadlockError); at most one trailing window
         assert 1_000_000.0 <= elapsed <= 1_010_000.0
 
-    def test_batched_charge_run_is_not_a_stall(self):
-        """The batched tier collapses whole charge sequences into one
-        ChargeRun effect — many watchdog windows can elapse inside a
-        single trampoline entry.  Same rule as a long Charge: a running
-        thread is progress, never a stall."""
-        from repro.sim.account import Category
-        from repro.sim.effects import Charge, ChargeRun
-
-        cluster = Cluster(1)
-
-        def batched(node):
-            # 100 x 20 ms in one effect: ~200 windows with zero steps
-            yield ChargeRun(*(Charge(20_000.0, Category.CPU) for _ in range(100)))
-
-        cluster.launch(0, batched(cluster.nodes[0]))
-        elapsed = cluster.run(watchdog_us=10_000.0)
-        assert 2_000_000.0 <= elapsed <= 2_010_000.0
-
-    def test_genuine_stall_inside_batched_run_still_caught(self):
-        """The converse guarantee: interleaving a ChargeRun worker with a
-        retransmit storm must not mask the livelock — once the batched
-        compute finishes and the storm spins on, the dog still fires."""
-        from repro.sim.account import Category
-        from repro.sim.effects import Charge, ChargeRun
-
-        cluster = self._stuck_cluster()
-
-        def batched(node):
-            yield ChargeRun(*(Charge(1_000.0, Category.CPU) for _ in range(8)))
-
-        cluster.launch(0, batched(cluster.nodes[0]), "cruncher", daemon=True)
-        with pytest.raises(DeadlockError) as excinfo:
-            cluster.run(watchdog_us=5_000.0)
-        assert "stall watchdog" in str(excinfo.value)
-
 
 class TestDiagnosticsDump:
     def _deadlock(self, **cluster_kw):
