@@ -140,6 +140,8 @@ class AMEndpoint:
         #: many messages we have consumed per source since the last refill
         self._credits: dict[int, int] = {}
         self._consumed: dict[int, int] = {}
+        #: some source has reached half a window consumed: a refill is owed
+        self._refill_due = False
         # ---- reliability sublayer state (unused when reliable=False) ----
         #: next sequence number per destination channel
         self._send_seq: dict[int, int] = {}
@@ -361,13 +363,13 @@ class AMEndpoint:
     def _refill_credits(self) -> Generator[Any, Any, None]:
         """Receiver side: after consuming half a window from a source,
         send one refill message (exempt from flow control)."""
-        window = self.node.costs.net.credit_window
-        half = window // 2
+        half = self._half_window
         refill_to = [src for src, n in self._consumed.items() if n >= half]
         for src in refill_to:
             self._consumed[src] -= half
             yield self._chg_send_short
             self._inject(src, KIND_CREDIT, half, _CREDIT_BYTES)
+        self._refill_due = any(n >= half for n in self._consumed.values())
 
     def _poll_on_send(self) -> Generator[Any, Any, None]:
         # The paper's discipline: reception is based on polling that occurs
@@ -568,6 +570,7 @@ class AMEndpoint:
             return 0
         handled = 0
         consumed = self._consumed
+        half = self._half_window
         while inbox:
             pkt = inbox.popleft()
             kind = pkt.kind
@@ -585,7 +588,9 @@ class AMEndpoint:
                 # injection -> serviced: wire time + inbox queueing + the
                 # receive CPU just charged (the paper's reception delay)
                 h_service.record(sim._now - pkt.send_time)
-            consumed[pkt.src] = consumed.get(pkt.src, 0) + 1
+            n = consumed[pkt.src] = consumed.get(pkt.src, 0) + 1
+            if n >= half:
+                self._refill_due = True
             frame: AMFrame = pkt.payload
             try:
                 fn = self._handlers[frame.handler]
@@ -610,11 +615,8 @@ class AMEndpoint:
             handled += 1
         # delegate to the refill generator only when a source actually
         # crossed the half-window (the common poll sends no refill)
-        half = self._half_window
-        for n in consumed.values():
-            if n >= half:
-                yield from self._refill_credits()
-                break
+        if self._refill_due:
+            yield from self._refill_credits()
         if handled and node.scheduler is not None:
             # Let every thread blocked on inbox activity recheck its
             # predicate — handlers may have completed their operations.

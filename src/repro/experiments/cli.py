@@ -339,9 +339,11 @@ def _submit_job(
         if remote:
             _echo_stream(client, job_id)
         results = client.result(job_id)
-        record = client.status(job_id)
+        record = client.status(job_id)  # the record `result` just fetched
     except Exception as exc:
         return _client_error(exc)
+    finally:
+        client.close()
 
     if "axes" not in request:
         for name, result in zip(record.artifacts, results):
@@ -489,6 +491,8 @@ def _cmd_job_verb(args: argparse.Namespace) -> int:
             print(json.dumps(client.stats(), indent=2, sort_keys=True))
     except Exception as exc:
         return _client_error(exc)
+    finally:
+        client.close()
     return 0
 
 

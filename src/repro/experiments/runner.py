@@ -45,7 +45,7 @@ import time
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Any
 
 from repro.experiments.cache import ResultCache
@@ -259,25 +259,28 @@ class JobQueue:
                 self._cond.wait(remaining if remaining is not None else 0.5)
             return job.record
 
-    def stream(self, job_id: str, from_seq: int = 0) -> Iterator[JobEvent]:
-        """Yield events from ``from_seq``, blocking for new ones until
-        the terminal event has been delivered."""
+    def event_batches(self, job_id: str, from_seq: int = 0) -> Iterator[list[JobEvent]]:
+        """Yield the events from ``from_seq`` in the batches they become
+        visible in, blocking for new ones; the last batch ends with the
+        terminal event (also when ``from_seq`` lies past it)."""
         next_seq = from_seq
-        replayed = False
         while True:
             with self._cond:
                 job = self._job(job_id)
                 while len(job.events) <= next_seq and not job.record.terminal:
                     self._cond.wait(0.5)
-                batch = list(job.events[next_seq:])
-            if not replayed:
+                batch = job.events[next_seq:] or job.events[-1:]
+            if next_seq == from_seq:
                 self._h_stream.record(float(len(batch)))
-                replayed = True
-            for event in batch:
-                yield event
-                next_seq = event.seq + 1
-                if event.terminal:
-                    return
+            yield batch
+            if batch[-1].terminal:
+                return
+            next_seq = batch[-1].seq + 1
+
+    def stream(self, job_id: str, from_seq: int = 0) -> Iterator[JobEvent]:
+        """Yield events from ``from_seq``, blocking for new ones until
+        the terminal event has been delivered."""
+        return chain.from_iterable(self.event_batches(job_id, from_seq))
 
     def results(self, job_id: str) -> list[Any]:
         """The job's live result objects, in task order (waits for the

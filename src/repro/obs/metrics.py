@@ -220,6 +220,7 @@ class MetricNames:
     SVC_JOBS = "svc.jobs_submitted"         # gauge (monotonic count)
     SVC_CACHE_HITS = "svc.cache_hits"       # gauge: tasks resolved by the cache
     SVC_DEDUP_HITS = "svc.dedup_hits"       # gauge: tasks folded into an in-flight twin
+    SVC_OPEN_CONNS = "svc.open_connections"  # gauge: client connections open now
 
 
 def collect_cluster_gauges(metrics: Metrics, cluster) -> None:

@@ -12,7 +12,8 @@ against two backends:
   backend.
 * **daemon** (``ExperimentClient.connect(address)``) — every call is
   one JSONL exchange with a running ``repro-experiments serve``
-  (:mod:`repro.service.protocol`); ``stream`` tails the job live.
+  (:mod:`repro.service.protocol`) over a connection the client keeps
+  open between calls; ``stream`` tails the job live.
 
 Results come back as live result objects either way: the daemon path
 reconstructs them with each spec's ``from_json`` — the identical
@@ -86,17 +87,75 @@ class _LocalJobs(JobQueue):
 
 
 class _DaemonJobs:
-    """The socket backend: every verb is one protocol exchange."""
+    """The socket backend: every verb is one protocol exchange on the
+    connection this client keeps open.  An exchange leases it; a verb
+    issued meanwhile (a suspended ``stream``, a second thread) opens one
+    of its own, and whichever finishes second is closed."""
 
     def __init__(self, address: str, timeout: float | None = None):
+        import threading
+
         from repro.service import protocol
 
         self._protocol = protocol
         self.address = address
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._idle = None  # the open connection, while no exchange holds it
+        self._gone = f"daemon at {address} closed the connection"
+        self._last: JobRecord | None = None  # a terminal record never changes
+
+    def _exchange(self, payload: dict):
+        """Send ``payload`` and read the first line of its answer;
+        returns (the connection, still leased; that line)."""
+        with self._lock:
+            conn, self._idle = self._idle, None
+        while True:
+            reused = conn is not None
+            if not reused:
+                conn = self._protocol.connect(self.address, self.timeout)
+                self._last = None  # maybe a new daemon, numbering its jobs afresh
+            try:
+                conn.send(payload)
+                answer = conn.recv()
+            except ConnectionError:
+                answer = None
+            except BaseException:
+                conn.close()
+                raise
+            if answer is not None:
+                return conn, answer
+            conn.close()
+            if not reused:
+                raise self._protocol.ProtocolError(self._gone)
+            conn = None  # no answer byte came (the daemon restarted): reopen, once
+
+    def _release(self, conn=None) -> None:
+        """Make ``conn`` the idle connection and close the one that was
+        (a lease taken meanwhile ended first and left its own there)."""
+        with self._lock:
+            conn, self._idle = self._idle, conn
+        if conn is not None:
+            conn.close()
 
     def _request(self, payload: dict) -> dict:
-        return self._protocol.request(self.address, payload, self.timeout)
+        conn, response = self._exchange(payload)
+        self._release(conn)
+        if not response.get("ok", False):
+            raise self._protocol.ProtocolError(response.get("error", "daemon error"))
+        return response
+
+    def _job(self, op: str, job_id: str, **fields) -> JobRecord:
+        """The job's record as verb ``op`` answers it — from the last
+        terminal record fetched when it is that job's."""
+        last = self._last
+        if last is not None and last.job_id == job_id:
+            return last
+        response = self._request({"op": op, "job_id": job_id, **fields})
+        record = JobRecord.from_json(response["job"])
+        if record.terminal:
+            self._last = record
+        return record
 
     def submit(
         self, tasks: list[Task], *, artifact: str, priority: int, client: str
@@ -114,14 +173,10 @@ class _DaemonJobs:
         return response["job_id"]
 
     def status(self, job_id: str) -> JobRecord:
-        return JobRecord.from_json(
-            self._request({"op": "status", "job_id": job_id})["job"]
-        )
+        return self._job("status", job_id)
 
     def wait(self, job_id: str, timeout: float | None = None) -> JobRecord:
-        return JobRecord.from_json(
-            self._request({"op": "result", "job_id": job_id, "timeout": timeout})["job"]
-        )
+        return self._job("result", job_id, timeout=timeout)
 
     def events(self, job_id: str, from_seq: int = 0) -> list[JobEvent]:
         response = self._request(
@@ -130,16 +185,23 @@ class _DaemonJobs:
         return [JobEvent.from_json(e) for e in response["events"]]
 
     def stream(self, job_id: str, from_seq: int = 0) -> Iterator[JobEvent]:
-        for message in self._protocol.stream_request(
-            self.address, {"op": "stream", "job_id": job_id, "from_seq": from_seq}
-        ):
-            payload = message.get("event")
-            if payload is None:
-                continue  # header or error line, not an event
-            event = JobEvent.from_json(payload)
-            yield event
-            if event.terminal:
-                return
+        conn, message = self._exchange(
+            {"op": "stream", "job_id": job_id, "from_seq": from_seq}
+        )
+        try:  # the ack, then event lines; any other line is an error answer
+            while "event" in message or message.get("ok", False):
+                if "event" in message:
+                    event = JobEvent.from_json(message["event"])
+                    if event.terminal:  # the answer's last line: the lease ends
+                        conn = self._release(conn)
+                    yield event
+                    if event.terminal:
+                        return
+                message = conn.recv() or {"error": self._gone}
+            raise self._protocol.ProtocolError(message.get("error", "daemon error"))
+        finally:
+            if conn is not None:
+                conn.close()  # failed or abandoned: events may still be in flight
 
     def results(self, job_id: str) -> list[Any]:
         record = self.wait(job_id)
@@ -156,9 +218,7 @@ class _DaemonJobs:
         return out
 
     def cancel(self, job_id: str) -> JobRecord:
-        return JobRecord.from_json(
-            self._request({"op": "cancel", "job_id": job_id})["job"]
-        )
+        return self._job("cancel", job_id)
 
     def list_jobs(self) -> list[JobRecord]:
         return [
@@ -170,7 +230,7 @@ class _DaemonJobs:
         return self._request({"op": "stats"})["stats"]
 
     def close(self) -> None:
-        pass
+        self._release()
 
 
 class ExperimentClient:
@@ -292,6 +352,7 @@ class ExperimentClient:
         return self._backend.stats()
 
     def close(self) -> None:
+        """Release what the backend holds: the daemon connection, or the pool."""
         self._backend.close()
 
     def __enter__(self) -> "ExperimentClient":

@@ -1,12 +1,16 @@
 """Wire protocol shared by the experiment daemon and its clients.
 
-One connection carries one request: a single line of JSON (the
-``op`` field selects the verb), answered either by a single JSON
-response line (``{"ok": true, ...}`` / ``{"ok": false, "error":
-"..."}``) or — for ``stream`` — by a sequence of JSONL event lines
-ending with a terminal job event, after which the server closes the
-connection.  Newline-delimited JSON keeps the protocol debuggable with
-``socat`` and lets a dashboard tail a 10k-point sweep as it fills in.
+One connection carries a client's requests, one at a time: each a single
+line of JSON (the ``op`` field selects the verb), answered either by a
+single JSON response line (``{"ok": true, ...}`` / ``{"ok": false,
+"error": "..."}``) or — for ``stream`` — by an ack line and then JSONL
+event lines ending with the job's terminal event, after which the next
+request may follow.  The client closes; the server does only when it
+stops, or after a request line longer than :data:`MAX_REQUEST` (framing
+is lost) — any other bad line is answered ``ok: false`` and the
+connection serves the next.  Newline-delimited JSON keeps the protocol
+debuggable with ``socat`` (a raw reader sees a stream end at the terminal
+event line, not at EOF) and lets a dashboard tail a 10k-point sweep.
 
 Addresses are either a filesystem path (AF_UNIX socket — the default:
 ``$REPRO_SERVICE_ADDR``, else a per-user socket under
@@ -20,18 +24,16 @@ import getpass
 import json
 import os
 import socket
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "ProtocolError",
+    "LineTooLong",
+    "Connection",
     "default_address",
     "parse_address",
     "make_listener",
     "connect",
-    "send_line",
-    "recv_line",
-    "request",
-    "stream_request",
 ]
 
 #: protocol verbs the daemon understands
@@ -41,10 +43,17 @@ OPS = (
 )
 
 _MAX_LINE = 512 * 1024 * 1024  # hard backstop against a runaway peer
+#: the longest request line the daemon reads (a 10k-point submit is ~2 MB)
+MAX_REQUEST = 16 * 1024 * 1024
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class ProtocolError(RuntimeError):
     """A malformed or failed exchange with the daemon."""
+
+
+class LineTooLong(ProtocolError):
+    """The rest of the peer's line is unread: no next message can be found."""
 
 
 def default_address() -> str:
@@ -106,7 +115,7 @@ def make_listener(address: str, backlog: int = 32) -> socket.socket:
     return sock
 
 
-def connect(address: str, timeout: float | None = None) -> socket.socket:
+def connect(address: str, timeout: float | None = None) -> "Connection":
     family, target = parse_address(address)
     sock = socket.socket(
         socket.AF_UNIX if family == "unix" else socket.AF_INET,
@@ -122,61 +131,45 @@ def connect(address: str, timeout: float | None = None) -> socket.socket:
             f"cannot reach an experiment daemon at {address}: {exc} "
             f"(start one with `repro-experiments serve`)"
         ) from None
-    return sock
+    return Connection(sock)
 
 
-def send_line(sock: socket.socket, payload: Any) -> None:
-    sock.sendall(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
+class Connection:
+    """One end of the wire: a connected socket and the one buffered reader
+    it keeps for life (a reader per request would lose its read-ahead)."""
 
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._reader = sock.makefile("rb")
+        if sock.family != socket.AF_UNIX:  # small lines: never wait for an ack
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-def recv_line(fh) -> Any | None:
-    """One decoded JSONL message from a socket makefile, None at EOF."""
-    line = fh.readline(_MAX_LINE)
-    if not line:
-        return None
-    try:
-        return json.loads(line)
-    except ValueError as exc:
-        raise ProtocolError(f"malformed protocol line: {exc}") from None
+    def send(self, *messages: Any) -> None:
+        """Write ``messages`` as JSONL with one ``sendall``."""
+        self._sock.sendall(("\n".join(map(_encode, messages)) + "\n").encode())
 
+    def recv(self, limit: int = _MAX_LINE) -> Any | None:
+        """The next decoded message, None at EOF."""
+        line = self._reader.readline(limit + 1)
+        if not line:
+            return None
+        if len(line) > limit:
+            raise LineTooLong(f"protocol line longer than {limit} bytes")
+        try:
+            return json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, [[[[…
+            raise ProtocolError(f"malformed protocol line: {exc}") from None
 
-def request(address: str, payload: dict, timeout: float | None = None) -> dict:
-    """One request/response exchange; raises :class:`ProtocolError` on
-    transport failure or an ``ok: false`` response."""
-    sock = connect(address, timeout)
-    try:
-        send_line(sock, payload)
-        with sock.makefile("rb") as fh:
-            response = recv_line(fh)
-    finally:
-        sock.close()
-    if response is None:
-        raise ProtocolError(f"daemon at {address} closed the connection")
-    if not response.get("ok", False):
-        raise ProtocolError(response.get("error", "daemon error"))
-    return response
+    def shutdown_read(self) -> None:
+        """Make the reader see EOF; what is being written still goes out."""
+        try:
+            self._sock.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass  # the peer already closed
 
-
-def stream_request(
-    address: str, payload: dict, timeout: float | None = None
-) -> Iterator[dict]:
-    """Send one request and yield each JSONL line until the server
-    closes the connection (the last line is the terminal job event)."""
-    sock = connect(address, timeout)
-    try:
-        send_line(sock, payload)
-        with sock.makefile("rb") as fh:
-            first = recv_line(fh)
-            if first is None:
-                raise ProtocolError(f"daemon at {address} closed the connection")
-            if not first.get("ok", True):
-                raise ProtocolError(first.get("error", "daemon error"))
-            if "event" in first:  # the ack header itself is not an event
-                yield first
-            while True:
-                message = recv_line(fh)
-                if message is None:
-                    return
-                yield message
-    finally:
-        sock.close()
+    def close(self) -> None:
+        try:
+            self._reader.close()
+            self._sock.close()
+        except OSError:
+            pass

@@ -5,18 +5,20 @@ the same pick order, cache resolve, in-flight dedup, worker pool, crash
 policy and event log the in-process client drives — plus what only a
 long-running server needs:
 
-* **A scheduler thread** that drives the queue, and an accept thread
-  serving the JSONL protocol (:mod:`repro.service.protocol`): one
-  request per connection, ``stream`` replays a job's events from any
-  seq and then follows live.
+* **A scheduler thread** that drives the queue, an accept thread, and a
+  handler thread per open connection (``svc-conn-N``) serving the JSONL
+  protocol (:mod:`repro.service.protocol`) line after line until the
+  client closes; ``stream`` replays a job's events from any seq, then
+  follows live, one write per batch, up to the terminal event.
 * **The wire boundary** — ``submit`` takes artifact *names* and raw
   parameter overrides, validates them against each spec's schema and
   only then queues :class:`~repro.experiments.runner.Task` objects, so a
   bad point fails the submit, not a worker.
 * **Drain** — ``request_drain()`` (wired to SIGINT by ``serve``)
   rejects new submits, lets queued and running work finish, emits
-  every terminal event, then shuts the pool down with ``wait=True`` —
-  no orphaned workers, no stream left without its terminal line.
+  every terminal event, then shuts the pool down with ``wait=True`` and
+  the read side of each open connection (an answer in flight still goes
+  out) — no orphaned workers or handlers, no stream without its terminal line.
 * **Cache GC** — with ``cache_max_bytes`` set, a size-capped LRU pass
   runs after each store (see :meth:`ResultCache.gc`).
 
@@ -36,12 +38,31 @@ from repro.experiments import registry
 from repro.experiments.cache import ResultCache
 from repro.experiments.registry import ExperimentParamError
 from repro.experiments.runner import JobError, JobQueue, Task
-from repro.obs.metrics import Metrics
+from repro.obs.metrics import MetricNames, Metrics
 
 __all__ = ["ExperimentService", "ServiceConfig", "ServiceError"]
 
 #: the queue's error under the name the daemon's clients catch
 ServiceError = JobError
+
+
+#: JSON type of each request (and task) field the daemon reads
+_FIELDS = {
+    "op": str, "job_id": str, "client": str, "artifact": str, "label": str,
+    "from_seq": int, "priority": int, "tasks": list,
+    "params": (dict, type(None)), "timeout": (int, float, type(None)),
+}
+
+
+def _checked(req: Any) -> dict:
+    """``req`` if it is a JSON object whose known fields have their JSON
+    types: a wrong line is answered, never raised into the handler thread."""
+    if not isinstance(req, dict):
+        raise ServiceError(f"a request is a JSON object, not {req!r}")
+    for name, value in req.items():
+        if not isinstance(value, _FIELDS.get(name, object)):
+            raise ServiceError(f"bad request field {name!r}: {value!r}")
+    return req
 
 
 @dataclass
@@ -83,6 +104,9 @@ class ExperimentService(JobQueue):
         self._stopped = False
         self._listener = None
         self._threads: list[threading.Thread] = []
+        #: open connections and the handler thread serving each
+        self._conns: dict[Any, threading.Thread] = {}
+        self._counts.update(connections=0, requests=0)  # accepted / lines answered
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -164,6 +188,12 @@ class ExperimentService(JobQueue):
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=5.0)
+        with self._cond:  # the accept thread has ended: this table only shrinks now
+            conns = dict(self._conns)
+        for conn in conns:
+            conn.shutdown_read()  # its handler reads EOF once its answer is out
+        for handler in conns.values():
+            handler.join(timeout=5.0)
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -221,6 +251,7 @@ class ExperimentService(JobQueue):
             )
 
     def stats(self) -> dict[str, Any]:
+        self.metrics.gauge(MetricNames.SVC_OPEN_CONNS, float(len(self._conns)))
         out = super().stats()
         out["draining"] = self._draining
         return out
@@ -234,85 +265,95 @@ class ExperimentService(JobQueue):
     # the socket layer
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
-        import socket as _socket
+        from repro.service import protocol
 
         while True:
             with self._cond:
                 if self._stopped:
                     return
             try:
-                conn, _ = self._listener.accept()
-            except (TimeoutError, _socket.timeout):
+                sock, _ = self._listener.accept()
+            except TimeoutError:
                 continue
             except OSError:
                 return
+            conn = protocol.Connection(sock)
             with self._cond:
-                stopped = self._stopped
-            if stopped:  # _join()'s wake-up call
-                conn.close()
-                return
-            handler = threading.Thread(
-                target=self._handle, args=(conn,), daemon=True
-            )
+                if self._stopped:  # _join()'s wake-up call
+                    conn.close()
+                    return
+                self._counts["connections"] += 1
+                handler = self._conns[conn] = threading.Thread(
+                    target=self._serve, args=(conn,), daemon=True,
+                    name=f"svc-conn-{self._counts['connections']}",
+                )
             handler.start()
 
-    def _handle(self, conn) -> None:
+    def _serve(self, conn) -> None:
+        """A connection's handler thread: answer its request lines one at a
+        time until the client closes (or :meth:`_join` shuts the read side)."""
         from repro.service import protocol
 
         try:
-            with conn.makefile("rb") as fh:
-                req = protocol.recv_line(fh)
+            while True:
+                try:
+                    req, bad = conn.recv(protocol.MAX_REQUEST), None
+                except protocol.ProtocolError as exc:
+                    req, bad = {}, exc
                 if req is None:
                     return
-                op = req.get("op")
+                with self._cond:
+                    self._counts["requests"] += 1
                 try:
-                    if op == "stream":
-                        try:
-                            self._handle_stream(conn, req)
-                        except (ServiceError, OSError):
-                            pass  # stream already started; just close
-                        return
-                    response = self._handle_op(op, req)
+                    if bad is not None:
+                        raise bad
+                    response = self._handle_op(conn, req)
                 except (ServiceError, ExperimentParamError,
                         protocol.ProtocolError) as exc:
                     response = {"ok": False, "error": str(exc)}
-                protocol.send_line(conn, response)
-        except (OSError, ValueError):
-            pass  # peer went away mid-exchange; nothing to clean up
+                if response is not None:
+                    conn.send(response)
+                if isinstance(bad, protocol.LineTooLong):
+                    return  # the rest of that line is unread: framing is lost
+        except OSError:
+            pass  # the peer went away mid-exchange
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            with self._cond:
+                del self._conns[conn]
+            conn.close()
 
-    def _handle_op(self, op: str, req: dict) -> dict:
+    def _handle_op(self, conn, req: Any) -> dict | None:
+        op = _checked(req).get("op")
+        job_id, from_seq = req.get("job_id"), req.get("from_seq", 0)
+        if job_id is None and op in ("status", "poll", "result", "cancel", "stream"):
+            raise ServiceError(f"{op} needs a job_id")
         if op == "ping":
             return {"ok": True, "pid": __import__("os").getpid()}
         if op == "submit":
             job_id = self.submit(
                 req.get("client", "anonymous"),
                 [
-                    (t["artifact"], t.get("params"), t.get("label", ""))
+                    (_checked(t).get("artifact"), t.get("params"), t.get("label", ""))
                     for t in req.get("tasks", [])
                 ],
                 artifact=req.get("artifact", ""),
-                priority=int(req.get("priority", 0)),
+                priority=req.get("priority", 0),
             )
             return {"ok": True, "job_id": job_id}
         if op == "status":
-            return {"ok": True, "job": self.status(req["job_id"]).to_json()}
+            return {"ok": True, "job": self.status(job_id).to_json()}
         if op == "poll":
-            events = self.events(req["job_id"], int(req.get("from_seq", 0)))
+            events = self.events(job_id, from_seq)
             return {
                 "ok": True,
-                "job": self.status(req["job_id"]).to_json(),
+                "job": self.status(job_id).to_json(),
                 "events": [e.to_json() for e in events],
             }
         if op == "result":
-            record = self.wait(req["job_id"], req.get("timeout"))
+            record = self.wait(job_id, req.get("timeout"))
             return {"ok": True, "job": record.to_json()}
         if op == "cancel":
-            return {"ok": True, "job": self.cancel(req["job_id"]).to_json()}
+            return {"ok": True, "job": self.cancel(job_id).to_json()}
         if op == "list-jobs":
             jobs = []
             for record in self.list_jobs():
@@ -328,18 +369,10 @@ class ExperimentService(JobQueue):
                 target=self.stop, kwargs={"drain": drain}, daemon=True
             ).start()
             return {"ok": True, "draining": drain}
-        raise ServiceError(f"unknown op {op!r}")
-
-    def _handle_stream(self, conn, req: dict) -> None:
-        from repro.service import protocol
-
-        job_id = req["job_id"]
-        from_seq = int(req.get("from_seq", 0))
-        try:
-            self._job(job_id)
-        except ServiceError as exc:
-            protocol.send_line(conn, {"ok": False, "error": str(exc)})
-            return
-        protocol.send_line(conn, {"ok": True, "job_id": job_id})
-        for event in self.stream(job_id, from_seq):
-            protocol.send_line(conn, {"event": event.to_json()})
+        if op != "stream":
+            raise ServiceError(f"unknown op {op!r}")
+        self._job(job_id)  # an unknown job is answered, before the ack goes out
+        conn.send({"ok": True, "job_id": job_id})
+        for batch in self.event_batches(job_id, from_seq):
+            conn.send(*[{"event": event.to_json()} for event in batch])
+        return None  # this answer is written: the ack, then a line per event

@@ -352,3 +352,8 @@ class TestQueueSemantics:
         tail = q.events(job, from_seq=3)
         assert [e.kind for e in tail] == ["row", "job.done"]
         assert tail[0].seq == 3
+        # a stream is its batches flattened, and ends with the terminal
+        # event even when asked to start past it (it used to spin there)
+        assert list(q.stream(job, from_seq=3)) == tail
+        assert [b[-1].kind for b in q.event_batches(job)] == ["job.done"]
+        assert list(q.stream(job, from_seq=99)) == tail[-1:]
