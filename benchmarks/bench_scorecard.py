@@ -1,149 +1,8 @@
-"""Benchmark: the full reproduction scorecard (every artifact, graded),
-plus the wall-clock throughput scorecard (``BENCH_simulator.json``).
-
-The JSON export times each simulator-throughput scenario with a plain
-``perf_counter`` min-of-N so it works under ``--benchmark-disable`` too,
-and records the pre-fast-path baselines so every future PR has a perf
-trajectory to compare against.
-"""
-
-import json
-import time
-from pathlib import Path
+"""Benchmark: the full reproduction scorecard (every artifact, graded)."""
 
 import pytest
 
 from repro.experiments import scorecard
-
-OUT_DIR = Path(__file__).resolve().parent / "out"
-
-#: pytest-benchmark medians on the seed engine (pre fast-path PR), same
-#: machine class as CI.  These are the denominators of the speedup column.
-BASELINE_MS = {
-    "engine_event_chain": 15.9969,
-    "ccpp_rmi_0word_100iters": 20.5904,
-    "splitc_gp_rw_100iters": 15.8305,
-    "em3d_step_160nodes": 106.8361,
-}
-
-
-def _engine_event_chain():
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    state = {"left": 20_000}
-
-    def tick():
-        if state["left"] > 0:
-            state["left"] -= 1
-            sim.schedule(1.0, tick)
-
-    sim.schedule(0.0, tick)
-    sim.run()
-    return sim.events_fired
-
-
-def _zero_delay_storm():
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    state = {"left": 20_000}
-
-    def kick():
-        if state["left"] > 0:
-            state["left"] -= 1
-            sim.call_soon(kick)
-
-    sim.call_soon(kick)
-    sim.run()
-    return sim.events_fired
-
-
-def _trampoline():
-    from repro.machine.cluster import Cluster
-    from repro.sim.account import Category
-    from repro.sim.effects import SWITCH, Charge
-
-    cluster = Cluster(1)
-
-    def body(_node):
-        for _ in range(2_000):
-            yield Charge(1.5, Category.CPU)
-            yield Charge(0.5, Category.RUNTIME)
-            yield SWITCH
-
-    cluster.launch(0, body(cluster.nodes[0]), "spin-a")
-    cluster.launch(0, body(cluster.nodes[0]), "spin-b")
-    cluster.run()
-    return cluster.sim.events_fired
-
-
-def _ccpp_rmi():
-    from repro.experiments.microbench import run_cc_microbench
-
-    return run_cc_microbench("0-Word", iters=100)
-
-
-def _splitc_read():
-    from repro.experiments.microbench import run_sc_microbench
-
-    return run_sc_microbench("GP 2-Word R/W", iters=100)
-
-
-def _em3d_step():
-    from repro.apps.em3d import Em3dGraph, Em3dParams, run_splitc_em3d
-
-    graph = Em3dGraph(Em3dParams(n_nodes=160, degree=8, n_procs=4, pct_remote=1.0))
-    return run_splitc_em3d(graph, steps=1, version="base", warmup_steps=0)
-
-
-SCENARIOS = [
-    ("engine_event_chain", _engine_event_chain, 5),
-    ("zero_delay_storm", _zero_delay_storm, 5),
-    ("trampoline_charge_switch", _trampoline, 5),
-    ("ccpp_rmi_0word_100iters", _ccpp_rmi, 4),
-    ("splitc_gp_rw_100iters", _splitc_read, 4),
-    ("em3d_step_160nodes", _em3d_step, 2),
-]
-
-
-def _time_ms(fn, reps):
-    fn()  # warm caches and imports outside the timed region
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1000.0
-
-
-@pytest.mark.benchmark(group="scorecard")
-def test_simulator_throughput_scorecard():
-    """Export BENCH_simulator.json: wall-clock ms per scenario + speedup
-    over the recorded pre-fast-path baseline."""
-    results = {}
-    for name, fn, reps in SCENARIOS:
-        ms = _time_ms(fn, reps)
-        baseline = BASELINE_MS.get(name)
-        results[name] = {
-            "wall_ms": round(ms, 4),
-            "baseline_ms": baseline,
-            "speedup": round(baseline / ms, 3) if baseline else None,
-        }
-    OUT_DIR.mkdir(exist_ok=True)
-    payload = {
-        "benchmark": "simulator-throughput",
-        "units": "milliseconds (min over repetitions)",
-        "baseline": "seed engine, pre fast-path (pytest-benchmark medians)",
-        "scenarios": results,
-    }
-    (OUT_DIR / "BENCH_simulator.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-    # the tentpole's acceptance bar: >=2x on the raw engine chain and
-    # >=1.5x on the CC++ RMI path (leave slack for noisy CI machines)
-    assert results["engine_event_chain"]["speedup"] > 1.5
-    assert results["ccpp_rmi_0word_100iters"]["speedup"] > 1.2
 
 
 @pytest.mark.benchmark(group="scorecard")

@@ -58,8 +58,8 @@ def engine_event_chain(stats_out: dict | None = None) -> int:
 
 @scenario("zero_delay_storm")
 def zero_delay_storm(stats_out: dict | None = None) -> int:
-    """The zero-delay lane under pressure: cascades of same-instant
-    callbacks (the shape of dispatch kicks and message-arrival wakes)."""
+    """Cascades of same-instant callbacks (the shape of dispatch kicks
+    and message-arrival wakes)."""
     from repro.sim.engine import Simulator
 
     sim = Simulator()
@@ -68,9 +68,9 @@ def zero_delay_storm(stats_out: dict | None = None) -> int:
     def kick():
         if state["left"] > 0:
             state["left"] -= 1
-            sim.call_soon(kick)
+            sim.schedule(0.0, kick)
 
-    sim.call_soon(kick)
+    sim.schedule(0.0, kick)
     sim.run()
     if stats_out is not None:
         stats_out.update(sim.fastpath_stats())

@@ -244,7 +244,10 @@ class AMEndpoint:
         node.counters.counts[CounterNames.MSG_SHORT] += 1
         yield self._chg_send_short
         self._inject(dst, KIND_SHORT, frame, size)
-        # inlined _poll_on_send (poll-on-send reception discipline)
+        # The paper's discipline: reception is based on polling that occurs
+        # on a node every time a message is sent.  Handlers themselves must
+        # not poll (classic AM restriction), hence the guard.  In interrupt
+        # mode there is no poll-on-send at all.
         if self._polling and not in_handler:
             yield from self.poll()
 
@@ -370,14 +373,6 @@ class AMEndpoint:
             yield self._chg_send_short
             self._inject(src, KIND_CREDIT, half, _CREDIT_BYTES)
         self._refill_due = any(n >= half for n in self._consumed.values())
-
-    def _poll_on_send(self) -> Generator[Any, Any, None]:
-        # The paper's discipline: reception is based on polling that occurs
-        # on a node every time a message is sent.  Handlers themselves must
-        # not poll (classic AM restriction), hence the guard.  In interrupt
-        # mode there is no poll-on-send at all.
-        if not self._in_handler and self.reception == "polling":
-            yield from self.poll()
 
     # ------------------------------------------------- reliability sublayer
 

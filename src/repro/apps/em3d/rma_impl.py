@@ -43,7 +43,6 @@ def run_rma_em3d(
     steps: int = 2,
     costs: CostModel = SP2_COSTS,
     warmup_steps: int = 1,
-    fast_path: bool = True,
     tracer: Any | None = None,
     faults: Any | None = None,
     reliable: bool = False,
@@ -55,14 +54,13 @@ def run_rma_em3d(
 
     Same harness contract as
     :func:`~repro.apps.em3d.splitc_impl.run_splitc_em3d` (fault plans,
-    reliable AM, topologies, golden-trace knobs).
+    reliable AM, topologies, tracer).
     """
     layout = Em3dLayout(graph)
     p = graph.params
     cluster = Cluster(
         p.n_procs,
         costs=costs,
-        fast_path=fast_path,
         tracer=tracer,
         faults=faults,
         metrics=metrics,

@@ -63,10 +63,10 @@ def run_splitc_em3d(
     """Run one Split-C EM3D configuration and measure it.
 
     ``fast_path``/``tracer`` exist for the golden-trace determinism suite:
-    the fast-path engine must reproduce the heap-only engine's event trace
-    and results exactly.  ``faults``/``reliable``/``retry`` run the same
-    workload over a lossy fabric with the reliable AM sublayer (the
-    drop-rate ablation in :mod:`repro.experiments.faults`).
+    the engine's inline advances must reproduce the heap-only engine's
+    event trace and results exactly.  ``faults``/``reliable``/``retry`` run
+    the same workload over a lossy fabric with the reliable AM sublayer
+    (the drop-rate ablation in :mod:`repro.experiments.faults`).
 
     ``topology`` is a :class:`~repro.machine.topology.Topology` or spec
     string ("flat", "ring", "fattree:arity=8"); None keeps the

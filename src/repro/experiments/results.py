@@ -144,7 +144,7 @@ class TraceCaptureResult:
             lines.append(f"    {name}: {self.spans_by_name[name]}")
         lines.append(
             "  write the Perfetto JSON with "
-            "`repro-experiments trace --out trace.json` and open it at "
+            "`repro-experiments run trace --out trace.json` and open it at "
             "https://ui.perfetto.dev"
         )
         return "\n".join(lines)

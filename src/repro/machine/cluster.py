@@ -71,8 +71,9 @@ class Cluster:
         #: optional :class:`~repro.obs.metrics.Metrics` registry shared by
         #: every layer of this cluster (None = unmetered)
         self.metrics = metrics
-        # fast_path=False forces the general heap-only engine; results are
-        # bit-identical (the golden-trace suite holds us to that)
+        # fast_path=False makes the engine refuse inline advances (every
+        # charge through the heap); results are bit-identical (the
+        # golden-trace suite holds us to that)
         self.sim = Simulator(fast_path=fast_path)
         self.network = Network(
             self.sim, tracer=tracer, faults=faults, metrics=metrics, topology=topology

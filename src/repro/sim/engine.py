@@ -1,9 +1,10 @@
 """The discrete-event engine.
 
-A :class:`Simulator` owns a virtual clock (float microseconds) and a binary
-heap of scheduled callbacks.  Events scheduled for the same instant fire in
-scheduling order (monotone sequence numbers break ties), which makes the
-whole machine deterministic — a property the test suite checks directly.
+A :class:`Simulator` owns a virtual clock (float microseconds) and one
+binary heap of scheduled callbacks, consumed by one run loop.  Events
+scheduled for the same instant fire in scheduling order (monotone sequence
+numbers break ties), which makes the whole machine deterministic — a
+property the test suite checks directly.
 
 Event representation
 --------------------
@@ -21,44 +22,21 @@ that needs to cancel uses :meth:`Simulator.schedule_event`, which wraps the
 entry in a real :class:`Event` handle — the rare case pays for the handle,
 the common case allocates one short-lived list.
 
-Wall-clock fast path
---------------------
+Inline advance
+--------------
 
-Three mechanisms remove engine overhead from the common cases without
-changing any observable ordering (``fast_path=False`` routes everything
-through the heap; the golden-trace tests assert both produce bit-identical
-results):
-
-* **zero-delay lane** — ``delay == 0`` callbacks (dispatch kicks,
-  same-instant wake-ups) go into a FIFO deque instead of the heap.  Lane
-  entries still consume sequence numbers, and the run loop merges the two
-  queues by ``(time, seq)``, so interleaving with due heap events is
-  exactly what the heap alone would have produced.  Handles are never
-  issued for lane entries, so fired ones are recycled through a freelist
-  instead of being reallocated per kick.
-* **inline advance** — :meth:`advance_inline` lets a caller (the thread
-  scheduler, for a ``Charge``) move the clock forward *without* an event
-  at all, provided no pending event (and no ``until`` bound) falls inside
-  the window.  It mirrors the sequence-number and ``events_fired``
-  bookkeeping of the schedule-then-fire round trip it replaces, so a run
-  is bit-identical either way.
-* **split run loops** — a bare ``run()`` takes a lean loop with no
-  ``until``/``max_events`` checks and every hot name bound locally; bounded
-  runs take the general loop.  Both consume the queues identically.
-* **epoch batching** — within one virtual instant the lean loop fires
-  events in flat batches instead of re-entering the full two-queue merge
-  per event.  Once the heap's head lies strictly in the future, every
-  zero-delay lane entry (including ones appended *during* the drain)
-  fires back-to-back with no comparisons at all; and when several heap
-  entries share the same timestamp they are popped and fired in one
-  run.  Both rest on the same invariant: a callback can only create
-  entries with a **higher** sequence number than everything already due,
-  so nothing it schedules can preempt the rest of the current epoch.
+:meth:`Simulator.advance_inline` is the one way around the heap: it lets a
+caller (the thread scheduler, for a ``Charge``) move the clock forward
+*without* an event at all, provided no pending event (and no ``until``
+bound) falls inside the window.  It mirrors the sequence-number and
+``events_fired`` bookkeeping of the schedule-then-fire round trip it
+replaces, so a run is bit-identical either way.  ``Simulator(fast_path=
+False)`` makes it refuse every time — the heap-only reference engine the
+golden-trace and property tests compare against.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 
@@ -68,12 +46,15 @@ __all__ = ["Event", "Simulator", "Watchdog"]
 
 _INF = float("inf")
 
-#: recycled zero-delay lane entries kept around (bounds freelist memory)
-_FREELIST_MAX = 128
-
 #: auto-compaction floor: drain_cancelled() triggers only once at least
 #: this many cancelled entries sit in the heap (and they exceed half of it)
 DRAIN_MIN_CANCELLED = 64
+
+
+def _bad_delay(delay: float) -> SimulationError:
+    if delay != delay or delay == _INF:
+        return SimulationError(f"cannot schedule a {delay} us delay")
+    return SimulationError(f"cannot schedule {delay} us in the past")
 
 
 class Event:
@@ -130,16 +111,14 @@ class Simulator:
         sim.schedule(10.0, lambda: print("fires at t=10us"))
         sim.run()
 
-    ``fast_path=False`` routes every callback through the heap (the
-    reference engine); results are bit-identical either way.
+    ``fast_path=False`` makes :meth:`advance_inline` refuse (the reference
+    engine); results are bit-identical either way.
     """
 
     __slots__ = (
         "_now",
         "_seq",
         "_heap",
-        "_immediate",
-        "_free",
         "_cancelled_in_heap",
         "_events_fired",
         "_running",
@@ -148,7 +127,6 @@ class Simulator:
         "_run_max",
         "_run_fired",
         "_inline_advances",
-        "_immediate_fired",
     )
 
     def __init__(self, *, fast_path: bool = True) -> None:
@@ -156,9 +134,6 @@ class Simulator:
         self._seq: int = 0
         #: heap of ``[time, seq, fn]`` entries; ``fn is None`` = cancelled
         self._heap: list[list] = []
-        #: zero-delay lane; entries are always live (no handles issued)
-        self._immediate: deque[list] = deque()
-        self._free: list[list] = []
         self._cancelled_in_heap: int = 0
         self._events_fired: int = 0
         self._running = False
@@ -167,9 +142,7 @@ class Simulator:
         self._until: float | None = None
         self._run_max: int | None = None
         self._run_fired: int = 0
-        # fast-path instrumentation
         self._inline_advances: int = 0
-        self._immediate_fired: int = 0
 
     # ------------------------------------------------------------------ time
 
@@ -184,8 +157,7 @@ class Simulator:
 
         Counts lazily (O(queued)) — a diagnostic, not a hot path.
         """
-        heap_live = sum(1 for e in self._heap if e[2] is not None)
-        return heap_live + len(self._immediate)
+        return sum(1 for e in self._heap if e[2] is not None)
 
     @property
     def events_fired(self) -> int:
@@ -205,22 +177,16 @@ class Simulator:
         return {
             "events_fired": self._events_fired,
             "inline_advances": self._inline_advances,
-            "immediate_fired": self._immediate_fired,
-            "heap_fired": (
-                self._events_fired - self._inline_advances - self._immediate_fired
-            ),
+            "heap_fired": self._events_fired - self._inline_advances,
         }
 
     def queue_stats(self) -> dict[str, int]:
         """Event-queue depth snapshot (diagnostics and the ``metrics``
         artifact's gauges — O(heap), off every hot path)."""
-        heap_live = sum(1 for e in self._heap if e[2] is not None)
         return {
             "heap_depth": len(self._heap),
-            "heap_live": heap_live,
+            "heap_live": self.pending,
             "heap_cancelled": self._cancelled_in_heap,
-            "lane_depth": len(self._immediate),
-            "freelist": len(self._free),
         }
 
     # ------------------------------------------------------------ scheduling
@@ -232,87 +198,33 @@ class Simulator:
         allocates no handle.  Use :meth:`schedule_event` when the caller
         needs to cancel.
         """
-        if _INF > delay > 0.0:
+        if _INF > delay >= 0.0:
             seq = self._seq + 1
             self._seq = seq
             heappush(self._heap, [self._now + delay, seq, fn])
             return
-        self._schedule_edge(delay, fn)
-
-    def _schedule_edge(self, delay: float, fn: Callable[[], None]) -> None:
-        """Off-hot-path cases of :meth:`schedule`: zero delay and errors."""
-        if delay == 0.0:
-            seq = self._seq + 1
-            self._seq = seq
-            if self._fast_path:
-                self._immediate.append([self._now, seq, fn])
-            else:
-                heappush(self._heap, [self._now, seq, fn])
-            return
-        if delay != delay or delay == _INF:
-            raise SimulationError(f"cannot schedule a {delay} us delay")
-        raise SimulationError(f"cannot schedule {delay} us in the past")
+        raise _bad_delay(delay)
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at absolute virtual time ``time`` (fire-and-forget)."""
-        now = self._now
-        if now < time < _INF:
+        if self._now <= time < _INF:
             seq = self._seq + 1
             self._seq = seq
             heappush(self._heap, [time, seq, fn])
             return
-        if time == now:
-            seq = self._seq + 1
-            self._seq = seq
-            if self._fast_path:
-                self._immediate.append([time, seq, fn])
-            else:
-                heappush(self._heap, [time, seq, fn])
-            return
         if time != time or time == _INF:
             raise SimulationError(f"cannot schedule at t={time}")
-        raise SimulationError(f"cannot schedule at t={time} (now is t={now})")
+        raise SimulationError(f"cannot schedule at t={time} (now is t={self._now})")
 
     def schedule_event(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Like :meth:`schedule`, but returns a cancellable :class:`Event`.
-
-        Handle-bearing events always go through the heap — never the
-        recycled zero-delay lane — so a retained handle can never alias a
-        reused entry.  Ordering is identical either way: the run loop
-        merges heap and lane by ``(time, seq)``.
-        """
-        if delay != delay or delay == _INF:
-            raise SimulationError(f"cannot schedule a {delay} us delay")
-        if delay < 0.0:
-            raise SimulationError(f"cannot schedule {delay} us in the past")
+        """Like :meth:`schedule`, but returns a cancellable :class:`Event`."""
+        if not (_INF > delay >= 0.0):
+            raise _bad_delay(delay)
         seq = self._seq + 1
         self._seq = seq
         entry = [self._now + delay, seq, fn]
         heappush(self._heap, entry)
         return Event(entry, self)
-
-    def call_soon(self, fn: Callable[[], None]) -> None:
-        """Zero-delay schedule for callbacks that are never cancelled.
-
-        Allocation-free in steady state: the backing entry comes from (and
-        returns to) a freelist, which is safe precisely because no
-        reference escapes this module.  Ordering is identical to
-        ``schedule(0.0, fn)``.
-        """
-        seq = self._seq + 1
-        self._seq = seq
-        if not self._fast_path:
-            heappush(self._heap, [self._now, seq, fn])
-            return
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[0] = self._now
-            entry[1] = seq
-            entry[2] = fn
-        else:
-            entry = [self._now, seq, fn]
-        self._immediate.append(entry)
 
     def advance_inline(self, delay: float) -> bool:
         """Fast path for a busy wait: advance the clock ``delay`` µs *now*
@@ -325,23 +237,18 @@ class Simulator:
         schedule-then-fire round trip is mirrored exactly, keeping runs
         bit-identical to the general path.
         """
-        # ordered for the hot path: one truth test rejects most non-cases
-        if self._immediate or not self._fast_path:
-            return False
-        if not (_INF > delay > 0.0):
+        if not self._fast_path or not (_INF > delay > 0.0):
             return False
         target = self._now + delay
         heap = self._heap
-        if heap:
+        while heap:
             head = heap[0]
-            if head[2] is None:
-                while heap and heap[0][2] is None:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                if heap and heap[0][0] <= target:
+            if head[2] is not None:
+                if head[0] <= target:
                     return False
-            elif head[0] <= target:
-                return False
+                break
+            heappop(heap)
+            self._cancelled_in_heap -= 1
         if self._until is not None and target > self._until:
             return False
         run_max = self._run_max
@@ -375,9 +282,7 @@ class Simulator:
         Runs automatically when cancelled entries exceed half the heap
         (see :data:`DRAIN_MIN_CANCELLED`); correctness never requires it.
         Compaction is in place so a running event loop keeps its local
-        bindings valid.  The zero-delay lane never holds cancelled
-        entries (no handles are issued for it), so only the heap is
-        touched.
+        binding valid.
         """
         heap = self._heap
         heap[:] = [e for e in heap if e[2] is not None]
@@ -389,38 +294,18 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next live event.  Returns False when the queue is empty."""
         heap = self._heap
-        imm = self._immediate
-        while True:
-            nxt = None
-            if heap:
-                nxt = heap[0]
-                if nxt[2] is None:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-            if imm:
-                ientry = imm[0]
-                if nxt is None or not (
-                    nxt[0] < ientry[0] or (nxt[0] == ientry[0] and nxt[1] < ientry[1])
-                ):
-                    imm.popleft()
-                    fn = ientry[2]
-                    if len(self._free) < _FREELIST_MAX:
-                        self._free.append(ientry)
-                    self._now = ientry[0]
-                    self._events_fired += 1
-                    self._immediate_fired += 1
-                    fn()
-                    return True
-            if nxt is None:
-                return False
-            heappop(heap)
-            fn = nxt[2]
-            nxt[2] = None
-            self._now = nxt[0]
+        while heap:
+            entry = heappop(heap)
+            fn = entry[2]
+            if fn is None:
+                self._cancelled_in_heap -= 1
+                continue
+            entry[2] = None
+            self._now = entry[0]
             self._events_fired += 1
             fn()
             return True
+        return False
 
     def run(self, *, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, or the clock would pass ``until``,
@@ -433,153 +318,46 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        self._until = until
+        self._run_max = max_events
+        self._run_fired = 0
+        horizon = _INF if until is None else until
+        heap = self._heap
         try:
-            if until is None and max_events is None:
-                self._run_unbounded()
-            else:
-                self._until = until
-                self._run_max = max_events
-                self._run_fired = 0
-                self._run_bounded(until, max_events)
+            # ``while True``, not ``while heap``: CPython 3.11 specializes a
+            # code object's bytecode after eight calls or unconditional
+            # backward jumps, and ``while heap`` closes with a conditional
+            # one -- a process that calls run() once would fire every event
+            # through unspecialized bytecode (1.5x the time per event)
+            while True:
+                if not heap:
+                    break
+                entry = heap[0]
+                fn = entry[2]
+                if fn is None:
+                    heappop(heap)
+                    self._cancelled_in_heap -= 1
+                    continue
+                if entry[0] > horizon:
+                    break
+                heappop(heap)
+                entry[2] = None
+                self._now = entry[0]
+                self._events_fired += 1
+                fn()
+                if max_events is not None:
+                    self._run_fired += 1
+                    if self._run_fired >= max_events:
+                        raise SimulationError(
+                            f"simulation exceeded max_events={max_events} "
+                            f"(t={self._now:.1f} us); likely a virtual-time livelock"
+                        )
+            if until is not None and until > self._now:
+                self._now = until
         finally:
             self._running = False
             self._until = None
             self._run_max = None
-
-    def _run_unbounded(self) -> None:
-        """The lean loop: no bounds to check, every hot name bound locally.
-
-        ``drain_cancelled()`` compacts the heap in place, so the local
-        bindings stay valid even if a callback triggers it.  The epoch
-        sub-loops fire whole batches of same-instant events and flush the
-        fired-event counters once per batch; the deferral is safe because
-        the only mid-batch writer, ``advance_inline``, *adds* to the same
-        counters (commutative) and nothing reads them between events of
-        one instant.
-        """
-        heap = self._heap
-        imm = self._immediate
-        free = self._free
-        pop = heappop
-        imm_pop = imm.popleft
-        while True:
-            if imm:
-                ientry = imm[0]
-                take_lane = True
-                if heap:
-                    h = heap[0]
-                    ht = h[0]
-                    it = ientry[0]
-                    if ht < it or (ht == it and h[1] < ientry[1]):
-                        take_lane = False
-                if take_lane:
-                    # Lane epoch: fire lane entries back-to-back until a
-                    # heap entry is due first.  One truth test per event
-                    # while the heap is empty; one time/seq compare
-                    # otherwise — never the full outer-merge restart.
-                    fired = 0
-                    while True:
-                        imm_pop()
-                        fn = ientry[2]
-                        if len(free) < _FREELIST_MAX:
-                            free.append(ientry)
-                        self._now = ientry[0]
-                        fired += 1
-                        fn()
-                        if not imm:
-                            break
-                        ientry = imm[0]
-                        if heap:
-                            h = heap[0]
-                            ht = h[0]
-                            it = ientry[0]
-                            if ht < it or (ht == it and h[1] < ientry[1]):
-                                break
-                    self._events_fired += fired
-                    self._immediate_fired += fired
-                    continue
-            elif not heap:
-                return
-            entry = pop(heap)
-            fn = entry[2]
-            if fn is None:
-                self._cancelled_in_heap -= 1
-                continue
-            entry[2] = None
-            t = entry[0]
-            self._now = t
-            self._events_fired += 1
-            fn()
-            if heap and heap[0][0] == t:
-                # Heap epoch: every remaining event of this instant, in
-                # one flat run.  Anything a callback schedules carries a
-                # higher sequence number than everything already queued
-                # at ``t``, so only a lane entry with a *lower* seq (the
-                # one cheap guard below) can preempt the rest.
-                fired = 0
-                while heap and heap[0][0] == t:
-                    e2 = heap[0]
-                    if imm and imm[0][1] < e2[1]:
-                        break
-                    pop(heap)
-                    fn = e2[2]
-                    if fn is None:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    e2[2] = None
-                    fired += 1
-                    fn()
-                self._events_fired += fired
-
-    def _run_bounded(self, until: float | None, max_events: int | None) -> None:
-        """The general loop: honours ``until`` and ``max_events``.
-
-        Consumes the queues in exactly the same order as the lean loop.
-        """
-        heap = self._heap
-        imm = self._immediate
-        free = self._free
-        while True:
-            from_lane = False
-            nxt = None
-            if heap:
-                nxt = heap[0]
-                if nxt[2] is None:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-            if imm:
-                ientry = imm[0]
-                if nxt is None or not (
-                    nxt[0] < ientry[0] or (nxt[0] == ientry[0] and nxt[1] < ientry[1])
-                ):
-                    nxt, from_lane = ientry, True
-            elif nxt is None:
-                break
-            if until is not None and nxt[0] > until:
-                self._now = until
-                return
-            if from_lane:
-                imm.popleft()
-                fn = nxt[2]
-                if len(free) < _FREELIST_MAX:
-                    free.append(nxt)
-                self._immediate_fired += 1
-            else:
-                heappop(heap)
-                fn = nxt[2]
-                nxt[2] = None
-            self._now = nxt[0]
-            self._events_fired += 1
-            fn()
-            self._run_fired += 1
-            if max_events is not None and self._run_fired >= max_events:
-                raise SimulationError(
-                    f"simulation exceeded max_events={max_events} "
-                    f"(t={self._now:.1f} us); likely a virtual-time livelock"
-                )
-        if until is not None and until > self._now:
-            self._now = until
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.3f}us pending={self.pending}>"

@@ -21,8 +21,7 @@ body yields:
 
 Dispatch is driven by zero-delay simulator events so that wake-ups from
 message deliveries interleave deterministically with everything else.
-Those kicks ride the simulator's allocation-free zero-delay lane, and
-consecutive ``Charge`` effects are *fused*: while no other event falls
+Consecutive ``Charge`` effects are *fused*: while no other event falls
 inside the charge window the trampoline advances the clock inline
 (:meth:`Simulator.advance_inline`) and keeps pumping the same generator,
 instead of paying one heap event per charge.  Ordering is bit-identical
@@ -226,10 +225,6 @@ class Scheduler:
 
     # ------------------------------------------------------------ idle window
 
-    def _begin_idle(self) -> None:
-        if self._idle_since is None:
-            self._idle_since = self.sim.now
-
     def _end_idle(self) -> None:
         since = self._idle_since
         if since is not None:
@@ -244,11 +239,7 @@ class Scheduler:
         if self._dispatch_pending:
             return
         self._dispatch_pending = True
-        if delay == 0.0:
-            # dispatch kicks are never cancelled: allocation-free lane
-            self.sim.call_soon(self._dispatch)
-        else:
-            self.sim.schedule(delay, self._dispatch)
+        self.sim.schedule(delay, self._dispatch)
 
     def _dispatch(self) -> None:
         self._dispatch_pending = False
@@ -281,11 +272,11 @@ class Scheduler:
         *same instant* it was scheduled — so the window is opened inline
         and the event elided.  Any later wake-up schedules its own kick
         via ``_make_ready``; a kick already pending (always a same-instant
-        lane kick in this state) owns the idle bookkeeping instead.
+        kick in this state) owns the idle bookkeeping instead.
         Eliding an event only shifts later sequence numbers uniformly,
-        which preserves every (time, seq) tie-break, and an emptier
-        zero-delay lane can only *enable* charge fusion, which is exact
-        by construction.
+        which preserves every (time, seq) tie-break, and one same-instant
+        event fewer can only *enable* charge fusion, which is exact by
+        construction.
         """
         if self._ready:
             self._schedule_dispatch()

@@ -1,11 +1,11 @@
-"""Golden-trace determinism: the fast-path engine is bit-identical to the
-general heap-only engine.
+"""Golden-trace determinism: the engine with inline advances is
+bit-identical to the heap-only engine (``fast_path=False``).
 
 Three levels of evidence, from engine to full application:
 
 * an engine-level trace of ``(time, seq)`` per fired callback for a mixed
-  schedule (heap delays, zero-delay lane, ``call_soon``, inline advances,
-  cancellations) — fast and slow engines must interleave identically;
+  schedule (delays, zero-delay storms, cancellations) — both engines
+  must interleave identically;
 * every Table 4 micro-benchmark row (CC++ and Split-C): virtual-time
   totals, per-category breakdown, and thread-op counters all equal;
 * a traced EM3D run: per-event application trace (time, node, kind,
@@ -51,7 +51,7 @@ def _engine_trace(fast_path: bool) -> list[tuple[float, int]]:
         def kick() -> None:
             mark()
             if n > 0:
-                sim.call_soon(storm(n - 1))
+                sim.schedule(0.0, storm(n - 1))
 
         return kick
 
@@ -61,7 +61,7 @@ def _engine_trace(fast_path: bool) -> list[tuple[float, int]]:
             if left > 0:
                 sim.schedule(delay, tick(left - 1, delay))
                 sim.schedule(0.0, mark)
-                sim.call_soon(storm(2))
+                sim.schedule(0.0, storm(2))
 
         return fire
 

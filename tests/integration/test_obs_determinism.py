@@ -79,8 +79,17 @@ class TestSpanShape:
         assert any(d.startswith("epoch ") for d in epochs)
 
 
-#: the quick `trace` artifact's Perfetto file, whoever writes it
+#: the `trace` artifact's Perfetto files, whoever writes them
 QUICK_TRACE_SHA256 = "0928e64307b955e80eb0a74c60ebdb797b3309dc8b1bdb4c03a17ebc931680cf"
+FULL_TRACE_SHA256 = "8b3416a08157f8722974edf3d969af5c919013615718f00d62e6484976b37b69"
+
+
+def _obs_trace_sha(out, *flags):
+    subprocess.run(
+        [sys.executable, "-m", "repro.experiments.obs_trace", *flags, "--out", str(out)],
+        check=True, capture_output=True, timeout=120,
+    )
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_quick_trace_file_is_pinned(tmp_path):
@@ -89,9 +98,10 @@ def test_quick_trace_file_is_pinned(tmp_path):
     byte a rewrite moves shows here.  (A fresh interpreter because the pin
     predates per-network packet ids; since those, an in-process run
     writes the same bytes — ``test_report_and_proc_counts`` checks that.)"""
-    out = tmp_path / "quick.json"
-    subprocess.run(
-        [sys.executable, "-m", "repro.experiments.obs_trace", "--out", str(out)],
-        check=True, capture_output=True, timeout=120,
-    )
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == QUICK_TRACE_SHA256
+    assert _obs_trace_sha(tmp_path / "quick.json") == QUICK_TRACE_SHA256
+
+
+def test_full_trace_file_is_pinned(tmp_path):
+    """The `--full` file, taken on the commit before the engine became one
+    heap and one run loop."""
+    assert _obs_trace_sha(tmp_path / "full.json", "--full") == FULL_TRACE_SHA256

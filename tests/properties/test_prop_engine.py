@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 
 delays = st.lists(
@@ -67,7 +68,7 @@ def test_fifo_among_equal_timestamps(groups):
 
 actions = st.lists(
     st.tuples(
-        st.sampled_from(["delay", "zero", "soon", "cancelled", "inline"]),
+        st.sampled_from(["delay", "zero", "at_now", "cancelled", "inline"]),
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False),
     ),
     min_size=1,
@@ -75,11 +76,20 @@ actions = st.lists(
 )
 
 
+horizons = st.lists(
+    st.floats(min_value=0.0, max_value=200.0, allow_nan=False, allow_infinity=False),
+    max_size=4,
+).map(sorted)
+budgets = st.one_of(st.none(), st.integers(min_value=1, max_value=80))
+
+
 @settings(max_examples=60)
-@given(actions, delays)
-def test_fast_and_slow_engines_fire_identically(acts, seed_delays):
-    """The fast path (lane, freelist, inline advances) is bit-identical to
-    the heap-only engine on arbitrary mixes of scheduling styles."""
+@given(actions, delays, horizons, budgets)
+def test_fast_and_slow_engines_fire_identically(acts, seed_delays, untils, max_events):
+    """Inline advances are bit-identical to the heap-only engine on
+    arbitrary mixes of scheduling styles, run in ``until`` chunks and under
+    a ``max_events`` budget: the runaway error, when the budget is hit,
+    falls after the same fired list at the same instant."""
 
     def drive(fast_path):
         sim = Simulator(fast_path=fast_path)
@@ -90,8 +100,8 @@ def test_fast_and_slow_engines_fire_identically(acts, seed_delays):
                 fired.append((i, kind, sim.now))
                 if kind == "zero":
                     sim.schedule(0.0, lambda: fired.append((i, "nested", sim.now)))
-                elif kind == "soon":
-                    sim.call_soon(lambda: fired.append((i, "nested", sim.now)))
+                elif kind == "at_now":
+                    sim.schedule_at(sim.now, lambda: fired.append((i, "nested", sim.now)))
                 elif kind == "inline":
                     # mirrors the trampoline's charge fusion: advance the
                     # clock and continue inline when possible, otherwise do
@@ -112,8 +122,14 @@ def test_fast_and_slow_engines_fire_identically(acts, seed_delays):
                 ev.cancel()
             else:
                 sim.schedule(amount, react(i, kind, amount))
-        sim.run()
-        return fired, sim.now, sim.events_fired
+        error = None
+        try:
+            for until in untils:
+                sim.run(until=until, max_events=max_events)
+            sim.run(max_events=max_events)
+        except SimulationError as exc:
+            error = str(exc)
+        return fired, sim.now, sim.events_fired, error
 
     assert drive(True) == drive(False)
 

@@ -178,7 +178,7 @@ def test_drain_cancelled_compacts_heap():
     assert sim.now == 10.0
 
 
-# --------------------------------------------------------------- fast path
+# ------------------------------------- same-instant order, inline advance
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -199,31 +199,32 @@ def test_schedule_event_negative_delay_rejected():
 
 
 def test_call_soon_interleaves_with_schedule_by_seq():
-    """Lane entries and same-instant heap entries fire in scheduling order."""
+    """Zero-delay entries fire in scheduling order whichever call queued
+    them."""
     sim = Simulator()
     fired = []
-    sim.call_soon(lambda: fired.append("a"))
-    sim.schedule(0.0, lambda: fired.append("b"))
-    sim.schedule_event(0.0, lambda: fired.append("c"))  # heap-routed
-    sim.call_soon(lambda: fired.append("d"))
+    sim.schedule(0.0, lambda: fired.append("a"))
+    sim.schedule_at(0.0, lambda: fired.append("b"))
+    sim.schedule_event(0.0, lambda: fired.append("c"))
+    sim.schedule(0.0, lambda: fired.append("d"))
     sim.run()
     assert fired == ["a", "b", "c", "d"]
 
 
 def test_lane_merges_with_due_heap_events():
-    """A callback posting zero-delay work does not starve due heap events
+    """A callback posting zero-delay work does not overtake due events
     scheduled earlier for the same instant."""
     sim = Simulator()
     fired = []
 
     def at_ten():
         fired.append("heap1")
-        sim.call_soon(lambda: fired.append("soon"))
+        sim.schedule(0.0, lambda: fired.append("soon"))
 
     sim.schedule(10.0, at_ten)
     sim.schedule(10.0, lambda: fired.append("heap2"))
     sim.run()
-    # heap2 (seq 2) precedes the lane entry posted at t=10 (seq 3)
+    # heap2 (seq 2) precedes the zero-delay entry posted at t=10 (seq 3)
     assert fired == ["heap1", "heap2", "soon"]
 
 
@@ -245,27 +246,25 @@ def test_auto_drain_compacts_bloated_heap():
 
 def test_fastpath_stats_accounting():
     sim = Simulator()
-    sim.schedule(5.0, lambda: None)
-    sim.call_soon(lambda: None)
+    sim.schedule(5.0, lambda: sim.advance_inline(1.0))
+    sim.schedule(0.0, lambda: None)
     sim.schedule(0.0, lambda: None)
     sim.run()
     stats = sim.fastpath_stats()
-    assert stats["events_fired"] == 3
-    assert stats["immediate_fired"] == 2
-    assert stats["heap_fired"] == 1
-    assert stats["inline_advances"] == 0
+    assert stats["events_fired"] == 4
+    assert stats["heap_fired"] == 3
+    assert stats["inline_advances"] == 1
 
 
 def test_slow_path_routes_everything_through_heap():
     sim = Simulator(fast_path=False)
     fired = []
-    sim.call_soon(lambda: fired.append("a"))
+    sim.schedule(0.0, lambda: fired.append("a"))
     sim.schedule(0.0, lambda: fired.append("b"))
     sim.schedule(1.0, lambda: fired.append("c"))
-    assert not sim.advance_inline(0.5)
     sim.run()
+    assert not sim.advance_inline(0.5)  # even with an empty queue
     assert fired == ["a", "b", "c"]
-    assert sim.fastpath_stats()["immediate_fired"] == 0
     assert sim.fastpath_stats()["inline_advances"] == 0
 
 
@@ -279,8 +278,9 @@ def test_advance_inline_refuses_when_event_in_window():
 
 
 def test_advance_inline_refuses_with_lane_pending():
+    """A same-instant event still queued is inside every window."""
     sim = Simulator()
-    sim.call_soon(lambda: None)
+    sim.schedule(0.0, lambda: None)
     assert not sim.advance_inline(1.0)
 
 
@@ -296,7 +296,7 @@ def test_step_merges_lane_and_heap():
     sim = Simulator()
     fired = []
     sim.schedule(1.0, lambda: fired.append("later"))
-    sim.call_soon(lambda: fired.append("now"))
+    sim.schedule(0.0, lambda: fired.append("now"))
     assert sim.step() is True
     assert fired == ["now"]
     assert sim.step() is True
