@@ -11,9 +11,14 @@ from repro.experiments import serde
 from repro.util.tables import TextTable
 from repro.util.units import us_to_s
 
-__all__ = ["BreakdownRow", "render_rows"]
+__all__ = ["BreakdownRow", "CSV_COLUMNS", "render_rows"]
 
 _COMPONENTS = ("cpu", "net", "thread mgmt", "thread sync", "runtime")
+
+#: header of the cells :meth:`BreakdownRow.csv_cells` returns
+CSV_COLUMNS = ("language", "elapsed_us", "normalized") + tuple(
+    c.replace(" ", "_") for c in _COMPONENTS
+)
 
 
 @dataclass(slots=True)
@@ -35,6 +40,13 @@ class BreakdownRow:
         if total <= 0:
             return {c: 0.0 for c in _COMPONENTS}
         return {c: folded.get(c, 0.0) / total for c in _COMPONENTS}
+
+    def csv_cells(self) -> list[str]:
+        """This bar's share of a figure's CSV row (see ``CSV_COLUMNS``)."""
+        frac = self.component_fractions()
+        return [
+            self.language, f"{self.elapsed_us:.3f}", f"{self.normalized:.4f}"
+        ] + [f"{frac[c]:.4f}" for c in _COMPONENTS]
 
     def to_json(self) -> dict:
         return serde.dump_fields(self)

@@ -36,7 +36,7 @@ from repro.util.tables import TextTable
 if TYPE_CHECKING:
     from repro.machine.faults import FaultPlan
 
-__all__ = ["ChaosResult", "run", "main", "build_plan"]
+__all__ = ["ChaosResult", "run", "build_plan"]
 
 DEFAULT_PLANS = 25
 DEFAULT_SEED = 1997
@@ -46,7 +46,7 @@ INTERVAL_US = 500.0
 PHI = 8.0
 _THRESHOLD_US = PHI * INTERVAL_US
 
-#: CSV header of the survival matrix (``--csv`` and the CI artifact)
+#: CSV header of the survival matrix (``chaos.csv``, the CI artifact)
 CSV_COLUMNS = (
     "plan", "seed", "drop", "dup", "delay", "fail_node", "fail_at",
     "pause_node", "attempts", "dead", "restart_step", "elapsed_us",
@@ -131,7 +131,8 @@ class ChaosResult:
     replay_failures: int = 0
 
     @property
-    def clean(self) -> bool:
+    def all_ok(self) -> bool:
+        """Every invariant held on every plan."""
         return not (
             self.hangs or self.conservation_failures
             or self.mismatches or self.replay_failures
@@ -289,31 +290,3 @@ def run(
         if not replay_ok:
             result.replay_failures += 1
     return result
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI shim: ``python -m repro.experiments.chaos [--plans N] [--csv F]``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--plans", type=int, default=DEFAULT_PLANS,
-                        help="number of seeded fault plans")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="top-level seed (scenario seeds derive from it)")
-    parser.add_argument("--steps", type=int, default=4, help="EM3D iterations")
-    parser.add_argument("--csv", type=str, default="",
-                        help="also write the survival matrix as CSV to this path")
-    args = parser.parse_args(argv)
-    result = run(plans=args.plans, seed=args.seed, steps=args.steps)
-    print(result.render())
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(result.csv())
-        print(f"survival matrix written to {args.csv}")
-    return 0 if result.clean else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

@@ -20,7 +20,10 @@ same calls go to a running ``serve`` daemon instead — stdout is
 byte-identical either way.  ``--jobs N`` shards work across a
 spawn process pool and merges deterministically; results are cached on
 disk by (package version, artifact, params) — ``--no-cache`` bypasses,
-``--refresh`` recomputes and overwrites.
+``--refresh`` recomputes and overwrites.  ``run ... --out DIR`` is the
+same job, written through :func:`repro.experiments.report.write_job`
+instead of printed.  ``run`` / ``sweep`` / ``submit --follow`` exit 1
+when a result that can fail (``all_ok``: scorecard, chaos, rma) did.
 """
 
 from __future__ import annotations
@@ -125,9 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--out",
         metavar="DIR",
-        help="also write rendered artifacts (and CSVs) to this directory; "
-        "for 'trace', a path ending in .json writes the Perfetto JSON "
-        "directly to that file",
+        help="write each result's files (rendered text, CSV where it has "
+        "one, manifest.json) to this directory instead of printing; for "
+        "'trace', a path ending in .json also writes the Perfetto JSON to "
+        "that file",
     )
 
     sweep = sub.add_parser(
@@ -249,10 +253,7 @@ def _jobs(args: argparse.Namespace) -> int:
 
 def _overrides(spec, args: argparse.Namespace) -> dict[str, Any]:
     """Standard flags + explicit --param overrides for one spec."""
-    from repro.experiments.report import standard_overrides
-
-    overrides = standard_overrides(
-        spec,
+    overrides = spec.standard_overrides(
         quick=False if args.full else None,
         iters=args.iters,
         seed=args.seed,
@@ -292,6 +293,8 @@ def _echo_stream(client, job_id: str) -> None:
 
 def _run_request(args: argparse.Namespace) -> dict[str, Any]:
     """``client.submit`` arguments for one task per named artifact."""
+    if getattr(args, "scenario", None):
+        args.param = args.param + ["scenarios=" + ",".join(args.scenario)]
     names = registry.ARTIFACT_NAMES if args.artifact == "all" else [args.artifact]
     return {"tasks": [(n, _overrides(registry.get(n), args)) for n in names]}
 
@@ -323,13 +326,12 @@ def _sweep_request(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _submit_job(
-    args: argparse.Namespace, request: dict[str, Any], *, follow: bool = True,
-    trace_file: str | None = None,
+    args: argparse.Namespace, request: dict[str, Any], *, follow: bool = True
 ) -> int:
     """Submit ``request`` and print the job's results the way ``run`` /
-    ``sweep`` always have (without ``follow``: just the job id).  With
-    ``trace_file`` the job is one ``trace`` task and its Perfetto JSON is
-    also written there."""
+    ``sweep`` always have — or, with ``--out DIR``, write them there
+    instead (without ``follow``: just print the job id).  The exit status
+    is 1 when a result that can fail says it did."""
     client, remote = _make_client(args)
     try:
         job_id = client.submit(**request, priority=args.priority)
@@ -345,28 +347,38 @@ def _submit_job(
     finally:
         client.close()
 
-    if "axes" not in request:
+    out = getattr(args, "out", None)
+    # `trace --out x.json`: the named file gets the Perfetto JSON itself
+    # (open it at ui.perfetto.dev), not a report directory
+    trace_json = args.artifact == "trace" and out and out.endswith(".json")
+    if "axes" in request:
+        from repro.experiments.sweep import job_sweep_csv, render_points
+
+        print(render_points(record.labels, results))
+        text = job_sweep_csv(request["axes"], record)
+        print()
+        print(text, end="")
+        if getattr(args, "csv", None):
+            from repro.util.files import write_text_atomic
+
+            print(f"wrote {write_text_atomic(args.csv, (text,))}")
+    elif out and not trace_json:
+        from repro.experiments.report import write_job
+
+        for path in write_job(out, record, results):
+            print(f"wrote {path}")
+    else:
         for name, result in zip(record.artifacts, results):
             print(f"=== {name} ===")
-            print(registry.get(name).render(result))
+            print(result.render())
             print()
-        if trace_file:
-            print(f"wrote {results[0].write(trace_file)}")
-        return 0
-    from repro.experiments.sweep import job_sweep_csv, render_points
+        if trace_json:
+            from repro.experiments.report import outputs
+            from repro.util.files import write_text_atomic
 
-    print(render_points(registry.get(args.artifact), record.labels, results))
-    text = job_sweep_csv(request["axes"], record)
-    print()
-    print(text, end="")
-    if getattr(args, "csv", None):
-        from pathlib import Path
-
-        path = Path(args.csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    return 0
+            text = outputs(registry.get("trace"), results[0])["trace.json"]
+            print(f"wrote {write_text_atomic(out, (text,))}")
+    return 0 if all(getattr(r, "all_ok", True) for r in results) else 1
 
 
 def _cmd_list() -> int:
@@ -383,37 +395,6 @@ def _cmd_list() -> int:
         t.add_row([spec.name, schema, spec.title])
     print(t.render())
     return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.scenario:
-        args.param = args.param + ["scenarios=" + ",".join(args.scenario)]
-    request = _run_request(args)
-
-    # `trace --out x.json`: the named file gets the Perfetto JSON itself
-    # (open it at ui.perfetto.dev), not a report directory
-    trace_file = (
-        args.out
-        if args.artifact == "trace" and args.out and args.out.endswith(".json")
-        else None
-    )
-    if args.out and not trace_file:
-        from repro.experiments.report import write_all
-
-        paths = write_all(
-            args.out,
-            quick=not args.full,
-            iters=args.iters,
-            artifacts=tuple(registry.get(n).file_stem for n, _ in request["tasks"]),
-            jobs=_jobs(args),
-            cache=_make_cache(args),
-            refresh=args.refresh,
-        )
-        for path in paths:
-            print(f"wrote {path}")
-        return 0
-
-    return _submit_job(args, request, trace_file=trace_file)
 
 
 def _client_error(exc: Exception) -> int:
@@ -503,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list":
             return _cmd_list()
         if args.command == "run":
-            return _cmd_run(args)
+            return _submit_job(args, _run_request(args))
         if args.command == "sweep":
             return _submit_job(args, _sweep_request(args))
         if args.command == "serve":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.experiments import serde
 from repro.util.tables import TextTable
 
-__all__ = ["FaultAblationResult", "run", "main"]
+__all__ = ["FaultAblationResult", "run"]
 
 #: (drop probability, label) cells of the sweep
 DEFAULT_DROPS = (0.0, 0.01, 0.10)
@@ -161,34 +161,3 @@ def run(
                 "net_us": out.breakdown.get("net", 0.0),
             }
     return result
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI shim: ``python -m repro.experiments.faults [--drops ...]``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--drops", type=float, nargs="+", default=list(DEFAULT_DROPS),
-        help="drop probabilities to sweep (fractions, e.g. 0.0 0.01 0.1)",
-    )
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS),
-        help="fault-plan seeds (each seed is one deterministic faulty run)",
-    )
-    parser.add_argument("--iters", type=int, default=30, help="AM RTT iterations")
-    parser.add_argument("--steps", type=int, default=2, help="EM3D iterations")
-    args = parser.parse_args(argv)
-    print(
-        run(
-            drops=tuple(args.drops), seeds=tuple(args.seeds),
-            iters=args.iters, steps=args.steps,
-        ).render()
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

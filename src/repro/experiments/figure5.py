@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import serde
-from repro.experiments.breakdown import BreakdownRow, render_rows
+from repro.experiments.breakdown import CSV_COLUMNS, BreakdownRow, render_rows
 
 __all__ = ["Figure5Result", "run"]
 
@@ -45,6 +45,18 @@ class Figure5Result:
         return render_rows(
             "Figure 5 — EM3D per-edge breakdown (normalized vs Split-C)", ordered
         )
+
+    def csv(self) -> str:
+        """One row per (version, pct, language) bar."""
+        import csv
+        import io
+
+        out = io.StringIO()
+        w = csv.writer(out)
+        w.writerow(["version", "pct_remote", *CSV_COLUMNS])
+        for (version, pct, _lang), row in sorted(self.rows.items()):
+            w.writerow([version, pct] + row.csv_cells())
+        return out.getvalue()
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import serde
-from repro.experiments.breakdown import BreakdownRow, render_rows
+from repro.experiments.breakdown import CSV_COLUMNS, BreakdownRow, render_rows
 
 __all__ = ["Figure6Result", "run"]
 
@@ -40,6 +40,18 @@ class Figure6Result:
         return render_rows(
             "Figure 6 — Water and LU breakdown (normalized vs Split-C)", ordered
         )
+
+    def csv(self) -> str:
+        """One row per (app-label, language) bar."""
+        import csv
+        import io
+
+        out = io.StringIO()
+        w = csv.writer(out)
+        w.writerow(["app", *CSV_COLUMNS])
+        for (label, _lang), row in sorted(self.rows.items()):
+            w.writerow([label] + row.csv_cells())
+        return out.getvalue()
 
     def to_json(self) -> dict:
         return {"rows": serde.dump_map(self.rows, lambda r: r.to_json())}

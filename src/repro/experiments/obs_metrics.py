@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.util.tables import TextTable
 
-__all__ = ["MetricsReport", "run", "main"]
+__all__ = ["MetricsReport", "run"]
 
 
 @dataclass(slots=True)
@@ -163,21 +163,3 @@ def run(*, iters: int = 50, quick: bool = True) -> MetricsReport:
     report.sections["sc bulk loop"] = _snapshot_all(m)
     report.gauges.update(m.gauges)
     return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI shim: ``python -m repro.experiments.obs_metrics [--iters N]``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--iters", type=int, default=50)
-    parser.add_argument("--full", action="store_true", help="full workload size")
-    args = parser.parse_args(argv)
-    print(run(iters=args.iters, quick=not args.full).render())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

@@ -20,7 +20,7 @@ from collections import Counter
 
 from repro.experiments.results import TraceCaptureResult
 
-__all__ = ["TraceCaptureResult", "run", "main"]
+__all__ = ["TraceCaptureResult", "run"]
 
 
 def run(*, quick: bool = True, version: str = "bulk") -> TraceCaptureResult:
@@ -50,25 +50,3 @@ def run(*, quick: bool = True, version: str = "bulk") -> TraceCaptureResult:
         breakdown=out.breakdown,
         perfetto_json=chrome_trace_text(tracer),
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI shim: ``python -m repro.experiments.obs_trace [--out trace.json]``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", metavar="FILE", help="write Perfetto JSON here")
-    parser.add_argument("--full", action="store_true", help="full workload size")
-    parser.add_argument("--version", default="bulk", help="EM3D version to trace")
-    args = parser.parse_args(argv)
-    result = run(quick=not args.full, version=args.version)
-    print(result.render())
-    if args.out:
-        print(f"wrote {result.write(args.out)}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

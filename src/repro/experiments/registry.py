@@ -14,7 +14,7 @@ contract:
   task ``(module, entry, params)`` can be shipped to a spawned worker
   process without pickling code;
 * the ``to_json()/from_json()`` result contract (``result_type``) the
-  on-disk cache and the exporters share;
+  on-disk cache, the daemon's wire and the report manifest share;
 * a ``cost_hint`` (relative serial wall-clock) the process-pool runner
   uses to schedule longest tasks first.
 
@@ -185,6 +185,20 @@ class ExperimentSpec:
     def defaults(self) -> dict[str, Any]:
         return {p.name: p.default for p in self.params}
 
+    def standard_overrides(
+        self,
+        *,
+        quick: bool | None = None,
+        iters: int | None = None,
+        seed: int | None = None,
+    ) -> dict[str, Any]:
+        """The standard parameters, filtered to what this spec declares."""
+        given = {"quick": quick, "iters": iters, "seed": seed}
+        return {
+            name: value for name, value in given.items()
+            if value is not None and self.has_param(name)
+        }
+
     def validate(self, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
         """Defaults merged with ``overrides``, every value schema-checked.
         Unknown parameter names raise :class:`ExperimentParamError` — the
@@ -201,9 +215,6 @@ class ExperimentSpec:
     def run(self, **overrides: Any) -> Any:
         """Validate ``overrides`` against the schema and run the artifact."""
         return self.run_fn()(**self.validate(overrides))
-
-    def render(self, result: Any) -> str:
-        return result.render()
 
     # -- serialization ---------------------------------------------------
     def result_class(self) -> type:
@@ -402,6 +413,7 @@ register(ExperimentSpec(
         ParamSpec("version", "str", "bulk", "EM3D variant",
                   choices=_EM3D_VERSIONS),
     ),
+    file_stem="trace_summary",  # trace.json is the Perfetto export itself
     cost_hint=0.1,
 ))
 register(ExperimentSpec(

@@ -15,10 +15,8 @@ recorders, its result is the text they exported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.experiments import serde
-from repro.util.files import write_text_atomic
 from repro.util.tables import TextTable
 
 __all__ = ["MicroRow", "ScalingPoint", "ScalingResult", "TraceCaptureResult"]
@@ -149,10 +147,10 @@ class TraceCaptureResult:
         )
         return "\n".join(lines)
 
-    def write(self, path: str | Path) -> Path:
-        """Write the Chrome trace-event JSON of this run (whole or not
-        at all); returns the path."""
-        return write_text_atomic(path, (self.perfetto_json,))
+    def extra_files(self) -> dict[str, str]:
+        """Beside the summary: the Chrome trace-event JSON of this run,
+        as the exporter wrote it."""
+        return {"trace.json": self.perfetto_json}
 
     def to_json(self) -> dict:
         return serde.dump_fields(self)

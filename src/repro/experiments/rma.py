@@ -150,6 +150,11 @@ class RmaResult:
     def tree_matches(self) -> bool:
         return all(p.match for p in self.tree)
 
+    @property
+    def all_ok(self) -> bool:
+        """Tree equals linear on every cell, EM3D bitwise on every row."""
+        return self.tree_matches() and all(e.bitwise_ok for e in self.em3d)
+
     def render(self) -> str:
         micro = TextTable(
             ["row", "words", "local us", "remote us"],

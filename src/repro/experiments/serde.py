@@ -6,8 +6,8 @@ Every result dataclass in the experiment harness implements::
     Cls.from_json(payload)  -> an equal instance
 
 The contract is what the content-addressed result cache stores and what
-``export.py`` serializes from, so there is exactly one on-disk shape per
-result type instead of one per consumer.  The helpers here handle the
+the daemon sends, so there is exactly one on-disk shape per result type
+instead of one per consumer.  The helpers here handle the
 two patterns plain ``json`` cannot: dataclass fields and dictionaries
 whose keys are tuples or floats (JSON object keys must be strings, so
 those maps are stored as ``[key, value]`` pair lists instead).

@@ -129,11 +129,9 @@ def job_sweep_csv(axes: Mapping[str, Sequence[Any]], record: Any) -> str:
     return out.getvalue()
 
 
-def render_points(
-    spec: ExperimentSpec, labels: Sequence[str], results: Sequence[Any]
-) -> str:
+def render_points(labels: Sequence[str], results: Sequence[Any]) -> str:
     """Every point's render under its label header, in grid order."""
     return "\n\n".join(
-        f"--- {label} ---\n{spec.render(result)}"
+        f"--- {label} ---\n{result.render()}"
         for label, result in zip(labels, results)
     )

@@ -77,6 +77,30 @@ class Table4Result:
             )
         return t.render()
 
+    def csv(self) -> str:
+        """One row per benchmark per language."""
+        import csv
+        import io
+
+        out = io.StringIO()
+        w = csv.writer(out)
+        w.writerow(
+            ["benchmark", "language", "total_us", "am_us", "threads_us",
+             "runtime_us", "yields", "creates", "syncs"]
+        )
+        for language, rows in (("ccpp", self.cc), ("splitc", self.sc)):
+            for name, row in rows.items():
+                w.writerow(
+                    [name, language, f"{row.total_us:.3f}", f"{row.am_us:.3f}",
+                     f"{row.threads_us:.3f}", f"{row.runtime_us:.3f}",
+                     f"{row.yields:.3f}", f"{row.creates:.3f}", f"{row.syncs:.3f}"]
+                )
+        if self.am_rtt_us is not None:
+            w.writerow(["am_base_rtt", "-", f"{self.am_rtt_us:.3f}"] + [""] * 6)
+        if self.mpl_rtt_us is not None:
+            w.writerow(["mpl_rtt", "-", f"{self.mpl_rtt_us:.3f}"] + [""] * 6)
+        return out.getvalue()
+
     def to_json(self) -> dict:
         return {
             "cc": {name: row.to_json() for name, row in self.cc.items()},

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import chaos
 from repro.experiments.chaos import ChaosResult, build_plan
+from tests.integration.test_runner_parallel import cli
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ class TestInvariants:
         assert result.conservation_failures == 0
         assert result.mismatches == 0
         assert result.replay_failures == 0
-        assert result.clean
+        assert result.all_ok
 
     def test_every_record_has_all_columns(self, result):
         for s in result.scenarios:
@@ -90,15 +91,26 @@ class TestResultPlumbing:
     def test_json_round_trip(self, result):
         clone = ChaosResult.from_json(result.to_json())
         assert clone.scenarios == result.scenarios
-        assert clone.clean == result.clean
+        assert clone.all_ok == result.all_ok
         assert clone.csv() == result.csv()
 
-    def test_cli_writes_csv_and_exits_zero(self, tmp_path, capsys):
-        path = tmp_path / "matrix.csv"
-        code = chaos.main(["--plans", "2", "--csv", str(path)])
+    def test_cli_writes_csv_and_exits_zero(self, tmp_path, monkeypatch, capsys):
+        argv = ["run", "chaos", "--param", "plans=2", "--no-cache",
+                "--out", str(tmp_path)]
+        code, out, _ = cli(argv, tmp_path / "unused", monkeypatch, capsys)
         assert code == 0
-        out = capsys.readouterr().out
-        assert "Chaos matrix" in out
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == ",".join(chaos.CSV_COLUMNS)
-        assert len(lines) == 3
+        assert f"wrote {tmp_path / 'chaos.csv'}" in out
+        assert "Chaos matrix" in (tmp_path / "chaos.txt").read_text()
+        assert (tmp_path / "chaos.csv").read_text() == chaos.run(plans=2).csv()
+
+    def test_cli_exits_one_on_a_broken_invariant(self, tmp_path, monkeypatch, capsys):
+        """`run` is `chaos.main`'s exit status now: a result that can fail
+        and did makes the job's exit status 1, printed or written."""
+        broken = chaos.run(plans=1)
+        broken.mismatches = 1
+        assert not broken.all_ok
+        monkeypatch.setattr(chaos, "run", lambda **params: broken)
+        argv = ["run", "chaos", "--no-cache"]
+        assert cli(argv, tmp_path / "unused", monkeypatch, capsys)[0] == 1
+        argv += ["--out", str(tmp_path)]
+        assert cli(argv, tmp_path / "unused", monkeypatch, capsys)[0] == 1

@@ -86,7 +86,8 @@ FULL_TRACE_SHA256 = "8b3416a08157f8722974edf3d969af5c919013615718f00d62e6484976b
 
 def _obs_trace_sha(out, *flags):
     subprocess.run(
-        [sys.executable, "-m", "repro.experiments.obs_trace", *flags, "--out", str(out)],
+        [sys.executable, "-m", "repro.experiments.cli", "run", "trace", *flags,
+         "--no-cache", "--out", str(out)],
         check=True, capture_output=True, timeout=120,
     )
     return hashlib.sha256(out.read_bytes()).hexdigest()

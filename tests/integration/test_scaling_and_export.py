@@ -6,7 +6,6 @@ import io
 import pytest
 
 from repro.experiments import figure5, figure6, scaling, table4
-from repro.experiments.export import figure5_csv, figure6_csv, table4_csv
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +30,12 @@ class TestScaling:
             vals = [getattr(p, lang) for p in scale.points]
             assert vals == sorted(vals)
 
+    def test_default_sizes_reach_the_significant_hit(self):
+        """The artifact's own sizes, up to 20 000 doubles (1000x Table 4's)."""
+        ratios = scaling.run().ratios()
+        assert ratios == sorted(ratios), "penalty must grow with volume"
+        assert ratios[-1] > 2 * ratios[0]
+
     def test_render(self, scale):
         text = scale.render()
         assert "factor of about 200" in text
@@ -40,7 +45,7 @@ class TestScaling:
 class TestExport:
     def test_table4_csv_parses_and_covers_rows(self):
         result = table4.run(iters=5)
-        text = table4_csv(result)
+        text = result.csv()
         rows = list(csv.DictReader(io.StringIO(text)))
         benchmarks = {r["benchmark"] for r in rows}
         assert "0-Word Simple" in benchmarks
@@ -52,7 +57,7 @@ class TestExport:
 
     def test_figure5_csv(self):
         result = figure5.run(quick=True, pcts=(1.0,), versions=("ghost",), steps=1)
-        text = figure5_csv(result)
+        text = result.csv()
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 2  # ghost x 100% x two languages
         for r in rows:
@@ -63,7 +68,7 @@ class TestExport:
 
     def test_figure6_csv(self):
         result = figure6.run(quick=True, water_versions=("prefetch",), include_lu=False)
-        text = figure6_csv(result)
+        text = result.csv()
         rows = list(csv.DictReader(io.StringIO(text)))
         assert {r["language"] for r in rows} == {"splitc", "ccpp"}
         normalized = {

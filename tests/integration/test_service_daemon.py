@@ -28,7 +28,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments import registry
 from repro.experiments.cache import ResultCache
 from repro.experiments.serde import JobEvent
 from repro.experiments.sweep import job_sweep_csv, render_points
@@ -132,15 +131,14 @@ class TestConcurrentClients:
 
         # byte-identity: each client's render + CSV equals the serial
         # in-process client's for the same grid
-        spec = registry.get("scaling")
         local = ExperimentClient.in_process(progress=lambda m: None)
         for name, sizes in sweeps.items():
             record, events, results = outputs[name]
             ljob = local.submit("scaling", None, axes=sizes_axes(sizes))
             lrec = local.status(ljob)
             lres = local.result(ljob)
-            assert render_points(spec, record.labels, results) == \
-                render_points(spec, lrec.labels, lres)
+            assert render_points(record.labels, results) == \
+                render_points(lrec.labels, lres)
             assert job_sweep_csv(sizes_axes(sizes), record) == \
                 job_sweep_csv(sizes_axes(sizes), lrec)
             # the stream is complete and ends with the terminal summary

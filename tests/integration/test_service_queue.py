@@ -157,7 +157,7 @@ class TestSubmitBoundary:
             client = ExperimentClient.connect(address)
             first = client.submit("trace")
             (result,) = client.result(first)
-            written = result.write(tmp_path / "t.json").read_bytes()
+            written = result.extra_files()["trace.json"].encode()
             assert hashlib.sha256(written).hexdigest() == QUICK_TRACE_SHA256
             second = client.submit("trace")
             assert client.result(second) == [result]

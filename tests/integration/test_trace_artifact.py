@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.cache import ResultCache
+from repro.experiments.report import outputs
 from repro.experiments.results import TraceCaptureResult
 from repro.service import ExperimentClient
 from tests.integration.test_obs_determinism import QUICK_TRACE_SHA256
@@ -50,13 +51,14 @@ def _rewrite(path, edit) -> None:
 
 
 class TestPlainData:
-    def test_round_trip_renders_and_writes_the_same_bytes(self, filled, tmp_path):
+    def test_round_trip_renders_and_writes_the_same_bytes(self, filled):
         _, _, result = filled
         back = TraceCaptureResult.from_json(json.loads(json.dumps(result.to_json())))
         assert back == result
         assert back.render() == result.render()
-        assert _sha(back.write(tmp_path / "deep" / "t.json")) == QUICK_TRACE_SHA256
-        assert [p.name for p in (tmp_path / "deep").iterdir()] == ["t.json"]
+        files = outputs(registry.get("trace"), back)
+        assert list(files) == ["trace_summary.txt", "trace.json"]
+        assert hashlib.sha256(files["trace.json"].encode()).hexdigest() == QUICK_TRACE_SHA256
         assert not {"tracer", "metrics"} & set(result.to_json())
 
     def test_row_summary_is_numbers_only(self, filled):
