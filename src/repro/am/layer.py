@@ -205,9 +205,6 @@ class AMEndpoint:
             raise RuntimeStateError(f"AM handler {name!r} already registered on node {self.node.nid}")
         self._handlers[name] = fn
 
-    def has_handler(self, name: str) -> bool:
-        return name in self._handlers
-
     # ----------------------------------------------------------------- sends
 
     def send_short(

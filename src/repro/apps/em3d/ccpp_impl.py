@@ -28,17 +28,15 @@ from repro.apps.em3d.layout import VERSIONS, Em3dLayout, PhasePlan
 from repro.apps.em3d.splitc_impl import Em3dRunResult
 from repro.ccpp import (
     CCContext,
-    CCppRuntime,
     DataGlobalPtr,
     ObjectGlobalPtr,
     ProcessorObject,
+    make_tham_runtime,
     processor_class,
     remote,
 )
 from repro.ccpp.collective import CCBarrier
 from repro.errors import ReproError
-from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
 from repro.sim.account import Category
 from repro.sim.effects import Charge
 
@@ -78,27 +76,23 @@ def run_ccpp_em3d(
     *,
     steps: int = 2,
     version: str = "base",
-    costs: CostModel = SP2_COSTS,
     warmup_steps: int = 1,
-    runtime_factory=None,
-    topology=None,
+    runtime_factory=make_tham_runtime,
+    **machine: Any,
 ) -> Em3dRunResult:
     """Run one CC++ EM3D configuration and measure it.
 
-    ``runtime_factory(n_procs)`` may supply an alternative CC++ runtime
-    (the Nexus baseline) — application code is identical either way.
-    ``topology`` (Topology or spec string, None = flat crossbar) shapes
-    the interconnect when this function builds its own cluster."""
+    ``runtime_factory(n_procs, **machine)`` builds the cluster and the
+    CC++ runtime on it (``make_nexus_runtime`` is the Nexus baseline) —
+    application code is identical either way.  ``machine`` is
+    :class:`~repro.machine.cluster.Cluster`'s keywords plus the
+    runtime's ``reliable`` / ``retry``."""
     if version not in VERSIONS:
         raise ReproError(f"unknown EM3D version {version!r}; pick from {VERSIONS}")
     layout = Em3dLayout(graph)
     p = graph.params
-    if runtime_factory is None:
-        cluster = Cluster(p.n_procs, costs=costs, topology=topology)
-        rt = CCppRuntime(cluster)
-    else:
-        rt = runtime_factory(p.n_procs)
-        cluster = rt.cluster
+    rt = runtime_factory(p.n_procs, **machine)
+    cluster = rt.cluster
 
     # statically allocated processor objects (deterministic ids: the node
     # manager is 0, so these are 1; the barrier on node 0 is 2)
@@ -109,9 +103,9 @@ def run_ccpp_em3d(
     barrier_id = rt._create_local(0, "CCBarrier", (p.n_procs,))
     barrier = ObjectGlobalPtr(0, barrier_id, "CCBarrier")
 
-    per_neighbor = rt.cluster.costs.cpu.em3d_per_neighbor
-    rc = rt.cluster.costs.runtime
-    marks: dict[str, Any] = {}
+    per_neighbor = cluster.costs.cpu.em3d_per_neighbor
+    rc = cluster.costs.runtime
+    window = cluster.window()
 
     def phase_base(ctx: CCContext, me: int, plan: PhasePlan) -> Generator[Any, Any, None]:
         mem = rt.object_table(me).get(1).values
@@ -214,13 +208,11 @@ def run_ccpp_em3d(
         for _ in range(warmup_steps):
             yield from one_step(ctx)
         if me == 0:
-            marks["t0"] = cluster.sim.now
-            marks["acct0"] = [n.account.snapshot() for n in cluster.nodes]
-            marks["cnt0"] = cluster.aggregate_counters().snapshot()
+            window.open()
         for _ in range(steps):
             yield from one_step(ctx)
         if me == 0:
-            marks["t1"] = cluster.sim.now
+            window.close()
 
     for nid in range(p.n_procs):
         rt.launch(nid, program, f"em3d-{version}@{nid}")
@@ -231,16 +223,10 @@ def run_ccpp_em3d(
         _, off = graph.value_slot(n.gid)
         values[n.gid] = rt.object_table(n.proc).get(1).values[off]
 
-    elapsed = marks["t1"] - marks["t0"]
-    breakdown: dict[str, float] = {}
-    for node, snap in zip(cluster.nodes, marks["acct0"]):
-        for cat, v in node.account.since(snap).items():
-            breakdown[str(cat)] = breakdown.get(str(cat), 0.0) + v
-    counters = cluster.aggregate_counters().since(marks["cnt0"])
     return Em3dRunResult(
         values=values,
-        elapsed_us=elapsed,
-        breakdown=breakdown,
-        per_edge_us=elapsed / (steps * graph.edge_terms_per_step),
-        counters=counters,
+        elapsed_us=window.elapsed_us,
+        breakdown=window.breakdown,
+        per_edge_us=window.elapsed_us / (steps * graph.edge_terms_per_step),
+        counters=window.counters,
     )

@@ -170,12 +170,6 @@ class Em3dGraph:
     # -------------------------------------------------------------- geometry
 
     @property
-    def n_edges(self) -> int:
-        """Directed dependency count (the paper's "4000 edges" counts each
-        node's degree once per kind-half)."""
-        return sum(len(n.neighbors) for n in self.nodes) // 2
-
-    @property
     def edge_terms_per_step(self) -> int:
         """Weighted-sum terms evaluated per step (both phases)."""
         return sum(len(n.neighbors) for n in self.nodes)

@@ -39,7 +39,6 @@ from repro.apps.em3d.graph import Em3dGraph
 from repro.errors import NodeUnreachableError, SimulationError
 from repro.ft import install_detector
 from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
 from repro.machine.faults import FaultPlan, NodeFault
 from repro.sim.account import Category, CounterNames
 from repro.sim.effects import Charge
@@ -132,7 +131,7 @@ class _RankState:
 
 
 def _remap_plan(
-    faults: FaultPlan | None, attempt: int, participants: list[int]
+    plan: FaultPlan | None, attempt: int, participants: list[int]
 ) -> FaultPlan | None:
     """The fault plan for attempt ``attempt`` (1-based).
 
@@ -141,19 +140,19 @@ def _remap_plan(
     execution) and with node faults remapped from original proc ids to
     the surviving cluster's ranks; faults pinned to dead procs drop out.
     """
-    if faults is None:
+    if plan is None:
         return None
     if attempt == 1:
-        return faults
+        return plan
     rank_of = {proc: r for r, proc in enumerate(participants)}
     node_faults = [
         NodeFault(rank_of[nf.nid], nf.start, nf.duration)
-        for nf in faults.node_faults
+        for nf in plan.node_faults
         if nf.nid in rank_of
     ]
-    rules = [r for r in faults.rules if r.src is None and r.dst is None]
+    rules = [r for r in plan.rules if r.src is None and r.dst is None]
     return FaultPlan(
-        seed=derive_seed(faults.seed, "attempt", attempt),
+        seed=derive_seed(plan.seed, "attempt", attempt),
         rules=rules,
         node_faults=node_faults,
     )
@@ -217,18 +216,18 @@ def _run_attempt(
     steps: int,
     ckpt_every: int,
     store: CheckpointStore,
-    plan: FaultPlan | None,
     retry: RetryPolicy,
     interval_us: float,
     phi: float,
-    costs: CostModel,
     watchdog_us: float | bool,
+    machine: dict[str, Any],
 ) -> tuple[list[int], list[_RankState], dict[str, int], float, bool, bool]:
     """One cluster lifetime.  Returns ``(dead_ranks, states, counters,
     elapsed, conserved, quiescent)``; an empty dead list means the
     attempt completed."""
     n_ranks = len(participants)
-    cluster = Cluster(n_ranks, costs=costs, faults=plan)
+    cluster = Cluster(n_ranks, **machine)
+    costs = cluster.costs
     eps = install_am(cluster, reliable=True, retry=retry)
     fd = install_detector(cluster, interval_us=interval_us, phi=phi)
     sends, expected, my_nodes = _build_exchange(graph, owner, participants)
@@ -355,14 +354,17 @@ def run_recovering_em3d(
     *,
     steps: int = 4,
     ckpt_every: int = 1,
-    faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     interval_us: float = 500.0,
     phi: float = 8.0,
-    costs: CostModel = SP2_COSTS,
     watchdog_us: float | bool = True,
+    **machine: Any,
 ) -> RecoveryResult:
     """Run EM3D to completion *through* node failures.
+
+    ``machine`` is :class:`~repro.machine.cluster.Cluster`'s keywords;
+    its ``faults`` plan is the scenario, re-based onto the surviving
+    ranks for every restart.
 
     The returned values match :func:`reference_steps(graph, steps)
     <repro.apps.em3d.reference.reference_steps>` bitwise whether or not
@@ -396,11 +398,11 @@ def run_recovering_em3d(
             raise SimulationError(
                 f"em3d recovery did not converge in {p.n_procs} attempts"
             )
-        plan = _remap_plan(faults, attempts, participants)
+        plan = _remap_plan(machine.get("faults"), attempts, participants)
         dead_ranks, states, cnts, t, att_conserved, att_quiescent = _run_attempt(
             graph, owner, participants, start_step, start_vals, steps,
-            ckpt_every, store, plan, retry, interval_us, phi, costs,
-            watchdog_us,
+            ckpt_every, store, retry, interval_us, phi, watchdog_us,
+            dict(machine, faults=plan),
         )
         elapsed += t
         conserved = conserved and att_conserved

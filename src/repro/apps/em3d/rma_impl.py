@@ -14,7 +14,7 @@ values, and the sweep is the same arithmetic in the same order — so the
 result is bitwise-identical to ``reference_steps``, which the
 integration tests assert.
 
-Structure (regions, barriers, measurement marks) mirrors
+Structure (regions, barriers, measurement window) mirrors
 :mod:`repro.apps.em3d.splitc_impl`; the Split-C runtime provides the
 SPMD skeleton and barriers while the RMA layer shares its AM endpoints.
 """
@@ -30,7 +30,6 @@ from repro.apps.em3d.graph import Em3dGraph
 from repro.apps.em3d.layout import Em3dLayout, PhasePlan
 from repro.apps.em3d.splitc_impl import GHOST, VAL, Em3dRunResult
 from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
 from repro.rma.runtime import RMAProcess, install_rma
 from repro.splitc import SCProcess, SplitCRuntime
 
@@ -41,39 +40,29 @@ def run_rma_em3d(
     graph: Em3dGraph,
     *,
     steps: int = 2,
-    costs: CostModel = SP2_COSTS,
     warmup_steps: int = 1,
-    tracer: Any | None = None,
-    faults: Any | None = None,
     reliable: bool = False,
     retry: Any = None,
-    metrics: Any | None = None,
-    topology: Any | None = None,
+    **machine: Any,
 ) -> Em3dRunResult:
     """Run EM3D with owner-push RMA ghost exchange and measure it.
 
     Same harness contract as
-    :func:`~repro.apps.em3d.splitc_impl.run_splitc_em3d` (fault plans,
-    reliable AM, topologies, tracer).
+    :func:`~repro.apps.em3d.splitc_impl.run_splitc_em3d`: ``machine`` is
+    :class:`~repro.machine.cluster.Cluster`'s keywords.
     """
     layout = Em3dLayout(graph)
     p = graph.params
-    cluster = Cluster(
-        p.n_procs,
-        costs=costs,
-        tracer=tracer,
-        faults=faults,
-        metrics=metrics,
-        topology=topology,
-    )
+    cluster = Cluster(p.n_procs, **machine)
     rt = SplitCRuntime(cluster, reliable=reliable, retry=retry)
+    costs = cluster.costs
     rma = install_rma(cluster, endpoints=rt.endpoints)
 
     for proc in range(p.n_procs):
         rt.memory(proc).alloc(VAL, graph.local_value_count(proc))
 
     per_neighbor = costs.cpu.em3d_per_neighbor
-    marks: dict[str, Any] = {}
+    window = cluster.window()
 
     def push_exports(
         proc: SCProcess, win: RMAProcess, plan: PhasePlan, phase: int
@@ -140,13 +129,11 @@ def run_rma_em3d(
         for _ in range(warmup_steps):
             yield from one_step(proc, win, ghost, state)
         if me == 0:
-            marks["t0"] = cluster.sim.now
-            marks["acct0"] = [n.account.snapshot() for n in cluster.nodes]
-            marks["cnt0"] = cluster.aggregate_counters().snapshot()
+            window.open()
         for _ in range(steps):
             yield from one_step(proc, win, ghost, state)
         if me == 0:
-            marks["t1"] = cluster.sim.now
+            window.close()
 
     rt.run_spmd(program, name="em3d-rma")
 
@@ -155,16 +142,10 @@ def run_rma_em3d(
         _, off = graph.value_slot(n.gid)
         values[n.gid] = rt.memory(n.proc).region(VAL)[off]
 
-    elapsed = marks["t1"] - marks["t0"]
-    breakdown: dict[str, float] = {}
-    for node, snap in zip(cluster.nodes, marks["acct0"]):
-        for cat, v in node.account.since(snap).items():
-            breakdown[str(cat)] = breakdown.get(str(cat), 0.0) + v
-    counters = cluster.aggregate_counters().since(marks["cnt0"])
     return Em3dRunResult(
         values=values,
-        elapsed_us=elapsed,
-        breakdown=breakdown,
-        per_edge_us=elapsed / (steps * graph.edge_terms_per_step),
-        counters=counters,
+        elapsed_us=window.elapsed_us,
+        breakdown=window.breakdown,
+        per_edge_us=window.elapsed_us / (steps * graph.edge_terms_per_step),
+        counters=window.counters,
     )

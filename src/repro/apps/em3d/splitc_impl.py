@@ -23,7 +23,6 @@ from repro.apps.em3d.graph import Em3dGraph
 from repro.apps.em3d.layout import VERSIONS, Em3dLayout, PhasePlan
 from repro.errors import ReproError
 from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
 from repro.sim.account import Category
 from repro.sim.effects import Charge
 from repro.splitc import SCProcess, SplitCRuntime
@@ -50,42 +49,27 @@ def run_splitc_em3d(
     *,
     steps: int = 2,
     version: str = "base",
-    costs: CostModel = SP2_COSTS,
     warmup_steps: int = 1,
-    fast_path: bool = True,
-    tracer: Any | None = None,
-    faults: Any | None = None,
     reliable: bool = False,
     retry: Any = None,
-    metrics: Any | None = None,
-    topology: Any | None = None,
+    **machine: Any,
 ) -> Em3dRunResult:
     """Run one Split-C EM3D configuration and measure it.
 
-    ``fast_path``/``tracer`` exist for the golden-trace determinism suite:
-    the engine's inline advances must reproduce the heap-only engine's
-    event trace and results exactly.  ``faults``/``reliable``/``retry`` run
-    the same workload over a lossy fabric with the reliable AM sublayer
+    ``machine`` is forwarded untouched to
+    :class:`~repro.machine.cluster.Cluster` (``costs``, ``topology``,
+    ``tracer``, ``metrics``, ``faults``, ``fast_path``), as in every
+    application harness.  ``reliable``/``retry`` select the reliable AM
+    sublayer, which a run over a lossy ``faults`` plan needs to finish
     (the drop-rate ablation in :mod:`repro.experiments.faults`).
-
-    ``topology`` is a :class:`~repro.machine.topology.Topology` or spec
-    string ("flat", "ring", "fattree:arity=8"); None keeps the
-    historical contention-free crossbar bit-for-bit.
     """
     if version not in VERSIONS:
         raise ReproError(f"unknown EM3D version {version!r}; pick from {VERSIONS}")
     layout = Em3dLayout(graph)
     p = graph.params
-    cluster = Cluster(
-        p.n_procs,
-        costs=costs,
-        fast_path=fast_path,
-        tracer=tracer,
-        faults=faults,
-        metrics=metrics,
-        topology=topology,
-    )
+    cluster = Cluster(p.n_procs, **machine)
     rt = SplitCRuntime(cluster, reliable=reliable, retry=retry)
+    costs = cluster.costs
 
     for proc in range(p.n_procs):
         mem = rt.memory(proc)
@@ -98,7 +82,7 @@ def run_splitc_em3d(
                     mem.alloc(layout.export_region(proc, reader, phase), len(gids))
 
     per_neighbor = costs.cpu.em3d_per_neighbor
-    marks: dict[str, Any] = {}
+    window = cluster.window()
 
     def phase_base(proc: SCProcess, plan: PhasePlan) -> Generator[Any, Any, None]:
         mem = proc.local(VAL)
@@ -194,13 +178,11 @@ def run_splitc_em3d(
         for _ in range(warmup_steps):
             yield from one_step(proc)
         if proc.my_node == 0:
-            marks["t0"] = cluster.sim.now
-            marks["acct0"] = [n.account.snapshot() for n in cluster.nodes]
-            marks["cnt0"] = cluster.aggregate_counters().snapshot()
+            window.open()
         for _ in range(steps):
             yield from one_step(proc)
         if proc.my_node == 0:
-            marks["t1"] = cluster.sim.now
+            window.close()
 
     rt.run_spmd(program, name=f"em3d-{version}")
 
@@ -209,16 +191,10 @@ def run_splitc_em3d(
         _, off = graph.value_slot(n.gid)
         values[n.gid] = rt.memory(n.proc).region(VAL)[off]
 
-    elapsed = marks["t1"] - marks["t0"]
-    breakdown: dict[str, float] = {}
-    for node, snap in zip(cluster.nodes, marks["acct0"]):
-        for cat, v in node.account.since(snap).items():
-            breakdown[str(cat)] = breakdown.get(str(cat), 0.0) + v
-    counters = cluster.aggregate_counters().since(marks["cnt0"])
     return Em3dRunResult(
         values=values,
-        elapsed_us=elapsed,
-        breakdown=breakdown,
-        per_edge_us=elapsed / (steps * graph.edge_terms_per_step),
-        counters=counters,
+        elapsed_us=window.elapsed_us,
+        breakdown=window.breakdown,
+        per_edge_us=window.elapsed_us / (steps * graph.edge_terms_per_step),
+        counters=window.counters,
     )

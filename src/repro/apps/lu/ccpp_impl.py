@@ -19,15 +19,13 @@ from repro.marshal import Marshallable
 from repro.marshal.packer import Packer, Unpacker
 from repro.ccpp import (
     CCContext,
-    CCppRuntime,
     ObjectGlobalPtr,
     ProcessorObject,
+    make_tham_runtime,
     processor_class,
     remote,
 )
 from repro.ccpp.collective import CCBarrier
-from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
 
 __all__ = ["run_ccpp_lu", "LuProc"]
 
@@ -72,19 +70,18 @@ class LuProc(ProcessorObject):
 def run_ccpp_lu(
     work: LuWorkload,
     *,
-    costs: CostModel = SP2_COSTS,
-    runtime_factory=None,
+    runtime_factory=make_tham_runtime,
+    **machine: Any,
 ) -> LuRunResult:
-    """Run cc-lu and measure it."""
+    """Run cc-lu and measure it.
+
+    ``runtime_factory`` and ``machine`` as in
+    :func:`~repro.apps.em3d.ccpp_impl.run_ccpp_em3d`."""
     p = work.params
     bs = p.block
     b = p.n_blocks
-    if runtime_factory is None:
-        cluster = Cluster(p.n_procs, costs=costs)
-        rt = CCppRuntime(cluster)
-    else:
-        rt = runtime_factory(p.n_procs)
-        cluster = rt.cluster
+    rt = runtime_factory(p.n_procs, **machine)
+    cluster = rt.cluster
 
     proxies: list[ObjectGlobalPtr] = []
     for nid in range(p.n_procs):
@@ -93,9 +90,9 @@ def run_ccpp_lu(
     barrier_id = rt._create_local(0, "CCBarrier", (p.n_procs,))
     barrier = ObjectGlobalPtr(0, barrier_id, "CCBarrier")
 
-    factor_us = rt.cluster.costs.cpu.lu_block_factor
-    update_us = rt.cluster.costs.cpu.lu_block_update
-    marks: dict[str, Any] = {}
+    factor_us = cluster.costs.cpu.lu_block_factor
+    update_us = cluster.costs.cpu.lu_block_update
+    window = cluster.window()
 
     def one_step(ctx: CCContext, k: int) -> Generator[Any, Any, None]:
         me = ctx.my_node
@@ -152,13 +149,11 @@ def run_ccpp_lu(
         me = ctx.my_node
         yield from CCBarrier.wait(ctx, barrier)
         if me == 0:
-            marks["t0"] = cluster.sim.now
-            marks["acct0"] = [nd.account.snapshot() for nd in cluster.nodes]
-            marks["cnt0"] = cluster.aggregate_counters().snapshot()
+            window.open()
         for k in range(b):
             yield from one_step(ctx, k)
         if me == 0:
-            marks["t1"] = cluster.sim.now
+            window.close()
 
     for nid in range(p.n_procs):
         rt.launch(nid, program, f"cc-lu@{nid}")
@@ -170,14 +165,9 @@ def run_ccpp_lu(
         for (i, j) in work.owned_blocks(q):
             packed[i * bs : (i + 1) * bs, j * bs : (j + 1) * bs] = proxy.block(i, j)
 
-    elapsed = marks["t1"] - marks["t0"]
-    breakdown: dict[str, float] = {}
-    for node, snap in zip(cluster.nodes, marks["acct0"]):
-        for cat, v in node.account.since(snap).items():
-            breakdown[str(cat)] = breakdown.get(str(cat), 0.0) + v
     return LuRunResult(
         packed=packed,
-        elapsed_us=elapsed,
-        breakdown=breakdown,
-        counters=cluster.aggregate_counters().since(marks["cnt0"]),
+        elapsed_us=window.elapsed_us,
+        breakdown=window.breakdown,
+        counters=window.counters,
     )

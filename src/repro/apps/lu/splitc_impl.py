@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.apps.lu.blocked import LuParams, LuWorkload, lu_nopivot, panel_l, panel_u
 from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
 from repro.splitc import SCProcess, SplitCRuntime
 
 __all__ = ["LuRunResult", "run_splitc_lu"]
@@ -42,15 +41,20 @@ def _cache_slots(params: LuParams) -> int:
 def run_splitc_lu(
     work: LuWorkload,
     *,
-    costs: CostModel = SP2_COSTS,
+    reliable: bool = False,
+    retry: Any = None,
+    **machine: Any,
 ) -> LuRunResult:
-    """Run sc-lu and measure it."""
+    """Run sc-lu and measure it.
+
+    Machine and reliability keywords as in
+    :func:`~repro.apps.em3d.splitc_impl.run_splitc_em3d`."""
     p = work.params
     bs = p.block
     bs2 = bs * bs
     b = p.n_blocks
-    cluster = Cluster(p.n_procs, costs=costs)
-    rt = SplitCRuntime(cluster)
+    cluster = Cluster(p.n_procs, **machine)
+    rt = SplitCRuntime(cluster, reliable=reliable, retry=retry)
 
     for q in range(p.n_procs):
         mem = rt.memory(q)
@@ -59,9 +63,9 @@ def run_splitc_lu(
             work.block_of(region, i, j)[:] = work.initial_block(i, j)
         mem.alloc(CACHE, _cache_slots(p) * bs2)
 
-    factor_us = costs.cpu.lu_block_factor
-    update_us = costs.cpu.lu_block_update
-    marks: dict[str, Any] = {}
+    factor_us = cluster.costs.cpu.lu_block_factor
+    update_us = cluster.costs.cpu.lu_block_update
+    window = cluster.window()
 
     def cache_view(proc: SCProcess, slot: int) -> np.ndarray:
         return proc.local(CACHE)[slot * bs2 : (slot + 1) * bs2].reshape(bs, bs)
@@ -141,13 +145,11 @@ def run_splitc_lu(
     def program(proc: SCProcess) -> Generator[Any, Any, None]:
         yield from proc.barrier()
         if proc.my_node == 0:
-            marks["t0"] = cluster.sim.now
-            marks["acct0"] = [nd.account.snapshot() for nd in cluster.nodes]
-            marks["cnt0"] = cluster.aggregate_counters().snapshot()
+            window.open()
         for k in range(b):
             yield from one_step(proc, k)
         if proc.my_node == 0:
-            marks["t1"] = cluster.sim.now
+            window.close()
 
     rt.run_spmd(program, name="sc-lu")
 
@@ -159,14 +161,9 @@ def run_splitc_lu(
                 region, i, j
             )
 
-    elapsed = marks["t1"] - marks["t0"]
-    breakdown: dict[str, float] = {}
-    for node, snap in zip(cluster.nodes, marks["acct0"]):
-        for cat, v in node.account.since(snap).items():
-            breakdown[str(cat)] = breakdown.get(str(cat), 0.0) + v
     return LuRunResult(
         packed=packed,
-        elapsed_us=elapsed,
-        breakdown=breakdown,
-        counters=cluster.aggregate_counters().since(marks["cnt0"]),
+        elapsed_us=window.elapsed_us,
+        breakdown=window.breakdown,
+        counters=window.counters,
     )

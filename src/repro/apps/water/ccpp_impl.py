@@ -26,16 +26,14 @@ from repro.apps.water.splitc_impl import VERSIONS, WaterRunResult
 from repro.apps.water.system import WaterSystem, pair_interaction
 from repro.ccpp import (
     CCContext,
-    CCppRuntime,
     ObjectGlobalPtr,
     ProcessorObject,
+    make_tham_runtime,
     processor_class,
     remote,
 )
 from repro.ccpp.collective import CCBarrier
 from repro.errors import ReproError
-from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
 from repro.threads.sync import Condition, Lock
 
 __all__ = ["run_ccpp_water", "WaterProc"]
@@ -111,21 +109,20 @@ def run_ccpp_water(
     system: WaterSystem,
     *,
     version: str = "atomic",
-    costs: CostModel = SP2_COSTS,
-    runtime_factory=None,
+    runtime_factory=make_tham_runtime,
+    **machine: Any,
 ) -> WaterRunResult:
-    """Run one CC++ Water configuration and measure it."""
+    """Run one CC++ Water configuration and measure it.
+
+    ``runtime_factory`` and ``machine`` as in
+    :func:`~repro.apps.em3d.ccpp_impl.run_ccpp_em3d`."""
     if version not in VERSIONS:
         raise ReproError(f"unknown Water version {version!r}; pick from {VERSIONS}")
     p = system.params
     n = p.n_molecules
     nlocal = system.n_local
-    if runtime_factory is None:
-        cluster = Cluster(p.n_procs, costs=costs)
-        rt = CCppRuntime(cluster)
-    else:
-        rt = runtime_factory(p.n_procs)
-        cluster = rt.cluster
+    rt = runtime_factory(p.n_procs, **machine)
+    cluster = rt.cluster
 
     proxies: list[ObjectGlobalPtr] = []
     for nid in range(p.n_procs):
@@ -138,9 +135,9 @@ def run_ccpp_water(
         system.expected_remote_force_updates(q) if version == "atomic" else q
         for q in range(p.n_procs)
     ]
-    per_pair = rt.cluster.costs.cpu.water_per_pair
-    per_mol = rt.cluster.costs.cpu.water_per_molecule
-    marks: dict[str, Any] = {}
+    per_pair = cluster.costs.cpu.water_per_pair
+    per_mol = cluster.costs.cpu.water_per_molecule
+    window = cluster.window()
 
     def pair_phase_atomic(ctx: CCContext, me: int) -> Generator[Any, Any, float]:
         proxy: WaterProc = rt.object_table(me).get(1)
@@ -222,14 +219,12 @@ def run_ccpp_water(
         me = ctx.my_node
         yield from CCBarrier.wait(ctx, barrier)
         if me == 0:
-            marks["t0"] = cluster.sim.now
-            marks["acct0"] = [nd.account.snapshot() for nd in cluster.nodes]
-            marks["cnt0"] = cluster.aggregate_counters().snapshot()
+            window.open()
         for _ in range(p.steps):
             yield from one_step(ctx)
         yield from CCBarrier.wait(ctx, barrier)
         if me == 0:
-            marks["t1"] = cluster.sim.now
+            window.close()
 
     for nid in range(p.n_procs):
         rt.launch(nid, program, f"water-{version}@{nid}")
@@ -243,16 +238,11 @@ def run_ccpp_water(
     )
     potential = float(rt.object_table(0).get(1).pot)
 
-    elapsed = marks["t1"] - marks["t0"]
-    breakdown: dict[str, float] = {}
-    for node, snap in zip(cluster.nodes, marks["acct0"]):
-        for cat, v in node.account.since(snap).items():
-            breakdown[str(cat)] = breakdown.get(str(cat), 0.0) + v
     return WaterRunResult(
         positions=positions,
         velocities=velocities,
         potential=potential,
-        elapsed_us=elapsed,
-        breakdown=breakdown,
-        counters=cluster.aggregate_counters().since(marks["cnt0"]),
+        elapsed_us=window.elapsed_us,
+        breakdown=window.breakdown,
+        counters=window.counters,
     )

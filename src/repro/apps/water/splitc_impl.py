@@ -24,7 +24,6 @@ import numpy as np
 from repro.apps.water.system import WaterSystem, pair_interaction
 from repro.errors import ReproError
 from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
 from repro.splitc import SCProcess, SplitCRuntime
 
 __all__ = ["WaterRunResult", "run_splitc_water"]
@@ -54,16 +53,21 @@ def run_splitc_water(
     system: WaterSystem,
     *,
     version: str = "atomic",
-    costs: CostModel = SP2_COSTS,
+    reliable: bool = False,
+    retry: Any = None,
+    **machine: Any,
 ) -> WaterRunResult:
-    """Run one Split-C Water configuration and measure it."""
+    """Run one Split-C Water configuration and measure it.
+
+    Machine and reliability keywords as in
+    :func:`~repro.apps.em3d.splitc_impl.run_splitc_em3d`."""
     if version not in VERSIONS:
         raise ReproError(f"unknown Water version {version!r}; pick from {VERSIONS}")
     p = system.params
     n = p.n_molecules
     nlocal = system.n_local
-    cluster = Cluster(p.n_procs, costs=costs)
-    rt = SplitCRuntime(cluster)
+    cluster = Cluster(p.n_procs, **machine)
+    rt = SplitCRuntime(cluster, reliable=reliable, retry=retry)
 
     def add_pot(_rt, _nid, v):
         _rt.memory(0).region(POT)[0] += v
@@ -88,9 +92,9 @@ def run_splitc_water(
         system.expected_remote_force_updates(q) if version == "atomic" else 0
         for q in range(p.n_procs)
     ]
-    per_pair = costs.cpu.water_per_pair
-    per_mol = costs.cpu.water_per_molecule
-    marks: dict[str, Any] = {}
+    per_pair = cluster.costs.cpu.water_per_pair
+    per_mol = cluster.costs.cpu.water_per_molecule
+    window = cluster.window()
 
     def pair_phase_atomic(proc: SCProcess) -> Generator[Any, Any, float]:
         me = proc.my_node
@@ -189,14 +193,12 @@ def run_splitc_water(
     def program(proc: SCProcess) -> Generator[Any, Any, None]:
         yield from proc.barrier()
         if proc.my_node == 0:
-            marks["t0"] = cluster.sim.now
-            marks["acct0"] = [nd.account.snapshot() for nd in cluster.nodes]
-            marks["cnt0"] = cluster.aggregate_counters().snapshot()
+            window.open()
         for _ in range(p.steps):
             yield from one_step(proc)
         yield from proc.barrier()
         if proc.my_node == 0:
-            marks["t1"] = cluster.sim.now
+            window.close()
 
     rt.run_spmd(program, name=f"water-{version}")
 
@@ -208,18 +210,13 @@ def run_splitc_water(
     )
     potential = float(rt.memory(0).region(POT)[0])
 
-    elapsed = marks["t1"] - marks["t0"]
-    breakdown: dict[str, float] = {}
-    for node, snap in zip(cluster.nodes, marks["acct0"]):
-        for cat, v in node.account.since(snap).items():
-            breakdown[str(cat)] = breakdown.get(str(cat), 0.0) + v
     return WaterRunResult(
         positions=positions,
         velocities=velocities,
         potential=potential,
-        elapsed_us=elapsed,
-        breakdown=breakdown,
-        counters=cluster.aggregate_counters().since(marks["cnt0"]),
+        elapsed_us=window.elapsed_us,
+        breakdown=window.breakdown,
+        counters=window.counters,
     )
 
 

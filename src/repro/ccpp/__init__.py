@@ -32,10 +32,11 @@ from repro.ccpp.par import par, parfor, spawn_thread
 from repro.ccpp.procobj import ProcessorObject, remote
 from repro.ccpp.registry import processor_class, registered_class
 from repro.ccpp.rmi import WaitMode
-from repro.ccpp.runtime import CCContext, CCppRuntime
+from repro.ccpp.runtime import CCContext, CCppRuntime, make_tham_runtime
 
 __all__ = [
     "CCppRuntime",
+    "make_tham_runtime",
     "CCContext",
     "ProcessorObject",
     "processor_class",

@@ -14,7 +14,7 @@ from typing import TypeVar
 from repro.ccpp.procobj import ProcessorObject, remote_methods_of
 from repro.errors import RuntimeStateError
 
-__all__ = ["processor_class", "registered_class", "registered_names", "clear_registry"]
+__all__ = ["processor_class", "registered_class", "registered_names"]
 
 _classes: dict[str, type[ProcessorObject]] = {}
 
@@ -50,9 +50,3 @@ def registered_class(name: str) -> type[ProcessorObject]:
 
 def registered_names() -> list[str]:
     return sorted(_classes)
-
-
-def clear_registry(*, keep_builtin: bool = True) -> None:
-    """Reset the registry (tests).  Builtin runtime classes re-register on
-    next runtime construction."""
-    _classes.clear()

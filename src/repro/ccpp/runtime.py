@@ -37,7 +37,7 @@ from repro.sim.effects import Charge
 from repro.threads.sync import Lock, SyncCell
 from repro.threads.thread import UThread
 
-__all__ = ["CCppRuntime", "CCContext"]
+__all__ = ["CCppRuntime", "CCContext", "make_tham_runtime"]
 
 _ATOMIC_LOCK_ATTR = "_ccpp_atomic_lock"
 
@@ -58,16 +58,6 @@ class _NodeManager(ProcessorObject):
     @remote
     def ping(self) -> int:
         """Null non-threaded method (the 0-Word micro-benchmark target)."""
-        return 0
-
-    @remote(threaded=True)
-    def ping_threaded(self) -> int:
-        """Null threaded method (0-Word Threaded)."""
-        return 0
-
-    @remote(atomic=True)
-    def ping_atomic(self) -> int:
-        """Null atomic method (0-Word Atomic)."""
         return 0
 
 
@@ -208,6 +198,15 @@ class CCppRuntime:
 
     def run(self) -> float:
         return self.cluster.run()
+
+
+def make_tham_runtime(
+    n_nodes: int, *, reliable: bool = False, retry: Any = None, **machine: Any
+) -> CCppRuntime:
+    """Build a cluster (``machine`` is :class:`Cluster`'s keywords) and
+    install CC++/ThAM on it — the default ``runtime_factory`` of the CC++
+    application harnesses; ``make_nexus_runtime`` is the other one."""
+    return CCppRuntime(Cluster(n_nodes, **machine), reliable=reliable, retry=retry)
 
 
 class CCContext:

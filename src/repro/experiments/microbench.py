@@ -29,8 +29,7 @@ from repro.ccpp import (
     remote,
 )
 from repro.experiments.results import MicroRow
-from repro.machine.cluster import Cluster
-from repro.machine.costs import SP2_COSTS, CostModel
+from repro.machine.cluster import Cluster, Window
 from repro.marshal import Marshallable
 from repro.marshal.packer import Packer, Unpacker
 from repro.mpl import install_mpl
@@ -53,43 +52,24 @@ _WARMUP = 4
 _DEFAULT_ITERS = 50
 
 
-class _Recorder:
-    """Snapshot/delta helper over a cluster's accounts and counters."""
-
-    def __init__(self, cluster: Cluster):
-        self.cluster = cluster
-        self._t0 = 0.0
-        self._acct0: list[dict] = []
-        self._cnt0: dict | None = None
-
-    def start(self) -> None:
-        self._t0 = self.cluster.sim.now
-        self._acct0 = [n.account.snapshot() for n in self.cluster.nodes]
-        self._cnt0 = self.cluster.aggregate_counters().snapshot()
-
-    def finish(self, name: str, iters: int) -> MicroRow:
-        elapsed = self.cluster.sim.now - self._t0
-        mgmt = sync = runtime = cpu = 0.0
-        for node, snap in zip(self.cluster.nodes, self._acct0):
-            delta = node.account.since(snap)
-            mgmt += delta[Category.THREAD_MGMT]
-            sync += delta[Category.THREAD_SYNC]
-            runtime += delta[Category.RUNTIME]
-            cpu += delta[Category.CPU]
-        counters = self.cluster.aggregate_counters().since(self._cnt0 or {})
-        threads = mgmt + sync
-        total = elapsed / iters
-        return MicroRow(
-            name=name,
-            total_us=total,
-            am_us=total - (threads + runtime + cpu) / iters,
-            threads_us=threads / iters,
-            runtime_us=runtime / iters,
-            cpu_us=cpu / iters,
-            yields=counters.get(CounterNames.THREAD_YIELD, 0) / iters,
-            creates=counters.get(CounterNames.THREAD_CREATE, 0) / iters,
-            syncs=counters.get(CounterNames.THREAD_SYNC_OP, 0) / iters,
-        )
+def _micro_row(name: str, iters: int, window: Window) -> MicroRow:
+    """Per-iteration Table 4 row from a closed measurement window."""
+    breakdown, counters = window.breakdown, window.counters
+    threads = breakdown[str(Category.THREAD_MGMT)] + breakdown[str(Category.THREAD_SYNC)]
+    runtime = breakdown[str(Category.RUNTIME)]
+    cpu = breakdown[str(Category.CPU)]
+    total = window.elapsed_us / iters
+    return MicroRow(
+        name=name,
+        total_us=total,
+        am_us=total - (threads + runtime + cpu) / iters,
+        threads_us=threads / iters,
+        runtime_us=runtime / iters,
+        cpu_us=cpu / iters,
+        yields=counters.get(CounterNames.THREAD_YIELD, 0) / iters,
+        creates=counters.get(CounterNames.THREAD_CREATE, 0) / iters,
+        syncs=counters.get(CounterNames.THREAD_SYNC_OP, 0) / iters,
+    )
 
 
 # --------------------------------------------------------------------- CC++
@@ -235,40 +215,39 @@ def run_cc_microbench(
     name: str,
     *,
     iters: int = _DEFAULT_ITERS,
-    costs: CostModel = SP2_COSTS,
     stub_caching: bool = True,
     persistent_buffers: bool = True,
     reception: str = "polling",
-    fast_path: bool = True,
     stats_out: dict | None = None,
-    metrics: Any | None = None,
+    **machine: Any,
 ) -> MicroRow:
     """Run one CC++ micro-benchmark on a fresh 2-node cluster.
 
-    ``fast_path=False`` runs the unoptimized heap-only engine; the
-    golden-trace tests assert the row is identical either way.  Pass a
+    ``machine`` is :class:`Cluster`'s keywords (``costs``, ``metrics``,
+    ``fast_path`` …), here and in the three harnesses below.  Pass a
     dict as ``stats_out`` to receive the engine's ``fastpath_stats()``
     (wall-clock instrumentation for the throughput benchmarks).
     """
     op, scale = CC_BENCHMARKS[name]
-    cluster = Cluster(2, costs=costs, fast_path=fast_path, metrics=metrics)
+    cluster = Cluster(2, **machine)
     rt = CCppRuntime(
         cluster,
         stub_caching=stub_caching,
         persistent_buffers=persistent_buffers,
         reception=reception,
     )
-    recorder = _Recorder(cluster)
+    window = cluster.window()
     out: dict[str, MicroRow] = {}
 
     def main(ctx):
         gp = yield from ctx.create(1, CCBench)
         for _ in range(_WARMUP):
             yield from op(ctx, gp)
-        recorder.start()
+        window.open()
         for _ in range(iters):
             yield from op(ctx, gp)
-        out["row"] = recorder.finish(name, iters).scaled(scale)
+        window.close()
+        out["row"] = _micro_row(name, iters, window).scaled(scale)
 
     rt.launch(0, main, f"bench:{name}")
     rt.run()
@@ -321,10 +300,8 @@ def run_sc_microbench(
     name: str,
     *,
     iters: int = _DEFAULT_ITERS,
-    costs: CostModel = SP2_COSTS,
-    fast_path: bool = True,
     stats_out: dict | None = None,
-    metrics: Any | None = None,
+    **machine: Any,
 ) -> MicroRow:
     """Run one Split-C micro-benchmark on a fresh 2-node cluster.
 
@@ -332,14 +309,14 @@ def run_sc_microbench(
     therefore servicing node 0's requests, as an SPMD program would.
     """
     op, scale = SC_BENCHMARKS[name]
-    cluster = Cluster(2, costs=costs, fast_path=fast_path, metrics=metrics)
+    cluster = Cluster(2, **machine)
     rt = SplitCRuntime(cluster)
     rt.register_rpc("foo", lambda _rt, _nid: 0)
     for nid in range(2):
         rt.memory(nid).alloc("bench.Y", 32)
         rt.memory(nid).alloc("bench.A", 20)
         rt.memory(nid).alloc("bench.L", 32)
-    recorder = _Recorder(cluster)
+    window = cluster.window()
     env = {"values": np.arange(20, dtype=np.float64)}
     out: dict[str, MicroRow] = {}
 
@@ -347,10 +324,11 @@ def run_sc_microbench(
         if proc.my_node == 0:
             for _ in range(_WARMUP):
                 yield from op(proc, env)
-            recorder.start()
+            window.open()
             for _ in range(iters):
                 yield from op(proc, env)
-            out["row"] = recorder.finish(name, iters).scaled(scale)
+            window.close()
+            out["row"] = _micro_row(name, iters, window).scaled(scale)
         yield from proc.barrier()
 
     rt.run_spmd(program)
@@ -365,12 +343,10 @@ def run_sc_microbench(
 def am_base_rtt(
     *,
     iters: int = _DEFAULT_ITERS,
-    costs: CostModel = SP2_COSTS,
-    faults: Any | None = None,
     reliable: bool = False,
     retry: Any = None,
     stats_out: dict | None = None,
-    metrics: Any | None = None,
+    **machine: Any,
 ) -> float:
     """Round-trip time of the bare AM layer (the 55 µs reference).
 
@@ -379,8 +355,9 @@ def am_base_rtt(
     ablation of :mod:`repro.experiments.faults`.  ``stats_out`` receives
     protocol counters (retransmits, acks, drops) and the summed NET µs.
     """
-    cluster = Cluster(2, costs=costs, faults=faults, metrics=metrics)
+    cluster = Cluster(2, **machine)
     eps = install_am(cluster, reliable=reliable, retry=retry)
+    metrics = cluster.metrics
     # per-iteration RTT distribution (None when metrics are off); under a
     # fault plan the tail shows the retransmission delays directly
     h_rtt = None if metrics is None else metrics.histogram(MetricNames.AM_RTT)
@@ -439,9 +416,9 @@ def am_base_rtt(
     return out["rtt"]
 
 
-def mpl_rtt(*, iters: int = _DEFAULT_ITERS, costs: CostModel = SP2_COSTS) -> float:
+def mpl_rtt(*, iters: int = _DEFAULT_ITERS, **machine: Any) -> float:
     """Round-trip time of the MPL layer (the 88 µs vendor reference)."""
-    cluster = Cluster(2, costs=costs)
+    cluster = Cluster(2, **machine)
     eps = install_mpl(cluster)
     out = {}
 

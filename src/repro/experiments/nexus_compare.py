@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments import paper
 from repro.util.tables import TextTable
 
 __all__ = ["NexusCompareResult", "run"]
@@ -105,8 +104,3 @@ def run(*, quick: bool = True, seed: int = 1997) -> NexusCompareResult:
     result.nexus_us["lu"] = nexus.elapsed_us
 
     return result
-
-
-def paper_bands() -> dict[str, tuple[float, float]]:
-    """The paper's reported speedup ranges (re-exported for tests)."""
-    return dict(paper.NEXUS_SPEEDUPS)

@@ -17,10 +17,50 @@ from repro.sim.trace import Tracer
 from repro.threads.scheduler import Scheduler
 from repro.threads.thread import UThread
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "Window"]
 
 #: default stall-watchdog window (virtual µs) when ``watchdog_us=True``
 DEFAULT_WATCHDOG_US = 100_000.0
+
+
+class Window:
+    """One measured interval on a cluster: what Figures 5/6 and Table 4
+    report for it.
+
+    A program opens the window when its warm-up is over and closes it
+    when the measured work is done; ``close`` fixes ``elapsed_us``.
+    ``breakdown`` and ``counters`` are deltas from ``open`` to the moment
+    they are read — the application harnesses read them after
+    ``Cluster.run`` has returned, so what the other nodes charge while
+    leaving the last barrier is counted.
+    """
+
+    def __init__(self, cluster: "Cluster"):
+        self._cluster = cluster
+        self.elapsed_us = 0.0
+
+    def open(self) -> None:
+        cluster = self._cluster
+        self._t0 = cluster.sim.now
+        self._acct0 = [n.account.snapshot() for n in cluster.nodes]
+        self._cnt0 = cluster.aggregate_counters().snapshot()
+
+    def close(self) -> None:
+        self.elapsed_us = self._cluster.sim.now - self._t0
+
+    @property
+    def breakdown(self) -> dict[str, float]:
+        """Virtual µs per category (``idle`` kept apart), summed node by
+        node in node order."""
+        out: dict[str, float] = {}
+        for node, snap in zip(self._cluster.nodes, self._acct0):
+            for cat, v in node.account.since(snap).items():
+                out[str(cat)] = out.get(str(cat), 0.0) + v
+        return out
+
+    @property
+    def counters(self) -> dict[str, int]:
+        return self._cluster.aggregate_counters().since(self._cnt0)
 
 
 class Cluster:
@@ -250,6 +290,10 @@ class Cluster:
             )
 
     # ------------------------------------------------------------- aggregates
+
+    def window(self) -> Window:
+        """A fresh measurement :class:`Window` over this cluster."""
+        return Window(self)
 
     def aggregate_account(self) -> TimeAccount:
         """Sum of all per-node time accounts (for breakdown figures)."""

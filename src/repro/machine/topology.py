@@ -181,9 +181,6 @@ class Topology:
 
     # ----------------------------------------------------- instrumentation
 
-    def link_label(self, lid: int) -> str:
-        return self._labels[lid]
-
     def utilization(self, elapsed_us: float) -> list[float]:
         """Per-link busy fraction over ``elapsed_us`` of virtual time."""
         if elapsed_us <= 0.0:

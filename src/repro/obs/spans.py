@@ -101,11 +101,6 @@ class SpanRecorder(RecordingTracer):
         """All closed spans, in begin order."""
         return [s for s in self.spans if s.end >= 0.0]
 
-    def open_spans(self) -> list[Span]:
-        """Spans begun but never ended (an error path interrupted them,
-        or the run stopped mid-operation)."""
-        return [s for s in self.spans if s.end < 0.0]
-
     def of_name(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
 

@@ -168,10 +168,6 @@ class Simulator:
         """
         return self._events_fired
 
-    @property
-    def fast_path(self) -> bool:
-        return self._fast_path
-
     def fastpath_stats(self) -> dict[str, int]:
         """Counters for how often the heap was bypassed."""
         return {

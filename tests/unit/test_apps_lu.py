@@ -16,11 +16,17 @@ from repro.apps.lu import (
 from repro.apps.lu.blocked import panel_l, panel_u
 from repro.apps.lu.reference import assemble
 from repro.errors import ReproError
+from tests.helpers import MACHINE_PARAMS, run_on_machine
 
 
 @pytest.fixture(scope="module")
 def work():
     return LuWorkload(LuParams(n=32, block=8, n_procs=4, seed=17))
+
+
+@pytest.fixture(scope="module")
+def work64():
+    return LuWorkload(LuParams(n=64, block=8, n_procs=4, seed=17))
 
 
 class TestParams:
@@ -103,17 +109,17 @@ class TestExecution:
         )
         assert np.allclose(work.matrix @ x, np.ones(work.params.n))
 
-    def test_splitc_matches_reference(self, work):
-        ref = reference_lu(work)
-        res = run_splitc_lu(work)
-        assert np.allclose(res.packed, ref)
-        assert check_factorization(work, res.packed)
+    @pytest.mark.parametrize("machine", MACHINE_PARAMS)
+    def test_splitc_matches_reference(self, work64, machine):
+        res = run_on_machine(run_splitc_lu, work64, machine, ("packed",))
+        assert np.allclose(res.packed, reference_lu(work64))
+        assert check_factorization(work64, res.packed)
 
-    def test_ccpp_matches_reference(self, work):
-        ref = reference_lu(work)
-        res = run_ccpp_lu(work)
-        assert np.allclose(res.packed, ref)
-        assert check_factorization(work, res.packed)
+    @pytest.mark.parametrize("machine", MACHINE_PARAMS)
+    def test_ccpp_matches_reference(self, work64, machine):
+        res = run_on_machine(run_ccpp_lu, work64, machine, ("packed",))
+        assert np.allclose(res.packed, reference_lu(work64))
+        assert check_factorization(work64, res.packed)
 
     def test_ccpp_gap_in_paper_direction(self, work):
         sc = run_splitc_lu(work)

@@ -12,6 +12,7 @@ from repro.apps.water import (
 )
 from repro.apps.water.system import pair_interaction
 from repro.errors import ReproError
+from tests.helpers import MACHINE_PARAMS, run_on_machine
 
 
 @pytest.fixture(scope="module")
@@ -100,18 +101,31 @@ class TestReference:
 
 
 class TestExecution:
+    @pytest.mark.parametrize("machine", MACHINE_PARAMS)
     @pytest.mark.parametrize("version", ["atomic", "prefetch"])
-    def test_splitc_matches_reference(self, system, version):
+    def test_splitc_matches_reference(self, system, version, machine):
         ref_pos, ref_vel, ref_pot = reference_water(system, system.params.steps)
-        res = run_splitc_water(system, version=version)
+        res = run_on_machine(
+            run_splitc_water, system, machine,
+            ("positions", "velocities", "potential"), version=version,
+        )
         assert np.allclose(res.positions, ref_pos)
         assert np.allclose(res.velocities, ref_vel)
         assert res.potential == pytest.approx(ref_pot)
 
+    @pytest.mark.parametrize("machine", MACHINE_PARAMS)
     @pytest.mark.parametrize("version", ["atomic", "prefetch"])
-    def test_ccpp_matches_reference(self, system, version):
+    def test_ccpp_matches_reference(self, system, version, machine):
         ref_pos, _, ref_pot = reference_water(system, system.params.steps)
-        res = run_ccpp_water(system, version=version)
+        # add_forces_block accumulates whole force blocks in arrival order,
+        # and float addition does not associate: a machine that reorders
+        # arrivals (drops, fat-tree queueing) moves the last bits
+        reorders = version == "prefetch" and machine in ("lossy", "fattree")
+        res = run_on_machine(
+            run_ccpp_water, system, machine,
+            ("positions", "velocities", "potential"),
+            bitwise=not reorders, version=version,
+        )
         assert np.allclose(res.positions, ref_pos)
         assert res.potential == pytest.approx(ref_pot)
 
@@ -120,6 +134,14 @@ class TestExecution:
             run_splitc_water(system, version="magic")
         with pytest.raises(ReproError):
             run_ccpp_water(system, version="magic")
+
+    def test_unknown_machine_keyword_rejected(self, system):
+        """Machine keywords are Cluster's: a typo fails there, as it does
+        for a direct caller."""
+        with pytest.raises(TypeError, match="bogus"):
+            run_splitc_water(system, bogus=1)
+        with pytest.raises(TypeError, match="bogus"):
+            run_ccpp_water(system, bogus=1)
 
     def test_prefetch_reduces_messages_an_order_of_magnitude(self, system):
         """The paper's '10-fold reduction in remote accesses'."""

@@ -61,3 +61,25 @@ def test_nexus_rmi_an_order_of_magnitude_slower():
 
     ratio = nexus["per_rmi"] / tham["per_rmi"]
     assert ratio > 10.0, f"Nexus should be >>10x slower, got {ratio:.1f}x"
+
+
+def test_factory_forwards_the_machine():
+    """``make_nexus_runtime`` takes Cluster's keywords like the ThAM
+    builder does; the CC++ application runners used to call it with the
+    proc count alone, so a Nexus run on a ring was a flat-crossbar run."""
+    from repro.apps.em3d import Em3dGraph, Em3dParams, run_ccpp_em3d
+    from repro.apps.lu import LuParams, LuWorkload, run_ccpp_lu
+    from repro.apps.water import WaterParams, WaterSystem, run_ccpp_water
+    from repro.machine.topology import RingTopology
+
+    assert isinstance(make_nexus_runtime(2, topology="ring").cluster.topology, RingTopology)
+
+    graph = Em3dGraph(Em3dParams(n_nodes=32, degree=4, n_procs=4, pct_remote=1.0))
+    system = WaterSystem(WaterParams(n_molecules=8, n_procs=4, steps=1, seed=13))
+    work = LuWorkload(LuParams(n=32, block=8, n_procs=4, seed=17))
+    for run, workload in (
+        (run_ccpp_em3d, graph), (run_ccpp_water, system), (run_ccpp_lu, work)
+    ):
+        flat = run(workload, runtime_factory=make_nexus_runtime)
+        ring = run(workload, runtime_factory=make_nexus_runtime, topology="ring")
+        assert ring.elapsed_us > flat.elapsed_us, run.__name__
