@@ -94,16 +94,21 @@ class Cluster:
         costs.validate()
         self.costs = costs
         # topology accepts a spec string ("flat", "ring",
-        # "fattree:arity=8,fatness=2") or a prebuilt Topology sized to this
-        # cluster; None keeps the historical contention-free crossbar
+        # "fattree:arity=8,fatness=2") or a Topology sized to this cluster;
+        # None keeps the historical contention-free crossbar.  Either form
+        # describes the fabric: the cluster runs on links of its own, so
+        # one Topology object can be given to any number of clusters
         if isinstance(topology, str):
             topology = make_topology(topology, n_nodes)
-        elif topology is not None and topology.n_nodes != n_nodes:
-            raise SimulationError(
-                f"topology sized for {topology.n_nodes} nodes on a "
-                f"{n_nodes}-node cluster"
-            )
-        #: the interconnect shape (None = legacy flat crossbar)
+        elif topology is not None:
+            if topology.n_nodes != n_nodes:
+                raise SimulationError(
+                    f"topology sized for {topology.n_nodes} nodes on a "
+                    f"{n_nodes}-node cluster"
+                )
+            topology = topology.fresh()
+        #: this run's interconnect (None = legacy flat crossbar): the object
+        #: link occupancy and the per-link counters are read from
         self.topology = topology
         #: the tracer shared by every node/network (None = untraced);
         #: runtimes probe it for the span capability

@@ -28,7 +28,7 @@ the paper's AM-vs-runtime cost split is untouched.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import SimulationError
@@ -56,6 +56,8 @@ class Packet:
     none), and ``attempt`` counts retransmissions of the same sequence
     number (0 = original send).  ``pid`` numbers the packets of one
     network, assigned at injection (-1 = not sent): no process-wide count.
+    A packet is its own arrival event (the engine calls it when the wire
+    time is up): in flight it allocates this object and one heap entry.
     """
 
     src: int
@@ -73,6 +75,18 @@ class Packet:
     # (retransmits are fresh packets), and traced runs describe each
     # packet at least twice (send + deliver)
     _descr: str | None = None
+    # the network carrying this packet, from injection to arrival only: a
+    # packet in an inbox must not keep its network (and so every node,
+    # inbox and packet of the cluster) reachable from itself
+    _net: Any = field(default=None, compare=False, repr=False)
+
+    def __call__(self) -> None:
+        """Land: leave the wire, enter the destination node."""
+        net = self._net
+        self._net = None
+        del net._in_flight[self.pid]
+        net.packets_delivered += 1
+        net._nodes[self.dst].deliver(self)
 
     def describe(self) -> str:
         d = self._descr
@@ -162,10 +176,10 @@ class Network:
         nodes = self._nodes
         try:
             src = nodes[packet.src]
-            dst = nodes[packet.dst]
+            nodes[packet.dst]  # looked up again on landing; refuse it here
         except KeyError:
             src = self.node(packet.src)  # re-raise with the diagnostic
-            dst = self.node(packet.dst)
+            self.node(packet.dst)
         net_costs = src.costs.net
         # inlined short/bulk_wire_time: one transmit per simulated message
         nbytes = packet.nbytes
@@ -201,19 +215,7 @@ class Network:
             self._trace(now, packet.src, "send", packet.describe())
 
         faults = self.faults
-        if faults is None:
-            # inlined _schedule_delivery — one closure and one schedule
-            # per message on the common fault-free path
-            self._in_flight[packet.pid] = packet
-
-            def _arrive() -> None:
-                del self._in_flight[packet.pid]
-                self.packets_delivered += 1
-                dst.deliver(packet)
-
-            self.sim.schedule(wire, _arrive)
-            return
-        else:
+        if faults is not None:
             verdict = faults.decide(
                 packet.src, packet.dst, packet.kind, now, packet.arrival_time
             )
@@ -230,8 +232,9 @@ class Network:
             if verdict.duplicate:
                 # the copy is a distinct packet (own pid) sharing the
                 # payload and reliability fields; it rides the same wire
-                # time, landing right after the original at the same
-                # instant (engine tie-break keeps the order deterministic)
+                # time and, scheduled first, lands just ahead of the
+                # original at the same instant (the engine's tie-break
+                # keeps the order deterministic)
                 self.packets_duplicated += 1
                 src.counters.inc(CounterNames.PKT_DUPLICATED)
                 payload = packet.payload
@@ -248,20 +251,16 @@ class Network:
                     payload=payload,
                     pid=next(self._pids),
                     _descr=None,
+                    _net=None,
                 )
-                self._schedule_delivery(copy, dst, wire)
+                self._schedule_delivery(copy, wire)
+        self._schedule_delivery(packet, wire)
 
-        self._schedule_delivery(packet, dst, wire)
-
-    def _schedule_delivery(self, packet: Packet, dst: Any, wire: float) -> None:
+    def _schedule_delivery(self, packet: Packet, wire: float) -> None:
+        """Put ``packet`` on the wire; it lands by being called."""
         self._in_flight[packet.pid] = packet
-
-        def _arrive() -> None:
-            del self._in_flight[packet.pid]
-            self.packets_delivered += 1
-            dst.deliver(packet)
-
-        self.sim.schedule(wire, _arrive)
+        packet._net = self
+        self.sim.schedule(wire, packet)
 
     def quiescent(self) -> bool:
         """True when nothing is in flight and every inbox is empty.

@@ -11,7 +11,10 @@ per-message cost — dominate.  This module adds that machinery:
   link ids a packet occupies.  Routes are deterministic, computed in
   O(path length) from node ids (no search), and memoized per pair, so
   lookup is O(1) amortized on the sparse traffic matrices real programs
-  generate.
+  generate.  Routes and link labels depend on the **shape** alone —
+  ``(class, n_nodes, arity)`` — so they are built once in the process and
+  shared by every topology of that shape (:data:`SHAPES_KEPT` are kept);
+  what traffic writes belongs to one topology object, one per cluster.
 * every link keeps a **busy-until timestamp**: a packet's serialization
   on a link starts no earlier than the previous packet's finished, so
   hotspot traffic queues instead of teleporting.  One float max/add per
@@ -46,6 +49,9 @@ accounting claim made on the flat fabric survives verbatim.
 
 from __future__ import annotations
 
+import copy
+from functools import lru_cache
+
 from repro.errors import SimulationError
 
 __all__ = [
@@ -55,25 +61,45 @@ __all__ = [
     "RingTopology",
     "make_topology",
     "TOPOLOGY_KINDS",
+    "SHAPES_KEPT",
 ]
 
 #: spec-string kinds accepted by :func:`make_topology`
 TOPOLOGY_KINDS = ("flat", "fattree", "ring")
 
+#: fabric shapes whose labels and routes stay built in this process.  A
+#: run uses one or two and the widest benchmark unit four; past this many
+#: the least recently used shape is rebuilt at its next use.
+SHAPES_KEPT = 8
+
+
+@lru_cache(maxsize=SHAPES_KEPT)
+def _shape(cls: type["Topology"], n_nodes: int, arity: int) -> tuple[tuple, dict]:
+    """Link labels and the route memo of one fabric shape.
+
+    Neither has traffic, bandwidth or latency in it, so every topology of
+    the shape holds these two objects; the memo fills as pairs are first
+    routed, by whichever topology routes them.
+    """
+    return tuple(cls._link_labels(n_nodes, arity)), {}
+
 
 class Topology:
     """Base class: route lookup + per-link occupancy state.
 
-    Subclasses fill ``kind``, set ``n_links``, provide :meth:`_route`
-    (called once per distinct ``(src, dst)`` pair, then memoized) and a
-    per-link bandwidth ``_scale`` list before calling
-    :meth:`_init_links`.
+    Subclasses fill ``kind`` and provide :meth:`_link_labels` and
+    :meth:`_route` (called once per distinct ``(src, dst)`` pair of a
+    shape, then memoized), both pure functions of ``(n_nodes, arity)``;
+    links that are not access-rate replace ``_inv_scale``.
     """
 
     kind = "abstract"
     #: False only for the flat crossbar: the network then takes the
     #: legacy (contention-free, byte-identical) delivery path
     contention = True
+    #: switch fan-in, the one number besides ``n_nodes`` a shape may depend
+    #: on (0 = this kind has no switches); set before ``__init__`` runs
+    arity = 0
 
     def __init__(self, n_nodes: int, *, hop_us: float = 5.0):
         if n_nodes < 1:
@@ -84,24 +110,21 @@ class Topology:
         #: per-link propagation latency (µs); adds to delivery time but
         #: does not occupy the link
         self.hop_us = hop_us
-        self.n_links = 0
-        self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._labels, self._routes = _shape(type(self), n_nodes, self.arity)
+        self.n_links = len(self._labels)
         #: per-link inverse bandwidth scale (1.0 = access-link rate)
-        self._inv_scale: list[float] = []
-        self._labels: list[str] = []
+        self._inv_scale: list[float] = [1.0] * self.n_links
+        self._idle_links()
 
     # -------------------------------------------------------------- wiring
 
-    def _init_links(self, scales: list[float], labels: list[str]) -> None:
-        """Allocate per-link state; called by subclass constructors."""
-        if len(scales) != len(labels):
-            raise SimulationError("link scales/labels length mismatch")
-        for s in scales:
-            if not s > 0.0:
-                raise SimulationError(f"link bandwidth scale must be > 0, got {s}")
-        self.n_links = len(scales)
-        self._inv_scale = [1.0 / s for s in scales]
-        self._labels = list(labels)
+    @staticmethod
+    def _link_labels(n_nodes: int, arity: int) -> list[str]:
+        """One label per link, in link-id order."""
+        raise NotImplementedError
+
+    def _idle_links(self) -> None:
+        """Fresh per-link state: what one run's traffic writes."""
         #: earliest time each link is free again
         self.busy_until: list[float] = [0.0] * self.n_links
         #: total serialization µs each link has carried
@@ -110,6 +133,13 @@ class Topology:
         self.link_queued_us: list[float] = [0.0] * self.n_links
         self.link_bytes: list[int] = [0] * self.n_links
         self.link_packets: list[int] = [0] * self.n_links
+
+    def fresh(self) -> "Topology":
+        """This fabric with every link idle and every counter zero (what a
+        :class:`~repro.machine.cluster.Cluster` given this object runs on)."""
+        run = copy.copy(self)
+        run._idle_links()
+        return run
 
     def _check_node(self, nid: int) -> None:
         if not 0 <= nid < self.n_nodes:
@@ -125,9 +155,9 @@ class Topology:
     def route(self, src: int, dst: int) -> tuple[int, ...]:
         """The ordered link ids a ``src -> dst`` packet occupies.
 
-        Deterministic and memoized: the first lookup for a pair computes
-        the path from node ids in O(path length), every later one is a
-        dict hit.
+        Deterministic and memoized: the first lookup for a pair on any
+        topology of this shape computes the path from node ids in O(path
+        length), every later one is a dict hit.
         """
         key = (src, dst)
         r = self._routes.get(key)
@@ -164,8 +194,11 @@ class Topology:
         pkts = self.link_packets
         inv = self._inv_scale
         hop = self.hop_us
+        # hoisted out of the loop and bit-identical to it: the product
+        # `nbytes * per_byte * inv[lid]` associates left
+        wire = nbytes * per_byte
         for lid in r:
-            ser = nbytes * per_byte * inv[lid]
+            ser = wire * inv[lid]
             b = busy[lid]
             if b > t:
                 queued += b - t
@@ -233,7 +266,10 @@ class FlatTopology(Topology):
 
     def __init__(self, n_nodes: int):
         super().__init__(n_nodes, hop_us=0.0)
-        self._init_links([], [])
+
+    @staticmethod
+    def _link_labels(n_nodes: int, arity: int) -> list[str]:
+        return []
 
     def _route(self, src: int, dst: int) -> tuple[int, ...]:
         return ()
@@ -262,46 +298,43 @@ class FatTreeTopology(Topology):
         fatness: float = 2.0,
         hop_us: float = 5.0,
     ):
-        super().__init__(n_nodes, hop_us=hop_us)
         if arity < 2:
             raise SimulationError(f"fat-tree arity must be >= 2, got {arity}")
         if not fatness >= 1.0:
             raise SimulationError(f"fat-tree fatness must be >= 1, got {fatness}")
         self.arity = arity
+        super().__init__(n_nodes, hop_us=hop_us)
         self.fatness = fatness
-        # switch counts per level (level 0 = leaves) down to a single root
-        counts = []
+        #: switches per level, leaf level first, root level (1) last
+        self.level_counts = self._levels(n_nodes, arity)
+        self.n_levels = len(self.level_counts)
+        # access links: ids [0, n) up, [n, 2n) down, at the access rate;
+        # then the switch->parent link pairs of every level below the root
+        self._sw_base: list[int] = []  # first link id of each level's pairs
+        inv = [1.0] * (2 * n_nodes)
+        for level, count in enumerate(self.level_counts[:-1]):
+            self._sw_base.append(len(inv))
+            inv += [1.0 / fatness ** (level + 1)] * (2 * count)
+        self._inv_scale = inv
+
+    @staticmethod
+    def _levels(n_nodes: int, arity: int) -> tuple[int, ...]:
+        """Switch counts per level (level 0 = leaves) up to a single root."""
         width = (n_nodes + arity - 1) // arity
-        counts.append(width)
+        counts = [width]
         while width > 1:
             width = (width + arity - 1) // arity
             counts.append(width)
-        #: switches per level, leaf level first, root level (1) last
-        self.level_counts = tuple(counts)
-        self.n_levels = len(counts)
+        return tuple(counts)
 
-        scales: list[float] = []
-        labels: list[str] = []
-        # access links: ids [0, n) up, [n, 2n) down
-        for nid in range(n_nodes):
-            scales.append(1.0)
-            labels.append(f"acc-up[{nid}]")
-        for nid in range(n_nodes):
-            scales.append(1.0)
-            labels.append(f"acc-down[{nid}]")
-        # switch->parent link pairs for every level below the root
-        self._sw_base: list[int] = []  # first link id of each level's pairs
-        base = 2 * n_nodes
-        for level in range(self.n_levels - 1):
-            self._sw_base.append(base)
-            scale = fatness ** (level + 1)
-            for idx in range(counts[level]):
-                scales.append(scale)
-                labels.append(f"sw-up[L{level}.{idx}]")
-                scales.append(scale)
-                labels.append(f"sw-down[L{level}.{idx}]")
-            base += 2 * counts[level]
-        self._init_links(scales, labels)
+    @staticmethod
+    def _link_labels(n_nodes: int, arity: int) -> list[str]:
+        labels = [f"acc-up[{nid}]" for nid in range(n_nodes)]
+        labels += [f"acc-down[{nid}]" for nid in range(n_nodes)]
+        for level, count in enumerate(FatTreeTopology._levels(n_nodes, arity)[:-1]):
+            for idx in range(count):
+                labels += (f"sw-up[L{level}.{idx}]", f"sw-down[L{level}.{idx}]")
+        return labels
 
     def switch_of(self, nid: int, level: int) -> int:
         """Index of the level-``level`` switch above ``nid``."""
@@ -349,13 +382,11 @@ class RingTopology(Topology):
 
     kind = "ring"
 
-    def __init__(self, n_nodes: int, *, hop_us: float = 5.0):
-        super().__init__(n_nodes, hop_us=hop_us)
-        scales = [1.0] * (2 * n_nodes)
-        labels = [f"cw[{i}]" for i in range(n_nodes)] + [
+    @staticmethod
+    def _link_labels(n_nodes: int, arity: int) -> list[str]:
+        return [f"cw[{i}]" for i in range(n_nodes)] + [
             f"ccw[{i}]" for i in range(n_nodes)
         ]
-        self._init_links(scales, labels)
 
     def _route(self, src: int, dst: int) -> tuple[int, ...]:
         n = self.n_nodes

@@ -51,9 +51,14 @@ class Scheduler:
     def __init__(self, node: Any):
         if node.scheduler is not None:
             raise SimulationError(f"node {node.nid} already has a scheduler")
-        self.node = node
+        # the node owns its scheduler and not the other way round: what the
+        # trampoline needs of the node is held piece by piece, so a dropped
+        # cluster is freed by reference count, without a collector pass
+        self.nid = node.nid
         self.sim = node.sim
         node.scheduler = self
+        self._inbox = node.inbox
+        self._counters = node.counters
         self._ready: deque[UThread] = deque()
         self.current: UThread | None = None
         self._inbox_waiters: deque[UThread] = deque()
@@ -139,7 +144,7 @@ class Scheduler:
         """Move a PARKED thread to the run queue."""
         if thr.scheduler is not self:
             raise SimulationError(
-                f"cannot wake {thr.name}: it belongs to node {thr.scheduler.node.nid}"
+                f"cannot wake {thr.name}: it belongs to node {thr.scheduler.nid}"
             )
         if thr.state is not ThreadState.PARKED:
             raise SimulationError(f"wake() on {thr.name} in state {thr.state.value}")
@@ -260,7 +265,7 @@ class Scheduler:
         thr.state = ThreadState.RUNNING
         self.current = thr
         if self._trace is not None:
-            self._trace(self.sim.now, self.node.nid, "thread.run", thr.name)
+            self._trace(self.sim.now, self.nid, "thread.run", thr.name)
         self._step(thr, None)
 
     def _after_suspend(self) -> None:
@@ -299,7 +304,6 @@ class Scheduler:
         clock advances inline and the loop keeps pumping the generator
         (no heap event, no trampoline re-entry)."""
         self.steps += 1
-        node = self.node
         sim = self.sim
         costs = self._tcosts
         send = thr.send
@@ -330,8 +334,9 @@ class Scheduler:
                 return
 
             if type(effect) is Switch:
-                node.charge(Category.THREAD_MGMT, costs.context_switch)
-                node.counters.inc(CounterNames.THREAD_YIELD)
+                # inlined node.charge (the cost model validated the price)
+                acct_us[Category.THREAD_MGMT.index] += costs.context_switch
+                self._counters.inc(CounterNames.THREAD_YIELD)
                 thr.state = ThreadState.READY
                 self._ready.append(thr)
                 self.current = None
@@ -346,7 +351,7 @@ class Scheduler:
                 return
 
             if type(effect) is WaitInbox:
-                if node.has_mail:
+                if self._inbox:
                     continue  # something is already deliverable
                 thr.state = ThreadState.WAIT_INBOX
                 self._inbox_waiters.append(thr)
@@ -361,7 +366,7 @@ class Scheduler:
 
     def _finish(self, thr: UThread, *, result: Any, exc: BaseException | None) -> None:
         if self._trace is not None:
-            self._trace(self.sim.now, self.node.nid, "thread.done", thr.name)
+            self._trace(self.sim.now, self.nid, "thread.done", thr.name)
         thr.state = ThreadState.DONE
         thr.result = result
         thr.exception = exc
@@ -373,5 +378,5 @@ class Scheduler:
             # Simulated-code bugs must not be silently swallowed: re-raise
             # out of the event loop so tests fail loudly.
             raise SimulationError(
-                f"thread {thr.name} on node {self.node.nid} raised"
+                f"thread {thr.name} on node {self.nid} raised"
             ) from exc

@@ -106,4 +106,4 @@ class UThread:
         return waiters
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<UThread {self.name} node={self.scheduler.node.nid} {self.state.value}>"
+        return f"<UThread {self.name} node={self.scheduler.nid} {self.state.value}>"

@@ -141,3 +141,95 @@ class TestCluster:
         bad = replace(SP2_COSTS, net=NetworkCosts(wire_latency=-1.0))
         with pytest.raises(Exception):
             Cluster(1, costs=bad)
+
+
+class TestOwnership:
+    """What a packet in flight allocates, and who frees a finished cluster.
+
+    Both counts are taken with the collector switched off inside the test
+    (and back on in ``finally``), so what is counted is what the code
+    allocates and releases, not when a collection happened to run.
+    """
+
+    N = 1000
+
+    @staticmethod
+    def _tracked_growth(faults):
+        import gc
+
+        cluster = Cluster(8, topology="ring", faults=faults)
+        net = cluster.network
+        for src in range(8):  # route-warm: the memo is not a per-packet cost
+            for dst in range(8):
+                cluster.topology.route(src, dst)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            for i in range(TestOwnership.N):
+                net.transmit(
+                    Packet(src=i % 8, dst=i * 3 % 8, kind="x", payload=None, nbytes=64)
+                )
+            return len(gc.get_objects()) - before, net.in_flight
+        finally:
+            gc.enable()
+
+    def test_packet_in_flight_is_two_tracked_objects(self):
+        # the Packet and its heap entry; a callable built per packet adds 5
+        grown, in_flight = self._tracked_growth(None)
+        assert in_flight == self.N
+        assert grown / in_flight < 2.05
+
+    def test_duplicated_packet_in_flight_is_two_tracked_objects(self):
+        from repro.machine.faults import FaultPlan
+
+        grown, in_flight = self._tracked_growth(
+            FaultPlan(seed=1).duplicate("x", rate=1.0)
+        )
+        assert in_flight == 2 * self.N
+        assert grown / in_flight < 2.05
+
+    def test_duplicate_does_not_share_delivery_state(self):
+        from repro.machine.faults import FaultPlan
+
+        cluster = Cluster(2, faults=FaultPlan(seed=1).duplicate("x", rate=1.0))
+        sent = Packet(src=0, dst=1, kind="x", payload=None, nbytes=64)
+        cluster.network.transmit(sent)
+        cluster.run()
+        first, second = cluster.nodes[1].inbox
+        assert second is sent and first is not sent and first.pid != sent.pid
+        # landed packets hold nothing of the fabric, copies included
+        assert first._net is None and second._net is None
+        assert cluster.network.in_flight == 0
+
+    def test_dropped_cluster_is_freed_by_reference_count(self):
+        import gc
+        import weakref
+
+        class Payload:  # Packet has no __weakref__ slot; its payload stands in
+            pass
+
+        cluster = Cluster(8, topology="ring")
+        for i in range(100):
+            cluster.network.transmit(
+                Packet(src=i % 8, dst=i * 3 % 8, kind="x", payload=Payload(), nbytes=64),
+                bulk=True,
+            )
+        cluster.run()
+        node = cluster.nodes[3]
+        refs = [
+            weakref.ref(node),
+            weakref.ref(node.scheduler),
+            weakref.ref(node.inbox[0].payload),
+            weakref.ref(cluster.network),
+        ]
+        del node
+        gc.collect()
+        gc.disable()
+        try:
+            del cluster
+            assert [ref() for ref in refs] == [None] * len(refs)
+            # nothing was left for the cyclic collector
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.machine.cluster import Cluster
 from repro.machine.topology import (
+    SHAPES_KEPT,
     TOPOLOGY_KINDS,
     FatTreeTopology,
     FlatTopology,
@@ -109,8 +110,19 @@ class TestRouting:
         assert len(ft.route(0, 1)) == 2
         # cross-leaf: climbs one level
         assert len(ft.route(0, 5)) == 4
-        # route is memoized to the same tuple object
+        # route is memoized to the same tuple object, for the shape: a
+        # second fabric of it (any bandwidth, any latency) never routes
         assert ft.route(0, 5) is ft.route(0, 5)
+        thin = FatTreeTopology(16, arity=4, fatness=1.0, hop_us=0.0)
+        assert thin.route(0, 5) is ft.route(0, 5)
+        assert FatTreeTopology(16, arity=2).route(0, 5) != ft.route(0, 5)
+
+    def test_shape_table_is_bounded(self):
+        from repro.machine.topology import _shape
+
+        for n in range(2, 2 + 2 * SHAPES_KEPT):
+            RingTopology(n).route(0, 1)
+        assert _shape.cache_info().currsize == SHAPES_KEPT
 
     def test_flat_routes_are_empty(self):
         flat = FlatTopology(4)
@@ -141,6 +153,20 @@ class TestOccupancy:
         d_fat, _ = fat.occupy(0, 5, 1000, 0.02, now=0.0)
         assert d_fat < d_thin
 
+    def test_same_shape_shares_no_occupancy(self):
+        a, b = RingTopology(4, hop_us=0.0), RingTopology(4, hop_us=0.0)
+        a.occupy(0, 1, 500, 0.02, now=0.0)
+        assert a.route(0, 1) is b.route(0, 1)
+        assert b.busy_until == [0.0] * b.n_links
+        assert all(s["packets"] == 0 for s in b.link_stats())
+        # ... nor bandwidth or latency: same routes, different delays
+        thin = FatTreeTopology(16, arity=4, fatness=1.0, hop_us=0.0)
+        fat = FatTreeTopology(16, arity=4, fatness=4.0, hop_us=2.0)
+        assert thin.occupy(0, 5, 1000, 0.02, now=0.0)[0] == pytest.approx(4 * 20.0)
+        assert fat.occupy(0, 5, 1000, 0.02, now=0.0)[0] == pytest.approx(
+            2 * 20.0 + 2 * 5.0 + 4 * 2.0
+        )
+
     def test_link_stats_accumulate(self):
         ring = RingTopology(4, hop_us=0.0)
         ring.occupy(0, 1, 500, 0.02, now=0.0)
@@ -163,6 +189,27 @@ class TestClusterIntegration:
     def test_cluster_rejects_mis_sized_topology(self):
         with pytest.raises(SimulationError):
             Cluster(8, topology=RingTopology(4))
+
+    def test_topology_object_describes_any_number_of_clusters(self):
+        # 64 x 4 KB incast on one prebuilt ring: the second cluster given
+        # the object must not start behind the first one's traffic
+        from repro.machine.network import Packet
+
+        ring = make_topology("ring", 8)
+        elapsed = []
+        for _ in range(2):
+            cluster = Cluster(8, topology=ring)
+            for i in range(64):
+                cluster.network.transmit(
+                    Packet(src=1 + i % 7, dst=0, kind="x", payload=None, nbytes=4096),
+                    bulk=True,
+                )
+            elapsed.append(cluster.run())
+            assert cluster.topology.total_queued_us() > 0.0
+            assert cluster.network.topology is cluster.topology
+        assert elapsed[0] == elapsed[1]
+        # the description itself carried no traffic
+        assert ring.total_queued_us() == 0.0 and not any(ring.busy_until)
 
     def test_flat_topology_runs_byte_identical_to_none(self):
         # the byte-identity contract: an explicit flat fabric must
