@@ -28,52 +28,40 @@ NOT_ON_A_WARM_RUN = (
     "repro.nexus", "repro.obs.spans", "repro.obs.perfetto", "multiprocessing",
     "repro.service.server",
 )
-#: the modules a warm run may load beyond the interpreter's start-up hooks
-#: (see ``startup_hooks``): on CPython 3.11.7 a warm ``run all`` loads 143,
-#: a warm ``run figure6`` and a warm ``run trace --out`` 130 each; the
-#: slack is for other versions
+#: ``len(sys.modules)`` after a warm run in an interpreter started without
+#: its start-up hooks (``_fresh(..., hook_free=True)``): on CPython 3.11.7 a
+#: warm ``run all`` loads 143, a warm ``run figure6`` and a warm ``run trace
+#: --out`` 130 each; the slack is for other versions
 WARM_MODULE_BUDGET = 160
 
 
-def _fresh(body: str, tmp_path, *argv: str) -> tuple[set[str], str]:
-    """Run ``body`` in a fresh interpreter; returns (sys.modules, stdout)."""
+def _fresh(
+    body: str, tmp_path, *argv: str, hook_free: bool = False
+) -> tuple[set[str], str]:
+    """Run ``body`` in a fresh interpreter; returns (sys.modules, stdout).
+
+    ``hook_free`` starts it as an interpreter with no start-up hooks starts,
+    so that ``sys.modules`` holds CPython's own start-up and what the body
+    loads, whatever ``.pth`` files the interpreter's ``site-packages`` holds:
+    ``-S`` runs no ``.pth`` file and no ``sitecustomize`` (``-I`` still runs
+    ``.pth`` files), and the child puts ``site-packages`` on ``sys.path``
+    itself.
+    """
     report = tmp_path / "modules.json"
     script = textwrap.dedent(body) + textwrap.dedent("""
         import json, sys
         with open(sys.argv[1], "w") as fh:
             json.dump(sorted(sys.modules), fh)
     """)
+    flags = []
+    if hook_free:
+        flags = ["-S"]
+        script = "import site, sys; sys.path.extend(site.getsitepackages())\n" + script
     done = subprocess.run(
-        [sys.executable, "-c", script, str(report), *argv],
+        [sys.executable, *flags, "-c", script, str(report), *argv],
         check=True, capture_output=True, text=True, timeout=300,
     )
     return set(json.loads(report.read_text())), done.stdout
-
-
-@pytest.fixture(scope="module")
-def startup_hooks() -> frozenset[str]:
-    """The modules this interpreter's ``site`` processing imports before
-    any user code runs: a bare ``-c`` start minus CPython's own start-up.
-
-    The second start is ``-S`` plus an explicit ``import site``, which loads
-    what an interpreter with no start-up hooks loads but runs no ``.pth``
-    file and no ``sitecustomize``; ``-I`` would not do, since it still runs
-    ``.pth`` files.  Each child lists ``sys.modules`` before it imports
-    ``json`` to report with.  Empty on an interpreter with no hooks, where
-    the budget counts all of ``sys.modules``; where there are hooks, the
-    standard-library modules they share with the run go uncounted too.
-    """
-    snapshot = "import sys; m = sorted(sys.modules); import json; print(json.dumps(m))"
-
-    def started(*argv: str) -> set[str]:
-        done = subprocess.run(
-            [sys.executable, *argv], check=True, capture_output=True, text=True,
-            timeout=60,
-        )
-        return set(json.loads(done.stdout))
-
-    bare = started("-c", snapshot)
-    return frozenset(bare - started("-S", "-c", "import site; " + snapshot))
 
 
 def _loaded(modules: set[str], *packages: str) -> list[str]:
@@ -130,35 +118,33 @@ class TestWarmRun:
         assert stdout.startswith("=== figure6 ===")
         assert _loaded(modules, *NOT_ON_A_WARM_RUN) == []
 
-    def test_warm_run_all_loads_no_simulator(
-        self, warm_cache, startup_hooks, tmp_path
-    ):
+    def test_warm_run_all_loads_no_simulator(self, warm_cache, tmp_path):
         cache, cold_stdout = warm_cache
         entries = sorted(p.name for p in cache.rglob("*.json"))
         modules, stdout = _fresh(
-            _CLI, tmp_path, "run", "all", "--iters", "5", "--cache-dir", str(cache)
+            _CLI, tmp_path, "run", "all", "--iters", "5", "--cache-dir", str(cache),
+            hook_free=True,
         )
         # all 14 artifacts are cache hits: nothing is simulated, so a warm
         # `run all` loads what a warm `run <artifact>` loads
         assert _loaded(modules, *NOT_ON_A_WARM_RUN) == []
-        assert len(modules - startup_hooks) < WARM_MODULE_BUDGET
+        assert len(modules) < WARM_MODULE_BUDGET
         # serial-from-cache output == the --jobs 2 run that computed it
         assert stdout == cold_stdout
         assert sorted(p.name for p in cache.rglob("*.json")) == entries
 
-    def test_warm_trace_file_is_written_from_the_cache(
-        self, warm_cache, startup_hooks, tmp_path
-    ):
+    def test_warm_trace_file_is_written_from_the_cache(self, warm_cache, tmp_path):
         """``run trace --out x.json`` is a normal run: on a warm cache the
         Perfetto file is the stored text, no recorder and no exporter."""
         cache, _ = warm_cache
         out = tmp_path / "x.json"
         modules, stdout = _fresh(
-            _CLI, tmp_path, "run", "trace", "--out", str(out), "--cache-dir", str(cache)
+            _CLI, tmp_path, "run", "trace", "--out", str(out), "--cache-dir", str(cache),
+            hook_free=True,
         )
         assert stdout.startswith("=== trace ===") and f"wrote {out}" in stdout
         assert _loaded(modules, *NOT_ON_A_WARM_RUN) == []
-        assert len(modules - startup_hooks) < WARM_MODULE_BUDGET
+        assert len(modules) < WARM_MODULE_BUDGET
         assert hashlib.sha256(out.read_bytes()).hexdigest() == QUICK_TRACE_SHA256
 
 
