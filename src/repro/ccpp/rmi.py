@@ -410,7 +410,7 @@ class RMIEngine:
         # histogram plus a nested span tree for the trace view
         sp = self._spans
         hist = self._hist_latency
-        t0 = node.sim.now if (sp is not None or hist is not None) else 0.0
+        t0 = node.sim._now if (sp is not None or hist is not None) else 0.0
         sid = sp.begin(t0, node.nid, "rmi.invoke", name) if sp is not None else -1
 
         # 1. stub cache probe, under the table lock
@@ -422,7 +422,7 @@ class RMIEngine:
         # 2. marshal arguments into the S-buffer (leased from the node's
         # buffer pool; the payload travels as a zero-copy view of it)
         msid = (
-            sp.begin(node.sim.now, node.nid, "rmi.marshal", parent=sid)
+            sp.begin(node.sim._now, node.nid, "rmi.marshal", parent=sid)
             if sp is not None
             else -1
         )
@@ -457,7 +457,7 @@ class RMIEngine:
                 st.chg_marshal0 = chg0 = self._marshal_charge(node, 0, ())
             yield chg0
         if sp is not None:
-            sp.end(msid, node.sim.now)
+            sp.end(msid, node.sim._now)
 
         # 3. completion record; the deadline timer is armed *before*
         # transmission so a credit stall on a sick peer is also bounded
@@ -506,7 +506,7 @@ class RMIEngine:
 
         # 5. wait for the reply
         wsid = (
-            sp.begin(node.sim.now, node.nid, "rmi.wait", parent=sid)
+            sp.begin(node.sim._now, node.nid, "rmi.wait", parent=sid)
             if sp is not None
             else -1
         )
@@ -514,14 +514,14 @@ class RMIEngine:
         if deadline_evt is not None:
             deadline_evt.cancel()
         if sp is not None:
-            sp.end(wsid, node.sim.now)
+            sp.end(wsid, node.sim._now)
         if box.lock is not None:
             # drained: completer signalled and released, waiter reacquired
             # and released — nothing references the pair any more
             st.box_pool.append((box.lock, box.cond))
         if box.status in ("deadline", "unreachable"):
             if sp is not None:
-                sp.end(sid, node.sim.now)
+                sp.end(sid, node.sim._now)
             self._raise_abandoned(box, node.nid, "rmi", deadline_us)
 
         # 6. unpack the result
@@ -543,9 +543,9 @@ class RMIEngine:
         (result,) = unmarshal_args(box.payload, pool=pool)
         yield self._marshal_charge(node, plen, (result,))
         if hist is not None:
-            hist.record(node.sim.now - t0)
+            hist.record(node.sim._now - t0)
         if sp is not None:
-            sp.end(sid, node.sim.now)
+            sp.end(sid, node.sim._now)
         return result
 
     def invoke_async(
@@ -630,7 +630,7 @@ class RMIEngine:
         payload = frame.data
         sp = self._spans
         sid = (
-            sp.begin(node.sim.now, node.nid, "rmi.dispatch", str(key))
+            sp.begin(node.sim._now, node.nid, "rmi.dispatch", str(key))
             if sp is not None
             else -1
         )
@@ -683,7 +683,7 @@ class RMIEngine:
             # non-threaded RMI: the stub runs directly as the AM handler
             yield from self._run_method(ep, src, slot, stub, obj, payload)
         if sp is not None:
-            sp.end(sid, node.sim.now)
+            sp.end(sid, node.sim._now)
 
     def _method_thread(self, ep, src, slot, stub, obj, payload):
         """Body for threaded / atomic RMIs."""
@@ -700,7 +700,7 @@ class RMIEngine:
         rc = node.costs.runtime
         sp = self._spans
         sid = (
-            sp.begin(node.sim.now, node.nid, "rmi.method", stub.name)
+            sp.begin(node.sim._now, node.nid, "rmi.method", stub.name)
             if sp is not None
             else -1
         )
@@ -741,7 +741,7 @@ class RMIEngine:
 
         if slot is None:
             if sp is not None:
-                sp.end(sid, node.sim.now)
+                sp.end(sid, node.sim._now)
             return  # one-sided invocation: no reply expected
 
         rpayload, _ = marshal_args((result,), pool=node.marshal_pool)
@@ -768,7 +768,7 @@ class RMIEngine:
             )
         yield from st.comm_lock.release()
         if sp is not None:
-            sp.end(sid, node.sim.now)
+            sp.end(sid, node.sim._now)
 
     # ---------------------------------------------------------------- replies
 

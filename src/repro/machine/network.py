@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import SimulationError
 from repro.machine.faults import DROP, FaultPlan
@@ -38,7 +38,36 @@ from repro.sim.account import CounterNames
 from repro.sim.engine import Simulator
 from repro.sim.trace import NullTracer, Tracer
 
-__all__ = ["Packet", "Network"]
+__all__ = ["Packet", "PacketRecord", "Network"]
+
+_tuple_new = tuple.__new__
+
+
+class PacketRecord(NamedTuple):
+    """What a trace keeps of one injected packet: its fixed fields.
+
+    Only ints and strs, never the :class:`Packet` (whose payload would
+    stay reachable from the trace).  One record is built per traced
+    packet and shared by its ``send`` and ``deliver`` trace records; it
+    becomes text once, when an exporter or a reader calls ``str()``.
+    """
+
+    kind: str
+    pid: int
+    src: int
+    dst: int
+    nbytes: int
+    seq: int
+    attempt: int
+
+    def __str__(self) -> str:
+        kind, pid, src, dst, nbytes, seq, attempt = self
+        text = f"{kind}#{pid} {src}->{dst} ({nbytes}B)"
+        if seq >= 0:
+            text += f" seq={seq}"
+        if attempt:
+            text += f" retx={attempt}"
+        return text
 
 
 @dataclass(slots=True)
@@ -71,10 +100,9 @@ class Packet:
     seq: int = -1
     ack: int = -1
     attempt: int = 0
-    # memoized describe() — every field it reads is fixed once injected
-    # (retransmits are fresh packets), and traced runs describe each
-    # packet at least twice (send + deliver)
-    _descr: str | None = None
+    # the record the ``send`` trace carried, for the ``deliver`` trace to
+    # share (set by a traced transmit only)
+    _rec: PacketRecord | None = None
     # the network carrying this packet, from injection to arrival only: a
     # packet in an inbox must not keep its network (and so every node,
     # inbox and packet of the cluster) reachable from itself
@@ -88,15 +116,13 @@ class Packet:
         net.packets_delivered += 1
         net._nodes[self.dst].deliver(self)
 
+    def as_record(self) -> PacketRecord:
+        """This packet's fixed fields, as a trace records them."""
+        return _tuple_new(PacketRecord, (
+            self.kind, self.pid, self.src, self.dst, self.nbytes, self.seq, self.attempt))
+
     def describe(self) -> str:
-        d = self._descr
-        if d is None:
-            rel = f" seq={self.seq}" if self.seq >= 0 else ""
-            if self.attempt:
-                rel += f" retx={self.attempt}"
-            d = f"{self.kind}#{self.pid} {self.src}->{self.dst} ({self.nbytes}B){rel}"
-            self._descr = d
-        return d
+        return str(self.as_record())
 
 
 class Network:
@@ -212,7 +238,8 @@ class Network:
         if self._h_bytes is not None:
             self._h_bytes.record(nbytes)
         if self._trace is not None:
-            self._trace(now, packet.src, "send", packet.describe())
+            packet._rec = packet.as_record()
+            self._trace(now, packet.src, "send", packet._rec)
 
         faults = self.faults
         if faults is not None:
@@ -223,7 +250,7 @@ class Network:
                 self.packets_dropped += 1
                 src.counters.inc(CounterNames.PKT_DROPPED)
                 if self._trace is not None:
-                    self._trace(now, packet.src, "drop", f"{packet.describe()}: {verdict.reason}")
+                    self._trace(now, packet.src, "drop", f"{packet._rec}: {verdict.reason}")
                 return
             if verdict.extra_delay_us:
                 wire += verdict.extra_delay_us
@@ -250,7 +277,7 @@ class Network:
                     packet,
                     payload=payload,
                     pid=next(self._pids),
-                    _descr=None,
+                    _rec=None,
                     _net=None,
                 )
                 self._schedule_delivery(copy, wire)

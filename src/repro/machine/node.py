@@ -113,13 +113,13 @@ class Node:
             for pkt in accepted:
                 self.inbox.append(pkt)
                 if trace is not None:
-                    trace(self.sim.now, self.nid, "deliver", pkt.describe())
+                    trace(self.sim._now, self.nid, "deliver", pkt._rec or pkt.as_record())
             if self.scheduler is not None:
                 self.scheduler.on_message_arrival()
             return
         self.inbox.append(packet)
         if self._trace is not None:
-            self._trace(self.sim.now, self.nid, "deliver", packet.describe())
+            self._trace(self.sim._now, self.nid, "deliver", packet._rec or packet.as_record())
         if self.scheduler is not None:
             self.scheduler.on_message_arrival()
 

@@ -4,9 +4,10 @@ A :class:`LogHistogram` keeps a fixed array of 64 power-of-two buckets:
 bucket 0 holds ``[0, 1)``, bucket ``b`` holds ``[2^(b-1), 2^b)``, and the
 last bucket is the overflow (anything from ``2^62`` up, including
 ``inf``).  :meth:`LogHistogram.record` touches only preallocated state —
-no allocation, no hashing — about 0.2 µs a sample, cheap enough for the
-simulator's per-message and per-dispatch paths (docs/architecture.md,
-"Stand-down", has the measured cost of a fully observed run).
+no allocation, no hashing — about 0.3 µs a sample on a 2-core Xeon,
+cheap enough for the simulator's per-message and per-dispatch paths
+(docs/architecture.md, "Observability", has its share of a fully
+observed run).
 
 Quantiles come from a cumulative walk with linear interpolation inside
 the landing bucket, clamped to the observed ``[min, max]`` — coarse (a
@@ -45,20 +46,17 @@ class LogHistogram:
 
     def record(self, value: float) -> None:
         """Add one sample.  Allocation-free; rejects negatives and NaN."""
-        if value < 1.0:
-            if not value >= 0.0:
-                raise ValueError(f"histogram {self.name!r}: cannot record {value}")
-            b = 0
-        else:
+        if value >= 1.0:
             # frexp(v)[1] is ceil(log2(v)) for v in (2^(k-1), 2^k] shifted
-            # by the mantissa convention: exactly the bucket index we want
+            # by the mantissa convention: exactly the bucket index we want;
+            # inf has exponent 0 and joins the overflow bucket
             b = frexp(value)[1]
-            if not 0 < b < _LAST:
-                # the overflow bucket, or exponent 0: inf, or NaN (which
-                # fails `< 1.0` and so arrives here)
-                if value != value:
-                    raise ValueError(f"histogram {self.name!r}: cannot record {value}")
+            if b >= _LAST or not b:
                 b = _LAST
+        elif value >= 0.0:
+            b = 0
+        else:  # negative, or NaN (which fails both tests)
+            raise ValueError(f"histogram {self.name!r}: cannot record {value}")
         self.counts[b] += 1
         self.count += 1
         self.total += value

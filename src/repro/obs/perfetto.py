@@ -26,6 +26,12 @@ events and the export is what a user waits for.  The text
 is exactly what ``json.dumps(..., separators=(",", ":"))`` writes for
 the dicts; ``tests/properties/test_prop_perfetto.py`` holds the two
 to that.
+
+A traced run records facts, not text: a packet's ``send`` and
+``deliver`` records share one
+:class:`~repro.machine.network.PacketRecord`, and this module is where
+it becomes text, once per packet, beside the one spelling of each
+distinct timestamp, name and kind.
 """
 
 from __future__ import annotations
@@ -42,11 +48,12 @@ from repro.util.files import write_text_atomic
 
 __all__ = ["chrome_trace_events", "chrome_trace_text", "write_chrome_trace"]
 
-#: packet id embedded in Packet.describe() output ("am.short#17 0->1 ...")
+#: packet id in a text ``send``/``deliver`` detail ("am.short#17 0->1 ...")
 _PID_RE = re.compile(r"#(\d+)\b")
 
-#: events joined into one ``write`` call (bounds the exporter's memory)
-_CHUNK_EVENTS = 4096
+#: pieces (one or two events each) joined into one ``write`` call: bounds
+#: the exporter's memory, which also holds the spelled timestamps and details
+_CHUNK_EVENTS = 512
 
 
 def _num(x: Any) -> str:
@@ -55,6 +62,52 @@ def _num(x: Any) -> str:
     if isinstance(x, float) and x - x == 0.0:
         return float.__repr__(x)
     return json.dumps(x)
+
+
+def _args_text(detail: Any) -> str:
+    """What follows an event's ``ts``: its ``args`` when it has a detail."""
+    return f',"args":{{"detail":{_esc(str(detail))}}}}}' if detail else "}"
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``spell(key)``, spelled on the first lookup of
+    each distinct key and kept.  Keys are names, kinds and details (strs
+    and packet records): equal keys have equal text."""
+
+    __slots__ = ("spell",)
+
+    def __init__(self, spell: Any):
+        super().__init__()
+        self.spell = spell
+
+    def __missing__(self, key: Any) -> str:
+        text = self[key] = self.spell(key)
+        return text
+
+
+class _Stamps(dict):
+    """``stamps[t]`` is ``_num(t)`` for a ``float`` ``t``.
+
+    Built from one trace's timestamps in a single pass: ``repr`` of a
+    list spells every distinct non-zero finite float in C.  Any other
+    float is spelled on lookup and not kept.  Only floats may be looked
+    up: ``7 == 7.0`` and ``0.0 == -0.0``, but JSON spells each pair
+    differently, so an int must never find a float's entry and no zero
+    has one.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, records: list, spans: list) -> "_Stamps":
+        times = {r.time for r in records}
+        times.update([s.start for s in spans])
+        times.update([s.end for s in spans])
+        floats = [t for t in times if type(t) is float and t and t - t == 0.0]
+        return cls(zip(floats, repr(floats)[1:-1].split(", ")))
+
+    def __missing__(self, t: float) -> str:
+        return _num(t)
 
 
 def _captured(tracer: Any) -> tuple[list, list, list[int]]:
@@ -80,22 +133,27 @@ def _root_ids(spans: list) -> list[int]:
 def _flow_ids(records: list) -> list[int | None]:
     """Per record, the packet id its flow arrow carries, or None.
 
-    A send and its deliver share the packet id embedded in
-    Packet.describe(); only ids seen on BOTH ends get an arrow (dropped
-    packets have no deliver, acks consumed by the sublayer likewise, and
-    a bounded recorder may have evicted the send).
+    A send and its deliver share the packet id: the ``pid`` of a
+    :class:`~repro.machine.network.PacketRecord` detail, or the first
+    ``#N`` of a text one (hand-built records).  Only ids seen on BOTH
+    ends get an arrow (dropped packets have no deliver, acks consumed by
+    the sublayer likewise, and a bounded recorder may have evicted the
+    send).
     """
     search = _PID_RE.search
     fids: list[int | None] = []
     sent: set[int] = set()
     delivered: set[int] = set()
-    for r in records:
-        kind = r.kind
+    for _, _, kind, detail in records:
         fid = None
         if kind == "send" or kind == "deliver":
-            m = search(r.detail)
-            if m:
-                fid = int(m.group(1))
+            if isinstance(detail, str):
+                m = search(detail)
+                if m:
+                    fid = int(m.group(1))
+            elif detail.pid >= 0:  # as the text spells it: "#-1" is no id
+                fid = detail.pid
+            if fid is not None:
                 (sent if kind == "send" else delivered).add(fid)
         fids.append(fid)
     linked = sent & delivered
@@ -154,7 +212,7 @@ def chrome_trace_events(tracer: Any) -> list[dict[str, Any]]:
             "pid": r.node, "tid": 0, "ts": r.time,
         }
         if r.detail:
-            instant["args"] = {"detail": r.detail}
+            instant["args"] = {"detail": str(r.detail)}
         events.append(instant)
         if fid is not None:
             flow: dict[str, Any] = {
@@ -169,37 +227,44 @@ def chrome_trace_events(tracer: Any) -> list[dict[str, Any]]:
 
 
 def _event_texts(tracer: Any) -> Iterator[str]:
-    """The JSON text of each event of :func:`chrome_trace_events`, in
-    order, without building the events."""
+    """The JSON text of the events of :func:`chrome_trace_events`, in
+    order, without building the events.  A span's ``b``/``e`` pair, and
+    an instant with its flow event, come as one piece; each distinct
+    timestamp, name, kind and detail is spelled once."""
     records, spans, nodes = _captured(tracer)
     pids = {nid: _num(nid) for nid in nodes}
     for nid, pid in pids.items():
         yield (f'{{"name":"process_name","ph":"M","pid":{pid},"tid":0,'
-               f'"args":{{"name":{_esc(f"node {nid}")}}}}}')
-        yield (f'{{"name":"thread_name","ph":"M","pid":{pid},"tid":0,'
+               f'"args":{{"name":{_esc(f"node {nid}")}}}}},'
+               f'{{"name":"thread_name","ph":"M","pid":{pid},"tid":0,'
                '"args":{"name":"machine events"}}')
 
+    stamp = _Stamps.of(records, spans)
+    args = _Memo(_args_text)
+    span_head = _Memo(lambda name: f'{{"name":{_esc(name)},"cat":"span","ph":')
     for s, rid in zip(spans, _root_ids(spans)):
         end = s.end
         if end < 0.0:
-            continue
-        head = f'{{"name":{_esc(s.name)},"cat":"span","ph":'
+            continue  # open span: the run stopped (or errored) inside it
+        start = s.start
+        head = span_head[s.name]
         ids = f',"id":{rid},"pid":{pids[s.node]},"tid":0,"ts":'
-        detail = s.detail
-        args = f',"args":{{"detail":{_esc(detail)}}}}}' if detail else "}"
-        yield f'{head}"b"{ids}{_num(s.start)}{args}'
-        yield f'{head}"e"{ids}{_num(end)}}}'
+        yield (f'{head}"b"{ids}{stamp[start] if type(start) is float else _num(start)}'
+               f'{args[s.detail]},'
+               f'{head}"e"{ids}{stamp[end] if type(end) is float else _num(end)}}}')
 
-    for r, fid in zip(records, _flow_ids(records)):
-        tail = f',"pid":{pids[r.node]},"tid":0,"ts":{_num(r.time)}'
-        detail = r.detail
-        args = f',"args":{{"detail":{_esc(detail)}}}}}' if detail else "}"
-        yield f'{{"name":{_esc(r.kind)},"ph":"i","s":"t"{tail}{args}'
-        if fid is not None:
-            if r.kind == "send":
-                yield f'{{"name":"msg","cat":"flow","ph":"s","id":{fid}{tail}}}'
-            else:
-                yield f'{{"name":"msg","cat":"flow","ph":"f","id":{fid}{tail},"bp":"e"}}'
+    instant_head = _Memo(lambda kind: f'{{"name":{_esc(kind)},"ph":"i","s":"t"')
+    for (t, node, kind, detail), fid in zip(records, _flow_ids(records)):
+        instant = instant_head[kind]
+        tail = f',"pid":{pids[node]},"tid":0,"ts":{stamp[t] if type(t) is float else _num(t)}'
+        if fid is None:
+            yield f'{instant}{tail}{args[detail]}'
+        elif kind == "send":
+            yield (f'{instant}{tail}{args[detail]},'
+                   f'{{"name":"msg","cat":"flow","ph":"s","id":{fid}{tail}}}')
+        else:
+            yield (f'{instant}{tail}{args[detail]},'
+                   f'{{"name":"msg","cat":"flow","ph":"f","id":{fid}{tail},"bp":"e"}}')
 
 
 def _file_texts(tracer: Any) -> Iterator[str]:

@@ -28,7 +28,7 @@ _GLYPHS = {
 
 def _fmt_record(r: TraceRecord) -> str:
     glyph = _GLYPHS.get(r.kind, "?")
-    detail = f" {r.detail}" if r.detail else ""
+    detail = " " + str(r.detail) if r.detail else ""
     return f"{glyph} {r.kind}{detail}"
 
 

@@ -9,7 +9,10 @@ tests and debugging sessions can assert against.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (machine imports sim)
+    from repro.machine.network import PacketRecord
 
 __all__ = ["Tracer", "NullTracer", "RecordingTracer", "TraceRecord"]
 
@@ -22,12 +25,17 @@ class TraceRecord(NamedTuple):
     A named tuple rather than a dataclass: construction happens once per
     traced event on the simulator's hottest paths, and ``tuple.__new__``
     is several times cheaper than a generated ``__init__``.
+
+    ``detail`` is a ``str``, or, on the network's ``send`` and
+    ``deliver`` records, the packet's
+    :class:`~repro.machine.network.PacketRecord`: its fields, not yet
+    text.  Read it as ``str(r.detail)``: both forms spell the same line.
     """
 
     time: float
     node: int
     kind: str
-    detail: str
+    detail: str | PacketRecord
 
 
 class Tracer:
@@ -42,14 +50,17 @@ class Tracer:
 
     wants_spans: bool = False
 
-    def record(self, time: float, node: int, kind: str, detail: str = "") -> None:
+    def record(self, time: float, node: int, kind: str, detail: str | PacketRecord = "") -> None:
+        """Observe one event.  ``detail`` is text or a
+        :class:`~repro.machine.network.PacketRecord`, kept as given: a
+        tracer that wants text calls ``str()`` on it."""
         raise NotImplementedError
 
 
 class NullTracer(Tracer):
     """Discards everything (the default)."""
 
-    def record(self, time: float, node: int, kind: str, detail: str = "") -> None:
+    def record(self, time: float, node: int, kind: str, detail: str | PacketRecord = "") -> None:
         pass
 
 
@@ -74,7 +85,7 @@ class RecordingTracer(Tracer):
         maxlen = self.records.maxlen
         return max(0, self.recorded - maxlen) if maxlen is not None else 0
 
-    def record(self, time: float, node: int, kind: str, detail: str = "") -> None:
+    def record(self, time: float, node: int, kind: str, detail: str | PacketRecord = "") -> None:
         kinds = self.kinds
         if kinds is not None and kind not in kinds:
             return

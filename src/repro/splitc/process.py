@@ -105,7 +105,7 @@ class SCProcess:
             return self.mem.load(gp)
         sp = self._spans
         hist = self._h_read
-        t0 = self.node.sim.now if (sp is not None or hist is not None) else 0.0
+        t0 = self.node.sim._now if (sp is not None or hist is not None) else 0.0
         sid = sp.begin(t0, self.nid, "sc.read", str(gp)) if sp is not None else -1
         yield self._chg_issue
         slot, box = self.rt.new_box(self.nid)
@@ -114,9 +114,9 @@ class SCProcess:
         )
         yield from self.ep.poll_until_done(box)
         if hist is not None:
-            hist.record(self.node.sim.now - t0)
+            hist.record(self.node.sim._now - t0)
         if sp is not None:
-            sp.end(sid, self.node.sim.now)
+            sp.end(sid, self.node.sim._now)
         return box.value
 
     def write(self, gp: GlobalPtr, value: Any) -> Generator[Any, Any, None]:
@@ -127,7 +127,7 @@ class SCProcess:
             return
         sp = self._spans
         sid = (
-            sp.begin(self.node.sim.now, self.nid, "sc.write", str(gp))
+            sp.begin(self.node.sim._now, self.nid, "sc.write", str(gp))
             if sp is not None
             else -1
         )
@@ -141,7 +141,7 @@ class SCProcess:
         )
         yield from self.ep.poll_until_done(box)
         if sp is not None:
-            sp.end(sid, self.node.sim.now)
+            sp.end(sid, self.node.sim._now)
 
     # ---------------------------------------------------- split-phase accesses
 
@@ -183,14 +183,14 @@ class SCProcess:
         st = self.rt.state(self.nid)
         sp = self._spans
         sid = (
-            sp.begin(self.node.sim.now, self.nid, "sc.sync", f"pending {st.pending}")
+            sp.begin(self.node.sim._now, self.nid, "sc.sync", f"pending {st.pending}")
             if sp is not None
             else -1
         )
         yield self._chg_sync_check
         yield from self.ep.poll_until(lambda: st.pending == 0)
         if sp is not None:
-            sp.end(sid, self.node.sim.now)
+            sp.end(sid, self.node.sim._now)
 
     # ------------------------------------------------------------- one-way
 
@@ -286,7 +286,7 @@ class SCProcess:
             return self.mem.load_block(src, count)
         sp = self._spans
         sid = (
-            sp.begin(self.node.sim.now, self.nid, "sc.bulk_read", f"{count} elems")
+            sp.begin(self.node.sim._now, self.nid, "sc.bulk_read", f"{count} elems")
             if sp is not None
             else -1
         )
@@ -300,7 +300,7 @@ class SCProcess:
         )
         yield from self.ep.poll_until_done(box)
         if sp is not None:
-            sp.end(sid, self.node.sim.now)
+            sp.end(sid, self.node.sim._now)
         return box.value
 
     def bulk_write(self, dest: GlobalPtr, values: np.ndarray) -> Generator[Any, Any, None]:
@@ -313,7 +313,7 @@ class SCProcess:
         sp = self._spans
         sid = (
             sp.begin(
-                self.node.sim.now, self.nid, "sc.bulk_write", f"{values.nbytes}B"
+                self.node.sim._now, self.nid, "sc.bulk_write", f"{values.nbytes}B"
             )
             if sp is not None
             else -1
@@ -329,7 +329,7 @@ class SCProcess:
         )
         yield from self.ep.poll_until_done(box)
         if sp is not None:
-            sp.end(sid, self.node.sim.now)
+            sp.end(sid, self.node.sim._now)
 
     # --------------------------------------------------------------- barrier
 
@@ -339,7 +339,7 @@ class SCProcess:
         self._barrier_epoch += 1
         sp = self._spans
         sid = (
-            sp.begin(self.node.sim.now, self.nid, "sc.barrier", f"epoch {epoch}")
+            sp.begin(self.node.sim._now, self.nid, "sc.barrier", f"epoch {epoch}")
             if sp is not None
             else -1
         )
@@ -359,7 +359,7 @@ class SCProcess:
                 lambda: self.rt.state(self.nid).barrier_released > epoch
             )
         if sp is not None:
-            sp.end(sid, self.node.sim.now)
+            sp.end(sid, self.node.sim._now)
 
     def bulk_get(
         self, dest: GlobalPtr, src: GlobalPtr, count: int

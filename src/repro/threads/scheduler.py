@@ -265,7 +265,7 @@ class Scheduler:
         thr.state = ThreadState.RUNNING
         self.current = thr
         if self._trace is not None:
-            self._trace(self.sim.now, self.nid, "thread.run", thr.name)
+            self._trace(self.sim._now, self.nid, "thread.run", thr.name)
         self._step(thr, None)
 
     def _after_suspend(self) -> None:
@@ -366,7 +366,7 @@ class Scheduler:
 
     def _finish(self, thr: UThread, *, result: Any, exc: BaseException | None) -> None:
         if self._trace is not None:
-            self._trace(self.sim.now, self.nid, "thread.done", thr.name)
+            self._trace(self.sim._now, self.nid, "thread.done", thr.name)
         thr.state = ThreadState.DONE
         thr.result = result
         thr.exception = exc

@@ -65,7 +65,7 @@ def snapshot(case: str) -> dict:
     if tracer is not None:
         # packet ids are normalised away, as the golden-trace suite does
         stream = "".join(
-            f"{r.time.hex()}\t{r.node}\t{r.kind}\t{re.sub(r'#[0-9]+', '#', r.detail)}\n"
+            f"{r.time.hex()}\t{r.node}\t{r.kind}\t{re.sub(r'#[0-9]+', '#', str(r.detail))}\n"
             for r in tracer.records
         )
         snap["records"] = len(tracer.records)

@@ -102,7 +102,7 @@ def test_sc_table4_row_identical(name):
 
 def _normalized(tracer: RecordingTracer) -> list[tuple[float, int, str, str]]:
     return [
-        (r.time, r.node, r.kind, re.sub(r"#\d+", "#", r.detail))
+        (r.time, r.node, r.kind, re.sub(r"#\d+", "#", str(r.detail)))
         for r in tracer.records
     ]
 

@@ -19,6 +19,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.machine.network import PacketRecord
 from repro.obs import (
     SpanRecorder,
     chrome_trace_events,
@@ -47,7 +48,20 @@ _DETAILS = st.one_of(
 )
 _KINDS = st.sampled_from(["send", "deliver", "thread.run", "poll", 'odd"kind'])
 _NODES = st.integers(0, 5)
-_RECORDS = st.lists(st.tuples(_TIMES, _NODES, _KINDS, _DETAILS), max_size=40)
+# the fields of a traced packet (pid -1: never injected, no flow id);
+# packet kinds carry no '#', as the network's never do
+_PACKETS = st.builds(
+    PacketRecord,
+    kind=st.sampled_from(["am.short", "am.bulk", 'q"uote', "naïve µs"]),
+    pid=st.integers(-1, 6),
+    src=_NODES,
+    dst=_NODES,
+    nbytes=st.integers(0, 5000),
+    seq=st.integers(-1, 3),
+    attempt=st.integers(0, 2),
+)
+_RECORDS = st.lists(
+    st.tuples(_TIMES, _NODES, _KINDS, st.one_of(_DETAILS, _PACKETS)), max_size=40)
 # (start, node, name, detail, parent, end or None for a span left open);
 # parents run past both ends of the span list
 _SPANS = st.lists(
@@ -112,6 +126,39 @@ def test_records_only_tracer(records, chunk_events):
     for rec in records:
         tracer.record(*rec)
     assert _written(tracer, chunk_events) == _expected_file(tracer)
+
+
+def _tracer_of(records, *, as_text: bool) -> SpanRecorder:
+    tracer = SpanRecorder()
+    for time, node, kind, detail in records:
+        tracer.record(time, node, kind, str(detail) if as_text else detail)
+    return tracer
+
+
+@given(records=_RECORDS, chunk_events=st.sampled_from([1, 5, 4096]))
+@settings(max_examples=100, deadline=None)
+def test_packet_records_export_as_their_text(records, chunk_events):
+    """A packet record exports byte for byte as its ``str()`` would."""
+    fields = _tracer_of(records, as_text=False)
+    text = _tracer_of(records, as_text=True)
+    assert _written(fields, chunk_events) == _written(text, chunk_events)
+    assert chrome_trace_events(fields) == chrome_trace_events(text)
+
+
+@given(times=st.permutations([7, 7.0, 0.0, -0.0, 7, -0.0, 2.5, 0, 7.0, 0.0]),
+       chunk_events=st.sampled_from([1, 3, 4096]))
+@settings(max_examples=60, deadline=None)
+def test_equal_timestamps_spelled_differently_stay_apart(times, chunk_events):
+    """``7 == 7.0`` and ``0.0 == -0.0``, but JSON spells each pair
+    differently: one trace mixing them, in any order, still exports
+    exactly what the encoder writes."""
+    tracer = SpanRecorder()
+    for i, t in enumerate(times):
+        tracer.record(t, i % 2, "send" if i % 2 else "deliver", f"p#{i // 2}")
+        tracer.end(tracer.begin(t, 0, "s"), times[-1 - i])
+    text = _written(tracer, chunk_events)
+    assert text == _expected_file(tracer)
+    assert "7.0" in text and "-0.0" in text and '"ts":7,' in text
 
 
 @given(parents=st.lists(st.integers(-2, 30), max_size=30))

@@ -1,5 +1,6 @@
 """Unit tests for the observability layer (histograms, spans, Perfetto)."""
 
+import gc
 import json
 import math
 from math import frexp, inf
@@ -8,6 +9,7 @@ import pytest
 
 from repro.am import install_am
 from repro.machine.cluster import Cluster
+from repro.machine.network import Packet, PacketRecord
 from repro.obs import (
     LogHistogram,
     MetricNames,
@@ -300,6 +302,44 @@ def _traced_am_run():
     cluster.launch(0, main(cluster.nodes[0]))
     cluster.run()
     return rec
+
+
+class TestPacketRecords:
+    """A traced packet is recorded as its fields; text is made on reading."""
+
+    def test_traced_run_never_describes_a_packet(self, monkeypatch):
+        calls = []
+        describe = Packet.describe
+
+        def counted(self):
+            calls.append(self.pid)
+            return describe(self)
+
+        monkeypatch.setattr(Packet, "describe", counted)
+        rec = _traced_am_run()
+        assert rec.of_kind("send") and rec.of_kind("deliver")
+        assert calls == []
+
+    def test_records_hold_fields_not_packets(self):
+        rec = _traced_am_run()
+        for r in rec.records:
+            assert not any(isinstance(o, Packet) for o in gc.get_referents(r))
+        sends = {r.detail.pid: r.detail for r in rec.of_kind("send")}
+        for r in rec.of_kind("deliver"):
+            assert type(r.detail) is PacketRecord
+            # only ints and strs behind the record (and its own class) ...
+            behind = [o for o in gc.get_referents(r.detail) if o is not PacketRecord]
+            assert {type(o) for o in behind} <= {int, str}
+            # ... and one record per packet, shared by its send and deliver
+            assert r.detail is sends[r.detail.pid]
+
+    @pytest.mark.parametrize("seq, attempt, tail", [
+        (-1, 0, ""), (3, 0, " seq=3"), (3, 2, " seq=3 retx=2"), (-1, 1, " retx=1"),
+    ])
+    def test_record_spells_describe(self, seq, attempt, tail):
+        pkt = Packet(src=0, dst=1, kind="am.short", payload=b"xy", nbytes=24,
+                     pid=17, seq=seq, attempt=attempt)
+        assert str(pkt.as_record()) == pkt.describe() == f"am.short#17 0->1 (24B){tail}"
 
 
 class TestPerfettoExport:
