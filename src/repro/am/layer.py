@@ -107,6 +107,37 @@ class RetryPolicy:
         return self
 
 
+#: the policy of every endpoint installed without one (frozen, so one
+#: instance serves every node of every cluster)
+_DEFAULT_RETRY = RetryPolicy()
+
+
+class _AMCharges:
+    """The fixed per-message charges of one cost model and reception mode.
+
+    :func:`install_am` builds one set per cluster (all its nodes share one
+    ``CostModel``) and hands it to every endpoint.  Charge is immutable
+    and the trampoline only reads it, so one instance per cost point
+    serves every message on every node.
+    """
+
+    __slots__ = (
+        "send_short", "send_bulk", "poll_empty", "hit_credit", "hit_short",
+        "hit_bulk",
+    )
+
+    def __init__(self, net: Any, reception: str):
+        irq = net.interrupt_cpu if reception == "interrupt" else 0.0
+        self.send_short = Charge(net.short_send_cpu, Category.NET)
+        self.send_bulk = Charge(net.short_send_cpu + net.bulk_setup_cpu, Category.NET)
+        self.poll_empty = Charge(net.poll_empty_cpu, Category.NET)
+        self.hit_credit = Charge(net.poll_hit_cpu, Category.NET)
+        self.hit_short = Charge(
+            net.poll_hit_cpu + net.short_recv_cpu + irq, Category.NET
+        )
+        self.hit_bulk = Charge(net.poll_hit_cpu + net.bulk_recv_cpu + irq, Category.NET)
+
+
 class AMEndpoint:
     """Per-node AM interface.  Obtain via :func:`install_am`."""
 
@@ -116,6 +147,7 @@ class AMEndpoint:
         self,
         node: Any,
         network: Network,
+        charges: _AMCharges,
         *,
         reception: str = "polling",
         reliable: bool = False,
@@ -133,7 +165,7 @@ class AMEndpoint:
         self.network = network
         self.reception = reception
         self.reliable = reliable
-        self.retry = (retry if retry is not None else RetryPolicy()).validate()
+        self.retry = (retry if retry is not None else _DEFAULT_RETRY).validate()
         self._handlers: dict[str, Handler] = {}
         self._in_handler = False
         #: flow control: remaining send credits per destination, and how
@@ -159,23 +191,13 @@ class AMEndpoint:
         self._recv_next: dict[int, int] = {}
         #: out-of-order packets held back per source: seq -> packet
         self._recv_buffer: dict[int, dict[int, Packet]] = {}
-        # Precomputed Charge effects for the per-message fixed costs.
-        # Charge is immutable and the trampoline only reads it, so one
-        # instance per cost point serves every message on this node.
-        net = node.costs.net
-        irq = net.interrupt_cpu if reception == "interrupt" else 0.0
-        self._chg_send_short = Charge(net.short_send_cpu, Category.NET)
-        self._chg_send_bulk = Charge(
-            net.short_send_cpu + net.bulk_setup_cpu, Category.NET
-        )
-        self._chg_poll_empty = Charge(net.poll_empty_cpu, Category.NET)
-        self._chg_hit_credit = Charge(net.poll_hit_cpu, Category.NET)
-        self._chg_hit_short = Charge(
-            net.poll_hit_cpu + net.short_recv_cpu + irq, Category.NET
-        )
-        self._chg_hit_bulk = Charge(
-            net.poll_hit_cpu + net.bulk_recv_cpu + irq, Category.NET
-        )
+        # the cluster's per-message fixed charges (see _AMCharges)
+        self._chg_send_short = charges.send_short
+        self._chg_send_bulk = charges.send_bulk
+        self._chg_poll_empty = charges.poll_empty
+        self._chg_hit_credit = charges.hit_credit
+        self._chg_hit_short = charges.hit_short
+        self._chg_hit_bulk = charges.hit_bulk
         # observability: pre-resolved histograms / span recorder, or None
         # (the default) — each guarded site costs one is-None test
         metrics = node.metrics
@@ -187,6 +209,7 @@ class AMEndpoint:
             self._h_retx = None
         self._spans = node._spans
         # hoisted per-send constants (the send path runs per message)
+        net = node.costs.net
         self._short_max = net.short_max_bytes
         self._window = net.credit_window
         self._half_window = net.credit_window // 2
@@ -201,9 +224,23 @@ class AMEndpoint:
 
     def register_handler(self, name: str, fn: Handler, *, replace: bool = False) -> None:
         """Bind ``name`` to a handler generator-function on this node."""
-        if name in self._handlers and not replace:
+        if replace:
+            self._handlers[name] = fn
+        else:
+            self.register_handlers({name: fn})
+
+    def register_handlers(self, table: dict[str, Handler]) -> None:
+        """Bind every ``name -> handler`` of ``table`` on this node.
+
+        A runtime builds its table once and hands the same dict to every
+        endpoint; each endpoint copies it into its own, so a later
+        :meth:`register_handler` on one node does not reach the others.
+        """
+        handlers = self._handlers
+        if not handlers.keys().isdisjoint(table):
+            name = next(n for n in table if n in handlers)
             raise RuntimeStateError(f"AM handler {name!r} already registered on node {self.node.nid}")
-        self._handlers[name] = fn
+        handlers.update(table)
 
     # ----------------------------------------------------------------- sends
 
@@ -695,9 +732,11 @@ def install_am(
     every endpoint — required for correct runs under a lossy
     :class:`~repro.machine.faults.FaultPlan`.
     """
+    charges = _AMCharges(cluster.costs.net, reception)
     return [
         AMEndpoint(
-            node, cluster.network, reception=reception, reliable=reliable, retry=retry
+            node, cluster.network, charges,
+            reception=reception, reliable=reliable, retry=retry,
         )
         for node in cluster.nodes
     ]

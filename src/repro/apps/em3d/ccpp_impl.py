@@ -89,7 +89,7 @@ def run_ccpp_em3d(
     runtime's ``reliable`` / ``retry``."""
     if version not in VERSIONS:
         raise ReproError(f"unknown EM3D version {version!r}; pick from {VERSIONS}")
-    layout = Em3dLayout(graph)
+    layout = graph.layout
     p = graph.params
     rt = runtime_factory(p.n_procs, **machine)
     cluster = rt.cluster

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.apps.em3d.layout import Em3dLayout
 from repro.errors import ReproError
 from repro.util.rng import make_rng
 
@@ -129,6 +130,7 @@ class Em3dGraph:
         # (proc, kind) slice repeatedly — O(n) scans per call turn the
         # build quadratic in processors at 1k+ nodes
         self._local_memo: dict[tuple[int, bool], list[GraphNode]] = {}
+        self._layout: Em3dLayout | None = None
 
     def _build_edges_chunked(
         self, rng, half: int, per_proc_half: int
@@ -168,6 +170,16 @@ class Em3dGraph:
                 u.weights = weights[i].tolist()
 
     # -------------------------------------------------------------- geometry
+
+    @property
+    def layout(self) -> Em3dLayout:
+        """The per-processor execution plans, built on first use and kept
+        as long as the graph: nothing changes a graph or a plan after
+        construction, so every run on this graph shares one layout."""
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = Em3dLayout(self)
+        return layout
 
     @property
     def edge_terms_per_step(self) -> int:

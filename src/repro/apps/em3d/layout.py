@@ -8,8 +8,10 @@ version is heavily based on the original Split-C implementation").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.apps.em3d.graph import Em3dGraph
+if TYPE_CHECKING:  # pragma: no cover - the graph module imports this one
+    from repro.apps.em3d.graph import Em3dGraph
 
 __all__ = ["PhasePlan", "Em3dLayout", "VERSIONS"]
 
@@ -49,10 +51,13 @@ class PhasePlan:
 
 
 class Em3dLayout:
-    """Precomputed plans: ``plan[proc][phase]`` with phase 0 = E, 1 = H."""
+    """Precomputed plans: ``plan[proc][phase]`` with phase 0 = E, 1 = H.
 
-    def __init__(self, graph: Em3dGraph, *, ghost_base: int = 0):
-        self.graph = graph
+    Read-only once built: a graph builds its layout on first use and keeps
+    it (:attr:`Em3dGraph.layout`), and every run on that graph shares it.
+    """
+
+    def __init__(self, graph: "Em3dGraph"):
         p = graph.params
         self.plans: list[list[PhasePlan]] = [
             [PhasePlan(), PhasePlan()] for _ in range(p.n_procs)

@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from repro.apps.em3d.graph import Em3dGraph
-from repro.apps.em3d.layout import Em3dLayout, PhasePlan
+from repro.apps.em3d.layout import PhasePlan
 from repro.apps.em3d.splitc_impl import GHOST, VAL, Em3dRunResult
 from repro.machine.cluster import Cluster
 from repro.rma.runtime import RMAProcess, install_rma
@@ -51,7 +51,7 @@ def run_rma_em3d(
     :func:`~repro.apps.em3d.splitc_impl.run_splitc_em3d`: ``machine`` is
     :class:`~repro.machine.cluster.Cluster`'s keywords.
     """
-    layout = Em3dLayout(graph)
+    layout = graph.layout
     p = graph.params
     cluster = Cluster(p.n_procs, **machine)
     rt = SplitCRuntime(cluster, reliable=reliable, retry=retry)

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.apps.em3d.graph import Em3dGraph
-from repro.apps.em3d.layout import VERSIONS, Em3dLayout, PhasePlan
+from repro.apps.em3d.layout import VERSIONS, PhasePlan
 from repro.errors import ReproError
 from repro.machine.cluster import Cluster
 from repro.sim.account import Category
@@ -65,7 +65,7 @@ def run_splitc_em3d(
     """
     if version not in VERSIONS:
         raise ReproError(f"unknown EM3D version {version!r}; pick from {VERSIONS}")
-    layout = Em3dLayout(graph)
+    layout = graph.layout
     p = graph.params
     cluster = Cluster(p.n_procs, **machine)
     rt = SplitCRuntime(cluster, reliable=reliable, retry=retry)

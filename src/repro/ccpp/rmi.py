@@ -127,10 +127,12 @@ class RMIBox:
     target: int = -1
 
 
-class _NodeCharges:
-    """Precomputed :class:`Charge` effects for the fixed per-call costs of
-    one node.  Charge is immutable; one instance per cost point serves
-    every RMI on the node, keeping the warm path allocation-free."""
+class _Charges:
+    """Precomputed :class:`Charge` effects for the fixed per-call costs.
+
+    Built once per engine: every node of a cluster shares its cost model,
+    Charge is immutable, and one instance per cost point serves every RMI
+    on every node, keeping the warm path allocation-free."""
 
     __slots__ = (
         "stub_lookup", "reply_handling", "rmi_dispatch", "name_resolve",
@@ -168,14 +170,6 @@ class _NodeRMIState:
     next_slot: int = 0
     slot_lock: Lock | None = None
     comm_lock: Lock | None = None
-    #: precomputed fixed-cost Charge effects (see :class:`_NodeCharges`)
-    chgs: Any = None
-    #: marshal-charge plans keyed by argument-type tuple
-    mplans: dict = field(default_factory=dict)
-    #: Charge instances memoized by amount (bounded; see _marshal_charge)
-    chg_memo: dict = field(default_factory=dict)
-    #: the empty-argument-list marshal charge (the null-RMI fast path)
-    chg_marshal0: Any = None
     #: recycled (Lock, Condition) pairs for PARK-mode reply boxes
     box_pool: list = field(default_factory=list)
     #: slots retired by deadline/unreachable abandonment whose reply (if
@@ -199,26 +193,38 @@ class RMIEngine:
         )
         tracer = getattr(cluster, "tracer", None)
         self._spans = tracer if getattr(tracer, "wants_spans", False) else None
+        # per-cluster constants: every node shares the cluster's cost
+        # model, so the fixed charges, the marshal-charge plans (keyed by
+        # argument-type tuple) and the Charges memoized by amount (bounded;
+        # see _marshal_charge) serve every node
+        self._rc = cluster.costs.runtime
+        self._chgs = _Charges(self._rc)
+        self._mplans: dict[tuple[type, ...], tuple[float, tuple]] = {}
+        self._chg_memo: dict[float, Charge] = {}
+        #: the empty-argument-list marshal charge (the null-RMI fast path)
+        self._chg_marshal0 = self._marshal_charge(0, ())
         self._state = [
             _NodeRMIState(
                 slot_lock=Lock(node, "rmi-slots"),
                 comm_lock=Lock(node, "comm-port"),
-                chgs=_NodeCharges(node.costs.runtime),
             )
-            for node in rt.cluster.nodes
+            for node in cluster.nodes
         ]
+        handlers = {
+            "cc.rmi": self._h_rmi,
+            "cc.reply": self._h_reply,
+            "cc.stub_update": self._h_stub_update,
+            "cc.gp_read": self._h_gp_read,
+            "cc.gp_write": self._h_gp_write,
+            "cc.gp_val": self._h_gp_val,
+            "cc.gp_ack": self._h_gp_ack,
+        }
         for ep in rt.endpoints:
-            ep.register_handler("cc.rmi", self._h_rmi)
-            ep.register_handler("cc.reply", self._h_reply)
-            ep.register_handler("cc.stub_update", self._h_stub_update)
-            ep.register_handler("cc.gp_read", self._h_gp_read)
-            ep.register_handler("cc.gp_write", self._h_gp_write)
-            ep.register_handler("cc.gp_val", self._h_gp_val)
-            ep.register_handler("cc.gp_ack", self._h_gp_ack)
+            ep.register_handlers(handlers)
 
     # ----------------------------------------------------------- marshalling
 
-    def _marshal_charge(self, node, nbytes: int, args: tuple) -> Charge:
+    def _marshal_charge(self, nbytes: int, args: tuple) -> Charge:
         """Marshalling cost, dependent on argument *types* (§3): plain
         double/byte arrays take the compiler-inlined memcpy path; user
         classes and generic containers pay a full dynamic dispatch to
@@ -229,14 +235,13 @@ class RMIEngine:
         so the float sum is bit-identical), and Charge instances are
         memoized by amount — a monomorphic call site charges without
         allocating."""
-        st = self._state[node.nid]
+        rc = self._rc
         types = tuple(map(type, args))
-        plan = st.mplans.get(types)
+        plan = self._mplans.get(types)
         if plan is None:
-            plan = _build_marshal_plan(node.costs.runtime, types)
-            st.mplans[types] = plan
+            plan = _build_marshal_plan(rc, types)
+            self._mplans[types] = plan
         fixed_us, simple_spec = plan
-        rc = node.costs.runtime
         us = fixed_us
         simple_bytes = 0
         for i, use_nbytes in simple_spec:
@@ -249,7 +254,7 @@ class RMIEngine:
             us += simple_bytes * rc.marshal_per_byte_simple
         if dynamic_bytes:
             us += dynamic_bytes * rc.marshal_per_byte
-        memo = st.chg_memo
+        memo = self._chg_memo
         chg = memo.get(us)
         if chg is None:
             chg = Charge(us, Category.RUNTIME)
@@ -415,7 +420,7 @@ class RMIEngine:
 
         # 1. stub cache probe, under the table lock
         yield from stubs.lock.acquire()
-        yield st.chgs.stub_lookup
+        yield self._chgs.stub_lookup
         entry = stubs.probe(gptr.node, name) if self.rt.stub_caching else None
         yield from stubs.lock.release()
 
@@ -450,12 +455,9 @@ class RMIEngine:
         else:
             payload, nargs = marshal_args(args, pool=pool)
         if args:
-            yield self._marshal_charge(node, len(payload), args)
+            yield self._marshal_charge(len(payload), args)
         else:
-            chg0 = st.chg_marshal0
-            if chg0 is None:
-                st.chg_marshal0 = chg0 = self._marshal_charge(node, 0, ())
-            yield chg0
+            yield self._chg_marshal0
         if sp is not None:
             sp.end(msid, node.sim._now)
 
@@ -525,7 +527,7 @@ class RMIEngine:
             self._raise_abandoned(box, node.nid, "rmi", deadline_us)
 
         # 6. unpack the result
-        yield st.chgs.reply_handling
+        yield self._chgs.reply_handling
         # the payload may be a zero-copy view that unmarshalling recycles;
         # take its length first (len() on a released view raises)
         plen = len(box.payload)
@@ -541,7 +543,7 @@ class RMIEngine:
                 Category.RUNTIME,
             )
         (result,) = unmarshal_args(box.payload, pool=pool)
-        yield self._marshal_charge(node, plen, (result,))
+        yield self._marshal_charge(plen, (result,))
         if hist is not None:
             hist.record(node.sim._now - t0)
         if sp is not None:
@@ -562,18 +564,17 @@ class RMIEngine:
         node = ctx.node
         self._check_alive(node.nid, gptr.node, "rmi_async")
         ep: AMEndpoint = ctx.ep
-        rc = node.costs.runtime
         name = MethodName.of(gptr.cls, method) if gptr.cls else method
         st = self._state[node.nid]
         stubs = self.rt.stub_tables[node.nid]
 
         yield from stubs.lock.acquire()
-        yield st.chgs.stub_lookup
+        yield self._chgs.stub_lookup
         entry = stubs.probe(gptr.node, name) if self.rt.stub_caching else None
         yield from stubs.lock.release()
 
         payload, nargs = marshal_args(args, pool=node.marshal_pool)
-        yield self._marshal_charge(node, len(payload), args)
+        yield self._marshal_charge(len(payload), args)
 
         cold = entry is None
         if cold:
@@ -625,7 +626,6 @@ class RMIEngine:
     def _h_rmi(self, ep: AMEndpoint, src: int, frame: AMFrame):
         node = ep.node
         rc = node.costs.runtime
-        st = self._state[node.nid]
         slot, cold, key, obj_id, rbuf_id = frame.args
         payload = frame.data
         sp = self._spans
@@ -634,14 +634,14 @@ class RMIEngine:
             if sp is not None
             else -1
         )
-        yield st.chgs.rmi_dispatch
+        yield self._chgs.rmi_dispatch
 
         stubs = self.rt.stub_tables[node.nid]
         bufs = self.rt.buffer_managers[node.nid]
 
         if cold or not self.rt.stub_caching:
             # name-based resolution + stub-update back to the initiator
-            yield st.chgs.name_resolve
+            yield self._chgs.name_resolve
             stub = stubs.resolve_name(key)
             rbuf = None
             if payload:
@@ -697,7 +697,6 @@ class RMIEngine:
 
     def _run_method(self, ep: AMEndpoint, src: int, slot: int, stub, obj, payload):
         node = ep.node
-        rc = node.costs.runtime
         sp = self._spans
         sid = (
             sp.begin(node.sim._now, node.nid, "rmi.method", stub.name)
@@ -710,14 +709,10 @@ class RMIEngine:
         plen = len(payload)
         if plen:
             args = unmarshal_args(payload, pool=node.marshal_pool)
-            yield self._marshal_charge(node, plen, args)
+            yield self._marshal_charge(plen, args)
         else:
             args = ()
-            st0 = self._state[node.nid]
-            chg0 = st0.chg_marshal0
-            if chg0 is None:
-                st0.chg_marshal0 = chg0 = self._marshal_charge(node, 0, ())
-            yield chg0
+            yield self._chg_marshal0
 
         method_name = stub.name.rsplit("::", 1)[-1]
         fn = getattr(obj, method_name, None)
@@ -745,7 +740,7 @@ class RMIEngine:
             return  # one-sided invocation: no reply expected
 
         rpayload, _ = marshal_args((result,), pool=node.marshal_pool)
-        yield self._marshal_charge(node, len(rpayload), (result,))
+        yield self._marshal_charge(len(rpayload), (result,))
 
         st = self._state[node.nid]
         assert st.comm_lock is not None
@@ -787,7 +782,7 @@ class RMIEngine:
         node = ep.node
         stubs = self.rt.stub_tables[node.nid]
         yield from stubs.lock.acquire()
-        yield self._state[node.nid].chgs.stub_install
+        yield self._chgs.stub_install
         stubs.install(remote_node, name, CacheEntry(stub_id=stub_id, rbuf_id=rbuf_id))
         yield from stubs.lock.release()
 
@@ -802,7 +797,7 @@ class RMIEngine:
         the cause of em3d-base's gap at low remote fractions."""
         node = ctx.node
         st = self._state[node.nid]
-        chgs = st.chgs
+        chgs = self._chgs
         if gp.node == node.nid:
             yield chgs.gp_local
             return ctx.mem.load_gp(gp.region, gp.offset)
@@ -829,7 +824,7 @@ class RMIEngine:
         """``*gpY = lx`` (Table 4 GP Write)."""
         node = ctx.node
         st = self._state[node.nid]
-        chgs = st.chgs
+        chgs = self._chgs
         if gp.node == node.nid:
             yield chgs.gp_local
             ctx.mem.store_gp(gp.region, gp.offset, value)
@@ -862,7 +857,7 @@ class RMIEngine:
 
     def _gp_read_thread(self, ep, src, slot, region, offset):
         node = ep.node
-        yield self._state[node.nid].chgs.gp_thread
+        yield self._chgs.gp_thread
         value = self.rt.cc_memory(node.nid).load_gp(region, offset)
         st = self._state[node.nid]
         yield from st.comm_lock.acquire()
@@ -876,7 +871,7 @@ class RMIEngine:
 
     def _gp_write_thread(self, ep, src, slot, region, offset, value):
         node = ep.node
-        yield self._state[node.nid].chgs.gp_thread
+        yield self._chgs.gp_thread
         self.rt.cc_memory(node.nid).store_gp(region, offset, value)
         st = self._state[node.nid]
         yield from st.comm_lock.acquire()

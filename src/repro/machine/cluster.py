@@ -11,7 +11,8 @@ from repro.machine.faults import FaultPlan
 from repro.machine.network import Network
 from repro.machine.node import Node
 from repro.machine.topology import Topology, make_topology
-from repro.sim.account import Counters, TimeAccount
+from repro.sim.account import Category, Counters, TimeAccount
+from repro.sim.effects import Charge
 from repro.sim.engine import Simulator, Watchdog
 from repro.sim.trace import Tracer
 from repro.threads.scheduler import Scheduler
@@ -42,7 +43,7 @@ class Window:
     def open(self) -> None:
         cluster = self._cluster
         self._t0 = cluster.sim.now
-        self._acct0 = [n.account.snapshot() for n in cluster.nodes]
+        self._acct0 = [list(n.account._us) for n in cluster.nodes]
         self._cnt0 = cluster.aggregate_counters().snapshot()
 
     def close(self) -> None:
@@ -53,9 +54,15 @@ class Window:
         """Virtual µs per category (``idle`` kept apart), summed node by
         node in node order."""
         out: dict[str, float] = {}
-        for node, snap in zip(self._cluster.nodes, self._acct0):
-            for cat, v in node.account.since(snap).items():
-                out[str(cat)] = out.get(str(cat), 0.0) + v
+        pairs = [
+            (n.account._us, snap) for n, snap in zip(self._cluster.nodes, self._acct0)
+        ]
+        for cat in Category:
+            i = cat.index
+            total = 0.0
+            for us, snap in pairs:
+                total += us[i] - snap[i]
+            out[str(cat)] = total
         return out
 
     @property
@@ -124,8 +131,10 @@ class Cluster:
             self.sim, tracer=tracer, faults=faults, metrics=metrics, topology=topology
         )
         self.nodes: list[Node] = []
+        sync_charge = Charge(costs.threads.sync_op, Category.THREAD_SYNC)
         for nid in range(n_nodes):
             node = Node(nid, self.sim, costs, tracer=tracer, metrics=metrics)
+            node.sync_charge = sync_charge
             self.network.register(node)
             Scheduler(node)
             self.nodes.append(node)

@@ -36,7 +36,7 @@ from repro.machine.faults import DROP, FaultPlan
 from repro.obs.metrics import MetricNames
 from repro.sim.account import CounterNames
 from repro.sim.engine import Simulator
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import NULL_TRACER, NullTracer, Tracer
 
 __all__ = ["Packet", "PacketRecord", "Network"]
 
@@ -138,7 +138,7 @@ class Network:
         topology: Any | None = None,
     ):
         self.sim = sim
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
+        self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self._trace = None if type(self.tracer) is NullTracer else self.tracer.record
         # pre-resolved per-packet bytes histogram, or None when metrics
         # are off (one is-None test per transmit)

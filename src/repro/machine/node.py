@@ -23,7 +23,7 @@ from repro.marshal.pool import BufferPool
 from repro.sim.account import Category, Counters, TimeAccount
 from repro.sim.effects import Charge
 from repro.sim.engine import Simulator
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import NULL_TRACER, NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.machine.costs import CostModel
@@ -50,7 +50,7 @@ class Node:
         self.nid = nid
         self.sim = sim
         self.costs = costs
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
+        self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self._trace = None if type(self.tracer) is NullTracer else self.tracer.record
         #: span-capable tracer (:class:`~repro.obs.spans.SpanRecorder`) or
         #: None — runtimes resolve this once and guard span sites with it
@@ -71,9 +71,11 @@ class Node:
         self.services: dict[str, Any] = {}
         #: per-node freelist of marshalling buffers (persistent buffers)
         self.marshal_pool = BufferPool()
-        #: the one Charge every sync op yields — Charge is immutable, so a
-        #: single instance serves every lock/signal/down on this node
-        self.sync_charge = Charge(costs.threads.sync_op, Category.THREAD_SYNC)
+        #: the one Charge every sync op yields, set by the
+        #: :class:`~repro.machine.cluster.Cluster`: Charge is immutable and
+        #: all nodes of a cluster share one cost model, so a single
+        #: instance serves every lock/signal/down on every node
+        self.sync_charge: Charge | None = None
 
     # ------------------------------------------------------------- accounting
 

@@ -22,7 +22,7 @@ class MPLEndpoint:
 
     SERVICE = "mpl"
 
-    def __init__(self, node: Any, network: Network):
+    def __init__(self, node: Any, network: Network, chg_send: Charge, chg_recv: Charge):
         if "msg-layer" in node.services:
             raise RuntimeStateError(
                 f"node {node.nid} already has messaging layer "
@@ -33,10 +33,9 @@ class MPLEndpoint:
         self.network = network
         #: (src, tag) -> queue of payloads, FIFO per matching key
         self._matched: dict[tuple[int, int], deque[Any]] = {}
-        # one immutable Charge per fixed cost point (see repro.am.layer)
-        net = node.costs.net
-        self._chg_send = Charge(net.mpl_send_cpu, Category.NET)
-        self._chg_recv = Charge(net.mpl_recv_cpu, Category.NET)
+        # the cluster's fixed charges, built once by install_mpl
+        self._chg_send = chg_send
+        self._chg_recv = chg_recv
         node.attach(self.SERVICE, self)
         # exclusive claim on the node's inbox: exactly one messaging layer
         node.attach("msg-layer", self)
@@ -97,5 +96,13 @@ class MPLEndpoint:
 
 
 def install_mpl(cluster: Any) -> list[MPLEndpoint]:
-    """One MPL endpoint per node, in node order."""
-    return [MPLEndpoint(node, cluster.network) for node in cluster.nodes]
+    """One MPL endpoint per node, in node order.  Every node shares the
+    cluster's cost model, so one immutable Charge per fixed cost point
+    serves them all."""
+    net = cluster.costs.net
+    chg_send = Charge(net.mpl_send_cpu, Category.NET)
+    chg_recv = Charge(net.mpl_recv_cpu, Category.NET)
+    return [
+        MPLEndpoint(node, cluster.network, chg_send, chg_recv)
+        for node in cluster.nodes
+    ]

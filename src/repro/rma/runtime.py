@@ -121,9 +121,8 @@ class RMAProcess:
         self.ep = rt.endpoints[nid]
         self.node = rt.cluster.nodes[nid]
         self._st = rt.state(nid)
-        costs = self.node.costs.runtime
-        self._per_byte = costs.copy_per_byte
-        self._chg_issue = Charge(costs.sc_issue, Category.RUNTIME)
+        self._per_byte = rt._per_byte
+        self._chg_issue = rt._chg_issue
         metrics = self.node.metrics
         self._h_reg = None if metrics is None else metrics.histogram(MetricNames.RMA_REGISTER)
         self._h_remote = None if metrics is None else metrics.histogram(MetricNames.RMA_REMOTE)
@@ -292,14 +291,22 @@ class RMARuntime:
             endpoints if endpoints is not None
             else install_am(cluster, reliable=reliable, retry=retry)
         )
+        # per-cluster constants (every node shares the cluster's cost
+        # model): the pin/placement price and the one issue Charge
+        rc = cluster.costs.runtime
+        self._per_byte = rc.copy_per_byte
+        self._chg_issue = Charge(rc.sc_issue, Category.RUNTIME)
         self._state = [_RMAState() for _ in cluster.nodes]
         self._procs = [RMAProcess(self, n.nid) for n in cluster.nodes]
+        handlers = {
+            "rma.put": self._h_put,
+            "rma.bulk_put": self._h_bulk_put,
+            "rma.get": self._h_get,
+            "rma.done": self._h_done,
+            "rma.get_data": self._h_get_data,
+        }
         for ep in self.endpoints:
-            ep.register_handler("rma.put", self._h_put)
-            ep.register_handler("rma.bulk_put", self._h_bulk_put)
-            ep.register_handler("rma.get", self._h_get)
-            ep.register_handler("rma.done", self._h_done)
-            ep.register_handler("rma.get_data", self._h_get_data)
+            ep.register_handlers(handlers)
 
     # ------------------------------------------------------------ structure
 
@@ -336,7 +343,7 @@ class RMARuntime:
         """Target-side data placement (event context: NIC work, no thread)."""
         nid = ep.node.nid
         arr = self._window_block(nid, win, offset, len(block))
-        ep.node.charge(Category.NET, 8.0 * len(block) * self._procs[nid]._per_byte)
+        ep.node.charge(Category.NET, 8.0 * len(block) * self._per_byte)
         if flags & _F_ACC:
             arr[offset : offset + len(block)] += block
         else:
@@ -364,7 +371,7 @@ class RMARuntime:
         win, offset, count, hid = frame.args
         nid = ep.node.nid
         arr = self._window_block(nid, win, offset, count)
-        ep.node.charge(Category.NET, 8.0 * count * self._procs[nid]._per_byte)
+        ep.node.charge(Category.NET, 8.0 * count * self._per_byte)
         block = arr[offset : offset + count]
         if count <= _SHORT_DOUBLES:
             ep.control_send(

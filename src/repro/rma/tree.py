@@ -58,9 +58,9 @@ class TreeComm:
         self.radix = radix
         self.n = len(endpoints)
         self._st = [_TreeState() for _ in endpoints]
+        handlers = {"tree.bcast": self._h_bcast, "tree.reduce": self._h_reduce}
         for ep in endpoints:
-            ep.register_handler("tree.bcast", self._h_bcast)
-            ep.register_handler("tree.reduce", self._h_reduce)
+            ep.register_handlers(handlers)
 
     # ------------------------------------------------------------- geometry
     # Ranks are node ids rotated so the root is rank 0; rank r's parent is

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:  # pragma: no cover - typing only (machine imports sim)
     from repro.machine.network import PacketRecord
 
-__all__ = ["Tracer", "NullTracer", "RecordingTracer", "TraceRecord"]
+__all__ = ["Tracer", "NullTracer", "NULL_TRACER", "RecordingTracer", "TraceRecord"]
 
 _tuple_new = tuple.__new__
 
@@ -62,6 +62,11 @@ class NullTracer(Tracer):
 
     def record(self, time: float, node: int, kind: str, detail: str | PacketRecord = "") -> None:
         pass
+
+
+#: the default tracer of every node and network: it has no state, so one
+#: instance serves them all
+NULL_TRACER = NullTracer()
 
 
 class RecordingTracer(Tracer):

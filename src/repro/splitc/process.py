@@ -31,7 +31,7 @@ from repro.am.frames import BULK_HEADER_BYTES
 from repro.errors import GlobalPointerError
 from repro.obs.metrics import MetricNames
 from repro.sim.account import Category
-from repro.sim.effects import Charge
+from repro.sim.effects import WAIT_INBOX, Charge
 from repro.splitc.gptr import GlobalPtr
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,13 +56,14 @@ class SCProcess:
         self.node = runtime.cluster.nodes[nid]
         self.mem = runtime.memories[nid]
         self.ep = runtime.endpoints[nid]
+        #: this node's Split-C bookkeeping (``runtime.state(nid)``)
+        self._st = runtime.state(nid)
         self._barrier_epoch = 0
-        # Charge is immutable: one instance per fixed per-op cost serves
-        # every access this process issues
-        rc = self.node.costs.runtime
-        self._chg_issue = Charge(rc.sc_issue, Category.RUNTIME)
-        self._chg_local = Charge(rc.sc_local_access, Category.RUNTIME)
-        self._chg_sync_check = Charge(rc.sc_sync_check, Category.RUNTIME)
+        # the runtime's fixed per-op charges, one instance per cost point
+        # for every access on every node
+        self._chg_issue = runtime._chg_issue
+        self._chg_local = runtime._chg_local
+        self._chg_sync_check = runtime._chg_sync
         # passive observability (both None by default): remote-read latency
         # histogram plus spans around the remote access paths
         self._spans = self.node._spans
@@ -155,7 +156,7 @@ class SCProcess:
             self.mem.store(dest, self.mem.load(src))
             return
         yield self._chg_issue
-        self.rt.state(self.nid).pending += 1
+        self._st.pending += 1
         yield from self.ep.send_short(
             src.node,
             "sc.get",
@@ -170,7 +171,7 @@ class SCProcess:
             self.mem.store(dest, value)
             return
         yield self._chg_issue
-        self.rt.state(self.nid).pending += 1
+        self._st.pending += 1
         yield from self.ep.send_short(
             dest.node,
             "sc.put",
@@ -180,7 +181,7 @@ class SCProcess:
 
     def sync(self) -> Generator[Any, Any, None]:
         """Wait for every outstanding split-phase operation by this node."""
-        st = self.rt.state(self.nid)
+        st = self._st
         sp = self._spans
         sid = (
             sp.begin(self.node.sim._now, self.nid, "sc.sync", f"pending {st.pending}")
@@ -196,11 +197,11 @@ class SCProcess:
 
     def store(self, dest: GlobalPtr, value: Any) -> Generator[Any, Any, None]:
         """``*dest :- lx``: one-way store; the *target* synchronizes."""
-        self.rt.state(self.nid).stores_sent += 1
+        self._st.stores_sent += 1
         if dest.is_local(self.nid):
             yield self._chg_local
             self.mem.store(dest, value)
-            st = self.rt.state(self.nid)
+            st = self._st
             st.stores_received += 1
             return
         yield self._chg_issue
@@ -215,13 +216,13 @@ class SCProcess:
         """One-way remote accumulate of a few contiguous elements
         (``*dest[k] += values[k]``); counts as one store at the target."""
         values = [float(v) for v in values]
-        self.rt.state(self.nid).stores_sent += 1
+        self._st.stores_sent += 1
         if dest.is_local(self.nid):
             yield self._chg_local
             arr = self.mem.region(dest.region)
             for k, v in enumerate(values):
                 arr[dest.offset + k] += v
-            self.rt.state(self.nid).stores_received += 1
+            self._st.stores_received += 1
             return
         yield self._chg_issue
         yield from self.ep.send_short(
@@ -234,11 +235,11 @@ class SCProcess:
     def bulk_store(self, dest: GlobalPtr, values: np.ndarray) -> Generator[Any, Any, None]:
         """One-way bulk store of a contiguous block."""
         values = np.asarray(values)
-        self.rt.state(self.nid).stores_sent += 1
+        self._st.stores_sent += 1
         if dest.is_local(self.nid):
             yield self._chg_local
             self.mem.store_block(dest, values)
-            self.rt.state(self.nid).stores_received += 1
+            self._st.stores_received += 1
             return
         yield self._chg_issue
         yield from self.ep.send_bulk(
@@ -253,12 +254,12 @@ class SCProcess:
         """One-way bulk accumulate of a contiguous block (counts as one
         store at the target) — how water-prefetch ships force blocks."""
         values = np.asarray(values, dtype=np.float64)
-        self.rt.state(self.nid).stores_sent += 1
+        self._st.stores_sent += 1
         if dest.is_local(self.nid):
             yield self._chg_local
             arr = self.mem.region(dest.region)
             arr[dest.offset : dest.offset + len(values)] += values
-            self.rt.state(self.nid).stores_received += 1
+            self._st.stores_received += 1
             return
         yield self._chg_issue
         yield from self.ep.send_bulk(
@@ -271,7 +272,7 @@ class SCProcess:
 
     def await_stores(self, n: int) -> Generator[Any, Any, None]:
         """Block until ``n`` further stores have landed on this node."""
-        st = self.rt.state(self.nid)
+        st = self._st
         target = st.stores_consumed + n
         yield self._chg_sync_check
         yield from self.ep.poll_until(lambda: st.stores_received >= target)
@@ -344,20 +345,23 @@ class SCProcess:
             else -1
         )
         yield self._chg_sync_check
+        st = self._st
+        ep = self.ep
         if self.nid == 0:
-            st0 = self.rt.state(0)
-            st0.barrier_arrived += 1
-            yield from self.rt._maybe_release_barrier(self.ep)
-            yield from self.ep.poll_until(
-                lambda: self.rt.state(0).barrier_released > epoch
-            )
+            st.barrier_arrived += 1
+            if st.barrier_arrived == self.rt._nprocs:
+                yield from self.rt._release_barrier(ep)
         else:
-            yield from self.ep.send_short(
+            yield from ep.send_short(
                 0, "sc.barrier", args=(epoch,), nbytes=_BARRIER_BYTES
             )
-            yield from self.ep.poll_until(
-                lambda: self.rt.state(self.nid).barrier_released > epoch
-            )
+        # ep.poll_until on the release, without the closure and its call
+        # per spin (the shape of ep.poll_until_done)
+        node = self.node
+        while st.barrier_released <= epoch:
+            if not node.inbox:
+                yield WAIT_INBOX
+            yield from ep.poll()
         if sp is not None:
             sp.end(sid, self.node.sim._now)
 
@@ -373,7 +377,7 @@ class SCProcess:
             self.mem.store_block(dest, self.mem.load_block(src, count))
             return
         yield self._chg_issue
-        self.rt.state(self.nid).pending += 1
+        self._st.pending += 1
         yield from self.ep.send_short(
             src.node,
             "sc.bulk_get",

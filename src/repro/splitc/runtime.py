@@ -82,47 +82,49 @@ class SplitCRuntime:
         self.endpoints: list[AMEndpoint] = install_am(
             cluster, reliable=reliable, retry=retry
         )
+        self._nprocs = cluster.size
+        # Fixed Charge effects, built once: every node of the cluster
+        # shares its cost model, Charge is immutable, and one instance
+        # serves every message on every node.  The memo holds the
+        # byte-dependent bulk charges, bounded.
+        rc = cluster.costs.runtime
+        self._chg_reply = Charge(rc.reply_handling, Category.RUNTIME)
+        self._chg_sync = Charge(rc.sc_sync_check, Category.RUNTIME)
+        self._chg_issue = Charge(rc.sc_issue, Category.RUNTIME)
+        self._chg_local = Charge(rc.sc_local_access, Category.RUNTIME)
+        self._chg_memo: dict[float, Charge] = {}
         self.memories: list[Memory] = [Memory(n) for n in cluster.nodes]
         self._state: list[_NodeState] = [_NodeState() for _ in cluster.nodes]
         self._procs: list[SCProcess] = [
             SCProcess(self, node.nid) for node in cluster.nodes
         ]
+        handlers = {
+            "sc.read": self._h_read,
+            "sc.write": self._h_write,
+            "sc.get": self._h_get,
+            "sc.get_reply": self._h_get_reply,
+            "sc.put": self._h_put,
+            "sc.reply_val": self._h_reply_val,
+            "sc.ack": self._h_ack,
+            "sc.put_ack": self._h_put_ack,
+            "sc.store": self._h_store,
+            "sc.store_add": self._h_store_add,
+            "sc.bulk_read": self._h_bulk_read,
+            "sc.bulk_data": self._h_bulk_data,
+            "sc.bulk_get": self._h_bulk_get,
+            "sc.bulk_get_reply": self._h_bulk_get_reply,
+            "sc.bulk_write": self._h_bulk_write,
+            "sc.bulk_store": self._h_bulk_store,
+            "sc.bulk_store_add": self._h_bulk_store_add,
+            "sc.barrier": self._h_barrier,
+            "sc.barrier_go": self._h_barrier_go,
+            "sc.rpc": self._h_rpc,
+        }
         for ep in self.endpoints:
-            ep.register_handler("sc.read", self._h_read)
-            ep.register_handler("sc.write", self._h_write)
-            ep.register_handler("sc.get", self._h_get)
-            ep.register_handler("sc.get_reply", self._h_get_reply)
-            ep.register_handler("sc.put", self._h_put)
-            ep.register_handler("sc.reply_val", self._h_reply_val)
-            ep.register_handler("sc.ack", self._h_ack)
-            ep.register_handler("sc.put_ack", self._h_put_ack)
-            ep.register_handler("sc.store", self._h_store)
-            ep.register_handler("sc.store_add", self._h_store_add)
-            ep.register_handler("sc.bulk_read", self._h_bulk_read)
-            ep.register_handler("sc.bulk_data", self._h_bulk_data)
-            ep.register_handler("sc.bulk_get", self._h_bulk_get)
-            ep.register_handler("sc.bulk_get_reply", self._h_bulk_get_reply)
-            ep.register_handler("sc.bulk_write", self._h_bulk_write)
-            ep.register_handler("sc.bulk_store", self._h_bulk_store)
-            ep.register_handler("sc.bulk_store_add", self._h_bulk_store_add)
-            ep.register_handler("sc.barrier", self._h_barrier)
-            ep.register_handler("sc.barrier_go", self._h_barrier_go)
-            ep.register_handler("sc.rpc", self._h_rpc)
+            ep.register_handlers(handlers)
         #: registered atomic-RPC functions, shared by all nodes (same
         #: program image everywhere — the SPMD assumption)
         self._rpc_fns: dict[str, Callable[..., Any]] = {}
-        # Precomputed per-node Charge effects for the fixed handler costs
-        # (Charge is immutable; one instance serves every message), plus a
-        # bounded per-node memo for the byte-dependent bulk charges.
-        self._chg_reply: list[Charge] = [
-            Charge(n.costs.runtime.reply_handling, Category.RUNTIME)
-            for n in cluster.nodes
-        ]
-        self._chg_sync: list[Charge] = [
-            Charge(n.costs.runtime.sc_sync_check, Category.RUNTIME)
-            for n in cluster.nodes
-        ]
-        self._chg_memo: list[dict[float, Charge]] = [{} for _ in cluster.nodes]
 
     # ------------------------------------------------------------ structure
 
@@ -164,8 +166,8 @@ class SplitCRuntime:
     # All handlers run at poll time on the *destination* node, inside
     # whatever thread polled.  `ep.node` is the servicing node.
 
-    def _rt_charge(self, ep: AMEndpoint, us: float):
-        memo = self._chg_memo[ep.node.nid]
+    def _rt_charge(self, us: float):
+        memo = self._chg_memo
         chg = memo.get(us)
         if chg is None:
             chg = Charge(us, Category.RUNTIME)
@@ -198,13 +200,13 @@ class SplitCRuntime:
         box = self._take_box(ep.node.nid, slot)
         box.value = value
         box.done = True
-        yield self._chg_reply[ep.node.nid]
+        yield self._chg_reply
 
     def _h_ack(self, ep: AMEndpoint, src: int, frame: AMFrame):
         (slot,) = frame.args
         box = self._take_box(ep.node.nid, slot)
         box.done = True
-        yield self._chg_reply[ep.node.nid]
+        yield self._chg_reply
 
     # split-phase -----------------------------------------------------------
 
@@ -223,7 +225,7 @@ class SplitCRuntime:
         nid = ep.node.nid
         self.memories[nid].store_gp(dest_region, dest_offset, value)
         self._state[nid].pending -= 1
-        yield self._chg_reply[ep.node.nid]
+        yield self._chg_reply
 
     def _h_put(self, ep: AMEndpoint, src: int, frame: AMFrame):
         region, offset, value = frame.args
@@ -232,7 +234,7 @@ class SplitCRuntime:
 
     def _h_put_ack(self, ep: AMEndpoint, src: int, frame: AMFrame):
         self._state[ep.node.nid].pending -= 1
-        yield self._chg_reply[ep.node.nid]
+        yield self._chg_reply
 
     def _h_store(self, ep: AMEndpoint, src: int, frame: AMFrame):
         region, offset, value = frame.args
@@ -240,7 +242,7 @@ class SplitCRuntime:
         self.memories[nid].store_gp(region, offset, value)
         self._state[nid].stores_received += 1
         # one-way: no reply
-        yield self._chg_reply[ep.node.nid]
+        yield self._chg_reply
 
     def _h_store_add(self, ep: AMEndpoint, src: int, frame: AMFrame):
         """One-way accumulate: ``*gp[k] += v[k]`` for a few values (a node
@@ -253,7 +255,7 @@ class SplitCRuntime:
         for k, v in enumerate(values):
             arr[offset + k] += v
         self._state[nid].stores_received += 1
-        yield self._chg_reply[ep.node.nid]
+        yield self._chg_reply
 
     # bulk ------------------------------------------------------------------
 
@@ -279,7 +281,7 @@ class SplitCRuntime:
         box.done = True
         self._recycle_payload(ep, frame)
         rt = ep.node.costs.runtime
-        yield self._rt_charge(ep, rt.reply_handling + 0.01 * n)
+        yield self._rt_charge(rt.reply_handling + 0.01 * n)
 
     def _h_bulk_get(self, ep: AMEndpoint, src: int, frame: AMFrame):
         region, offset, count, dest_region, dest_offset = frame.args
@@ -303,7 +305,7 @@ class SplitCRuntime:
         del values  # drop the buffer export so the pool can reuse it
         self._recycle_payload(ep, frame)
         rt = ep.node.costs.runtime
-        yield self._rt_charge(ep, rt.reply_handling + 0.01 * n)
+        yield self._rt_charge(rt.reply_handling + 0.01 * n)
 
     def _h_bulk_write(self, ep: AMEndpoint, src: int, frame: AMFrame):
         region, offset, dtype, slot = frame.args
@@ -325,7 +327,7 @@ class SplitCRuntime:
         del values
         self._recycle_payload(ep, frame)
         rt = ep.node.costs.runtime
-        yield self._rt_charge(ep, rt.reply_handling + 0.01 * n)
+        yield self._rt_charge(rt.reply_handling + 0.01 * n)
 
     def _h_bulk_store(self, ep: AMEndpoint, src: int, frame: AMFrame):
         region, offset, dtype = frame.args
@@ -335,7 +337,7 @@ class SplitCRuntime:
         self._state[nid].stores_received += 1
         del values
         self._recycle_payload(ep, frame)
-        yield self._chg_reply[ep.node.nid]
+        yield self._chg_reply
 
     # atomic RPC ------------------------------------------------------------
     # Split-C's `atomic(foo, ...)`: run a registered function at the remote
@@ -376,26 +378,28 @@ class SplitCRuntime:
                 f"barrier epoch skew: arrival for {epoch}, node 0 at {st.barrier_epoch}"
             )
         st.barrier_arrived += 1
-        yield from self._maybe_release_barrier(ep)
+        # node 0 itself counts too (flagged by SCProcess.barrier)
+        if st.barrier_arrived == self._nprocs:
+            yield from self._release_barrier(ep)
 
-    def _maybe_release_barrier(self, ep: AMEndpoint):
+    def _release_barrier(self, ep: AMEndpoint):
+        """The last arrival on node 0 ends the epoch and sends every
+        other node its release."""
         st = self._state[0]
-        # node 0 itself must also have arrived (flagged by SCProcess.barrier)
-        if st.barrier_arrived == self.nprocs:
-            epoch = st.barrier_epoch
-            st.barrier_arrived = 0
-            st.barrier_epoch += 1
-            st.barrier_released = epoch + 1
-            for nid in range(1, self.nprocs):
-                yield from ep.send_short(
-                    nid, "sc.barrier_go", args=(epoch,), nbytes=_BARRIER_BYTES
-                )
+        epoch = st.barrier_epoch
+        st.barrier_arrived = 0
+        st.barrier_epoch += 1
+        st.barrier_released = epoch + 1
+        for nid in range(1, self._nprocs):
+            yield from ep.send_short(
+                nid, "sc.barrier_go", args=(epoch,), nbytes=_BARRIER_BYTES
+            )
 
     def _h_barrier_go(self, ep: AMEndpoint, src: int, frame: AMFrame):
         (epoch,) = frame.args
         st = self._state[ep.node.nid]
         st.barrier_released = max(st.barrier_released, epoch + 1)
-        yield self._chg_sync[ep.node.nid]
+        yield self._chg_sync
 
     # --------------------------------------------------------------- running
 

@@ -49,6 +49,43 @@ class TestHandlers:
             eps[0].register_handler("x", lambda *a: None)
         eps[0].register_handler("x", lambda *a: None, replace=True)
 
+    @pytest.mark.parametrize("runtime", ["splitc", "tham", "rma", "tree"])
+    def test_runtime_table_is_per_endpoint(self, runtime):
+        """A runtime builds its handler table once and hands it to every
+        endpoint: each answers the same names, a later registration on
+        one node reaches no other, and a duplicate name still raises."""
+        from repro.ccpp import make_tham_runtime
+        from repro.rma import install_rma
+        from repro.rma.tree import TreeComm
+        from repro.splitc import SplitCRuntime
+
+        if runtime == "tham":
+            eps = make_tham_runtime(3).endpoints
+        elif runtime == "rma":
+            eps = install_rma(Cluster(3)).endpoints
+        else:
+            eps = SplitCRuntime(Cluster(3)).endpoints
+            if runtime == "tree":
+                TreeComm(eps)
+        names = set(eps[0]._handlers)
+        assert names and all(set(ep._handlers) == names for ep in eps)
+        some = "tree.bcast" if runtime == "tree" else min(names)
+        assert len({ep._handlers[some] for ep in eps}) == 1
+
+        def h(ep, src, frame):
+            return
+            yield
+
+        eps[1].register_handler("extra", h)
+        eps[2].register_handler(some, h, replace=True)
+        assert "extra" not in eps[0]._handlers and "extra" not in eps[2]._handlers
+        assert eps[0]._handlers[some] is not h and eps[1]._handlers[some] is not h
+        with pytest.raises(RuntimeStateError, match="already registered"):
+            eps[0].register_handler(some, h)
+        with pytest.raises(RuntimeStateError, match="already registered"):
+            eps[1].register_handlers({"fresh": h, "extra": h})
+        assert "fresh" not in eps[1]._handlers
+
     def test_replaced_runtime_handler_is_the_one_dispatched(self):
         """``replace=True`` on a handler a language runtime registered
         must take effect on a plain run, not only with a recorder
