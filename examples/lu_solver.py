@@ -10,7 +10,6 @@ Run:  python examples/lu_solver.py
 """
 
 import numpy as np
-import scipy.linalg
 
 from repro.apps.lu import (
     LuParams,
@@ -31,8 +30,7 @@ def main() -> None:
         res = runner(work)
         assert check_factorization(work, res.packed), f"{lang}: L@U != A"
         lower, upper = assemble(res.packed)
-        y = scipy.linalg.solve_triangular(lower, rhs, lower=True, unit_diagonal=True)
-        x = scipy.linalg.solve_triangular(upper, y, lower=False)
+        x = np.linalg.solve(upper, np.linalg.solve(lower, rhs))
         residual = np.linalg.norm(work.matrix @ x - rhs) / np.linalg.norm(rhs)
         print(
             f"{lang:18s} factored {work.params.n}x{work.params.n} in "

@@ -53,26 +53,15 @@ def lu_nopivot(a: np.ndarray) -> None:
         a[r + 1 :, r + 1 :] -= np.outer(a[r + 1 :, r], a[r, r + 1 :])
 
 
-def _solve_triangular(*args, **kwargs):
-    """``scipy.linalg.solve_triangular``, bound on first use: importing
-    ``scipy.linalg`` costs more than every other import of a cached CLI
-    run together, and only the two panel kernels below need it.  The
-    first call rebinds this module global to scipy's function, so later
-    calls are one global lookup."""
-    global _solve_triangular
-    from scipy.linalg import solve_triangular as _solve_triangular
-
-    return _solve_triangular(*args, **kwargs)
-
-
 def panel_l(a_ik: np.ndarray, pivot: np.ndarray) -> np.ndarray:
-    """L_ik = A_ik · U_kk⁻¹ (U_kk is the upper part of the pivot block)."""
-    return _solve_triangular(pivot, a_ik.T, lower=False, trans="T").T
+    """L_ik = A_ik · U_kk⁻¹ (U_kk is the upper part of the pivot block),
+    solved as U_kkᵀ · L_ikᵀ = A_ikᵀ."""
+    return np.linalg.solve(np.triu(pivot).T, a_ik.T).T
 
 
 def panel_u(a_kj: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     """U_kj = L_kk⁻¹ · A_kj (L_kk is unit-lower from the pivot block)."""
-    return _solve_triangular(pivot, a_kj, lower=True, unit_diagonal=True)
+    return np.linalg.solve(np.tril(pivot, -1) + np.eye(len(pivot)), a_kj)
 
 
 class LuWorkload:

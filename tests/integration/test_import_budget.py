@@ -182,21 +182,21 @@ class TestLazyPackages:
         assert _loaded(modules, "repro.ccpp", "repro.splitc", "repro.machine") == []
 
 
-def test_lu_binds_scipy_on_first_panel_solve(tmp_path):
-    """``apps/lu/blocked.py`` imports ``scipy.linalg`` inside the first
-    ``panel_l``/``panel_u`` call — here in the middle of a simulated run —
-    and the factorization is still right."""
+def test_lu_runs_without_scipy(tmp_path):
+    """Blocked LU's panel solves run on ``numpy.linalg``: a Split-C and a
+    CC++ factorization in one fresh interpreter load no ``scipy`` module,
+    and both are still right."""
     modules, _ = _fresh(
         """
-        import sys
-        from repro.apps.lu import LuParams, LuWorkload, check_factorization, run_splitc_lu
+        from repro.apps.lu import (
+            LuParams, LuWorkload, check_factorization, run_ccpp_lu, run_splitc_lu,
+        )
 
         work = LuWorkload(LuParams(n=64, block=16, n_procs=4))
-        assert "scipy" not in sys.modules
-        result = run_splitc_lu(work)
-        assert "scipy.linalg" in sys.modules
-        assert check_factorization(work, result.packed)
+        for run in (run_splitc_lu, run_ccpp_lu):
+            assert check_factorization(work, run(work).packed)
         """,
         tmp_path,
     )
-    assert _loaded(modules, "repro.ccpp") == []
+    assert "repro.ccpp" in modules
+    assert sorted(m for m in modules if m.startswith("scipy")) == []

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.apps.lu import (
     LuParams,
@@ -65,6 +68,73 @@ class TestKernels:
         a_kj = rng.uniform(-1, 1, (8, 8))
         assert np.allclose(panel_l(a_ik, pivot) @ upper, a_ik)
         assert np.allclose(lower @ panel_u(a_kj, pivot), a_kj)
+
+
+#: entries of the random blocks, as ``LuWorkload`` draws its matrix
+_ENTRIES = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def _panel_case(draw):
+    """(panel block as a view, factored pivot block): the pivot comes from
+    a diagonally dominant block, the panel block is a view into a larger
+    array, laid out the way the LU programs see their blocks."""
+    bs = draw(st.integers(1, 32))
+    pivot = draw(arrays(np.float64, (bs, bs), elements=_ENTRIES))
+    pivot += (bs + 1) * np.eye(bs)
+    lu_nopivot(pivot)
+    block = draw(arrays(np.float64, (bs, bs), elements=_ENTRIES))
+    layout = draw(st.sampled_from(("block_of", "submatrix", "column-strided")))
+    if layout == "block_of":  # `LuWorkload.block_of`: a reshaped slice of a flat region
+        region = np.zeros(3 * bs * bs)
+        view = region[bs * bs : 2 * bs * bs].reshape(bs, bs)
+    elif layout == "submatrix":  # `LuWorkload.initial_block`: rows strided by the matrix
+        view = np.zeros((3 * bs, 3 * bs))[bs : 2 * bs, bs : 2 * bs]
+    else:  # columns strided too
+        view = np.zeros((bs, 2 * bs))[:, ::2]
+    view[:] = block
+    return view, pivot
+
+
+class TestPanelKernels:
+    """``panel_l`` / ``panel_u`` against ``scipy.linalg.solve_triangular``,
+    which is a test-only oracle: the program itself does not use SciPy."""
+
+    @staticmethod
+    def _check(kernel, oracle, view, pivot):
+        before = view.copy(), pivot.copy()
+        got = kernel(view, pivot)
+        # an element that cancels to ~0 carries the rounding of the large
+        # ones (seen: 1.1e-18 apart on a 7.8e-19 element), so the error is
+        # bounded relative to the element and to the result's scale
+        scale = np.abs(oracle).max(initial=0.0)
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-12 * scale)
+        # the inputs are not mutated, and the result does not alias the
+        # block it overwrites (`blk[:] = panel_l(blk, pivot)`)
+        assert np.array_equal(view, before[0]) and np.array_equal(pivot, before[1])
+        assert not np.shares_memory(got, view)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_panel_case())
+    def test_panel_l_matches_solve_triangular(self, case):
+        view, pivot = case
+        oracle = scipy.linalg.solve_triangular(pivot, view.T, lower=False, trans="T").T
+        self._check(panel_l, oracle, view, pivot)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_panel_case())
+    def test_panel_u_matches_solve_triangular(self, case):
+        view, pivot = case
+        oracle = scipy.linalg.solve_triangular(pivot, view, lower=True, unit_diagonal=True)
+        self._check(panel_u, oracle, view, pivot)
+
+    @pytest.mark.parametrize("seed", [1997, 2026])
+    def test_both_languages_factor_bitwise_alike(self, seed):
+        """The perfbench ``paper_apps`` LU at both of its seeds: Split-C and
+        CC++ apply the same kernels to the same blocks in the same order."""
+        work = LuWorkload(LuParams(n=128, block=16, n_procs=4, seed=seed))
+        sc, cc = run_splitc_lu(work).packed, run_ccpp_lu(work).packed
+        assert sc.tobytes() == cc.tobytes()
 
 
 class TestGeometry:
