@@ -14,9 +14,10 @@ Figure 6    Water + LU breakdowns                         :mod:`.figure6`
 ==========  ============================================  =====================
 
 Every module exposes ``run(...)`` returning a structured result with a
-``render()`` text table and the shared ``to_json()/from_json()``
-round-trip contract (:mod:`.serde`), and :mod:`.paper` holds the
-published numbers for side-by-side comparison.
+``render()`` text table; its ``to_json()/from_json()`` round trip is not
+written per class but derived from the dataclass fields by one codec
+(:class:`.serde.Codec`), and :mod:`.paper` holds the published numbers
+for side-by-side comparison.
 
 The artifacts are orchestrated through :mod:`.registry` (one
 :class:`~repro.experiments.registry.ExperimentSpec` per artifact with a

@@ -34,7 +34,7 @@ __all__ = ["AblationResult", "run"]
 
 
 @dataclass(slots=True)
-class AblationResult:
+class AblationResult(serde.Codec):
     """Per-ablation micro-benchmark outcomes and the contention census."""
 
     rows: list[tuple[str, str, float, float]] = field(default_factory=list)
@@ -63,25 +63,6 @@ class AblationResult:
             f"(paper: ~95%)"
         )
         return t.render() + census
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [list(r) for r in self.rows],
-            "contended": self.contended,
-            "uncontended": self.uncontended,
-            "interrupt_sweep": serde.dump_map(self.interrupt_sweep),
-            "polling_baseline_us": self.polling_baseline_us,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "AblationResult":
-        return cls(
-            rows=[tuple(r) for r in payload["rows"]],
-            contended=payload["contended"],
-            uncontended=payload["uncontended"],
-            interrupt_sweep=serde.load_map(payload["interrupt_sweep"]),
-            polling_baseline_us=payload["polling_baseline_us"],
-        )
 
 
 def run(*, iters: int = 30) -> AblationResult:

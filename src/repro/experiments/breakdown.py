@@ -22,7 +22,7 @@ CSV_COLUMNS = ("language", "elapsed_us", "normalized") + tuple(
 
 
 @dataclass(slots=True)
-class BreakdownRow:
+class BreakdownRow(serde.Codec):
     """One bar of a breakdown figure."""
 
     label: str
@@ -47,13 +47,6 @@ class BreakdownRow:
         return [
             self.language, f"{self.elapsed_us:.3f}", f"{self.normalized:.4f}"
         ] + [f"{frac[c]:.4f}" for c in _COMPONENTS]
-
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "BreakdownRow":
-        return serde.load_fields(cls, payload)
 
 
 def render_rows(title: str, rows: list[BreakdownRow]) -> str:

@@ -117,7 +117,7 @@ def _describe(plan: FaultPlan) -> dict:
 
 
 @dataclass(slots=True)
-class ChaosResult:
+class ChaosResult(serde.Codec):
     """The survival/recovery matrix plus invariant totals."""
 
     #: one JSON-able record per scenario (see CSV_COLUMNS)
@@ -187,13 +187,6 @@ class ChaosResult:
         for s in self.scenarios:
             lines.append(",".join(str(s[c]) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ChaosResult":
-        return serde.load_fields(cls, payload)
 
 
 def _fingerprint(out) -> tuple:

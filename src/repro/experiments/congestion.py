@@ -58,7 +58,7 @@ DEFAULT_TOPOLOGY = "fattree:arity=8,fatness=2"
 
 
 @dataclass(slots=True)
-class SaturationPoint:
+class SaturationPoint(serde.Codec):
     """One all-to-all load level, measured on both fabrics."""
 
     load: int                # messages per (src, dst) pair
@@ -70,16 +70,9 @@ class SaturationPoint:
     topo_max_util: float     # busiest link's busy fraction
     topo_queued_us: float    # total time packets sat behind busy links
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "SaturationPoint":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class IncastPoint:
+class IncastPoint(serde.Codec):
     """All nodes fire ``load`` messages each at node 0."""
 
     load: int
@@ -90,16 +83,9 @@ class IncastPoint:
     hot_util: float
     queued_us: float
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "IncastPoint":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class BisectionPoint:
+class BisectionPoint(serde.Codec):
     """Pairwise cross-bisection traffic at one load level."""
 
     load: int
@@ -109,16 +95,9 @@ class BisectionPoint:
     max_util: float
     queued_us: float
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "BisectionPoint":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class CongestionResult:
+class CongestionResult(serde.Codec):
     topology: str = DEFAULT_TOPOLOGY
     nodes: int = 0
     msg_bytes: int = 0
@@ -235,29 +214,6 @@ class CongestionResult:
                 f"{p.mbps:.3f},{p.hot_util:.4f},{p.queued_us:.3f}"
             )
         return "\n".join(lines) + "\n"
-
-    # --------------------------------------------------------------- serde
-
-    def to_json(self) -> dict:
-        return {
-            "topology": self.topology,
-            "nodes": self.nodes,
-            "msg_bytes": self.msg_bytes,
-            "saturation": [p.to_json() for p in self.saturation],
-            "incast": [p.to_json() for p in self.incast],
-            "bisection": [p.to_json() for p in self.bisection],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CongestionResult":
-        return cls(
-            topology=payload["topology"],
-            nodes=payload["nodes"],
-            msg_bytes=payload["msg_bytes"],
-            saturation=[SaturationPoint.from_json(p) for p in payload["saturation"]],
-            incast=[IncastPoint.from_json(p) for p in payload["incast"]],
-            bisection=[BisectionPoint.from_json(p) for p in payload["bisection"]],
-        )
 
 
 # ---------------------------------------------------------------------------

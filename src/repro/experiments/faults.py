@@ -41,7 +41,7 @@ RETRY_SCHEDULE = dict(timeout_us=200.0, backoff=2.0, max_timeout_us=3200.0, max_
 
 
 @dataclass(slots=True)
-class FaultAblationResult:
+class FaultAblationResult(serde.Codec):
     """One row per (drop rate, seed) cell, plus the clean baselines."""
 
     #: drop -> seed -> dict of measurements
@@ -78,31 +78,6 @@ class FaultAblationResult:
             "the lossy rows add retransmit stalls on top."
         )
         return t.render() + note
-
-    def to_json(self) -> dict:
-        def cells(d: dict) -> list:
-            return serde.dump_map(
-                {drop: serde.dump_map(by_seed) for drop, by_seed in d.items()}
-            )
-
-        return {
-            "rtt_cells": cells(self.rtt_cells),
-            "em3d_cells": cells(self.em3d_cells),
-            "clean_rtt_us": self.clean_rtt_us,
-            "clean_em3d_us": self.clean_em3d_us,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FaultAblationResult":
-        def cells(pairs: list) -> dict:
-            return serde.load_map(pairs, serde.load_map)
-
-        return cls(
-            rtt_cells=cells(payload["rtt_cells"]),
-            em3d_cells=cells(payload["em3d_cells"]),
-            clean_rtt_us=payload["clean_rtt_us"],
-            clean_em3d_us=payload["clean_em3d_us"],
-        )
 
 
 def _em3d_graph(seed: int):

@@ -21,7 +21,7 @@ VERSIONS = ("base", "ghost", "bulk")
 
 
 @dataclass(slots=True)
-class Figure5Result:
+class Figure5Result(serde.Codec):
     """All bars of Figure 5, keyed by (version, pct, language)."""
 
     rows: dict[tuple[str, float, str], BreakdownRow] = field(default_factory=dict)
@@ -57,19 +57,6 @@ class Figure5Result:
         for (version, pct, _lang), row in sorted(self.rows.items()):
             w.writerow([version, pct] + row.csv_cells())
         return out.getvalue()
-
-    def to_json(self) -> dict:
-        return {
-            "rows": serde.dump_map(self.rows, lambda r: r.to_json()),
-            "per_edge_us": serde.dump_map(self.per_edge_us),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Figure5Result":
-        return cls(
-            rows=serde.load_map(payload["rows"], BreakdownRow.from_json),
-            per_edge_us=serde.load_map(payload["per_edge_us"]),
-        )
 
 
 def run(

@@ -17,7 +17,7 @@ __all__ = ["Figure6Result", "run"]
 
 
 @dataclass(slots=True)
-class Figure6Result:
+class Figure6Result(serde.Codec):
     """All bars of Figure 6, keyed by (app-label, language)."""
 
     rows: dict[tuple[str, str], BreakdownRow] = field(default_factory=dict)
@@ -52,13 +52,6 @@ class Figure6Result:
         for (label, _lang), row in sorted(self.rows.items()):
             w.writerow([label] + row.csv_cells())
         return out.getvalue()
-
-    def to_json(self) -> dict:
-        return {"rows": serde.dump_map(self.rows, lambda r: r.to_json())}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Figure6Result":
-        return cls(rows=serde.load_map(payload["rows"], BreakdownRow.from_json))
 
 
 def _add(result: Figure6Result, label: str, sc, cc) -> None:

@@ -11,13 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.experiments import paper, serde
 from repro.util.tables import TextTable
 
 __all__ = ["NexusCompareResult", "run"]
 
+#: workload label -> its ``paper.NEXUS_SPEEDUPS`` row, where they differ
+_PAPER_ROW = {
+    "water-atomic 64": "water-64",
+    "water-prefetch 64": "water-64",
+    "lu": "compute-bound (water-512, lu)",
+}
+
 
 @dataclass(slots=True)
-class NexusCompareResult:
+class NexusCompareResult(serde.Codec):
     """Per-workload ThAM and Nexus times plus the speedup."""
 
     tham_us: dict[str, float] = field(default_factory=dict)
@@ -31,33 +39,18 @@ class NexusCompareResult:
             ["workload", "ThAM (ms)", "Nexus (ms)", "speedup", "paper band"],
             title="CC++/ThAM vs CC++/Nexus (same application code)",
         )
-        bands = {
-            "em3d-base": "35x",
-            "em3d-ghost": "29x",
-            "em3d-bulk": "10x",
-            "water-atomic 64": "16-22x",
-            "water-prefetch 64": "16-22x",
-            "water-atomic (large)": "5-6x",
-            "lu": "5-6x",
-        }
         for label in self.tham_us:
+            row = _PAPER_ROW.get(label, label)
             t.add_row(
                 [
                     label,
                     f"{self.tham_us[label] / 1e3:.2f}",
                     f"{self.nexus_us[label] / 1e3:.2f}",
                     f"{self.speedup(label):.1f}x",
-                    bands.get(label, "-"),
+                    paper.nexus_band(row) if row in paper.NEXUS_SPEEDUPS else "-",
                 ]
             )
         return t.render()
-
-    def to_json(self) -> dict:
-        return {"tham_us": dict(self.tham_us), "nexus_us": dict(self.nexus_us)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "NexusCompareResult":
-        return cls(tham_us=payload["tham_us"], nexus_us=payload["nexus_us"])
 
 
 def run(*, quick: bool = True, seed: int = 1997) -> NexusCompareResult:

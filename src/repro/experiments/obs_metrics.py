@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.experiments import serde
 from repro.util.tables import TextTable
 
 __all__ = ["MetricsReport", "run"]
 
 
 @dataclass(slots=True)
-class MetricsReport:
+class MetricsReport(serde.Codec):
     """Histogram snapshots per workload, plus gauges."""
 
     #: workload label -> histogram name -> snapshot dict
@@ -78,19 +79,6 @@ class MetricsReport:
         for name in sorted(self.gauges):
             rows.append(f"gauge,{name},,,,,,,{self.gauges[name]:g}")
         return "\n".join(rows) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "sections": {
-                w: {n: dict(snap) for n, snap in hists.items()}
-                for w, hists in self.sections.items()
-            },
-            "gauges": dict(self.gauges),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MetricsReport":
-        return cls(sections=payload["sections"], gauges=payload["gauges"])
 
 
 def _snapshot_all(metrics) -> dict[str, dict]:

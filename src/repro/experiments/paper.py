@@ -19,6 +19,7 @@ __all__ = [
     "FIGURE6_ABS_S",
     "NEXUS_SPEEDUPS",
     "THREAD_COSTS_US",
+    "nexus_band",
 ]
 
 #: raw AM round-trip the null RMI is compared against ("only 12 µs slower
@@ -91,3 +92,9 @@ NEXUS_SPEEDUPS = {
     "em3d-ghost": (29.0, 29.0),
     "em3d-base": (35.0, 35.0),
 }
+
+
+def nexus_band(row: str) -> str:
+    """One :data:`NEXUS_SPEEDUPS` row as the paper words it: ``35x``, ``5-6x``."""
+    lo, hi = NEXUS_SPEEDUPS[row]
+    return f"{lo:g}x" if lo == hi else f"{lo:g}-{hi:g}x"

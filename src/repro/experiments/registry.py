@@ -14,7 +14,8 @@ contract:
   task ``(module, entry, params)`` can be shipped to a spawned worker
   process without pickling code;
 * the ``to_json()/from_json()`` result contract (``result_type``) the
-  on-disk cache, the daemon's wire and the report manifest share;
+  on-disk cache, the daemon's wire and the report manifest share — the
+  built-in results get it from :class:`~repro.experiments.serde.Codec`;
 * a ``cost_hint`` (relative serial wall-clock) the process-pool runner
   uses to schedule longest tasks first.
 
@@ -151,7 +152,8 @@ class ExperimentSpec:
     name: str
     title: str
     module: str  # import path holding the entry function
-    result_type: str  # class in ``result_module`` implementing to_json/from_json
+    #: class in ``result_module`` with to_json/from_json (``serde.Codec``'s)
+    result_type: str
     entry: str = "run"
     params: tuple[ParamSpec, ...] = ()
     #: basename for files written by the report writer (defaults to name)

@@ -23,7 +23,7 @@ __all__ = ["MicroRow", "ScalingPoint", "ScalingResult", "TraceCaptureResult"]
 
 
 @dataclass(slots=True)
-class MicroRow:
+class MicroRow(serde.Codec):
     """Per-iteration means for one micro-benchmark."""
 
     name: str
@@ -50,16 +50,9 @@ class MicroRow:
             self.syncs * factor,
         )
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MicroRow":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class ScalingPoint:
+class ScalingPoint(serde.Codec):
     words: int
     sc_us: float
     cc_us: float
@@ -72,16 +65,9 @@ class ScalingPoint:
     def ratio(self) -> float:
         return self.cc_us / self.sc_us
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ScalingPoint":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class ScalingResult:
+class ScalingResult(serde.Codec):
     points: list[ScalingPoint] = field(default_factory=list)
 
     def ratios(self) -> list[float]:
@@ -105,16 +91,9 @@ class ScalingResult:
             )
         return t.render()
 
-    def to_json(self) -> dict:
-        return {"points": [p.to_json() for p in self.points]}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ScalingResult":
-        return cls(points=[ScalingPoint.from_json(p) for p in payload["points"]])
-
 
 @dataclass(slots=True)
-class TraceCaptureResult:
+class TraceCaptureResult(serde.Codec):
     """One traced run: its stats, what the recorder held, and the
     Perfetto export of it as text (123 KB quick, 466 KB full)."""
 
@@ -151,10 +130,3 @@ class TraceCaptureResult:
         """Beside the summary: the Chrome trace-event JSON of this run,
         as the exporter wrote it."""
         return {"trace.json": self.perfetto_json}
-
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "TraceCaptureResult":
-        return serde.load_fields(cls, payload)

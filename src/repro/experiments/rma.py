@@ -66,7 +66,7 @@ _COMMS = ("rma", "rmi", "splitc")
 # ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
-class RmaMicroRow:
+class RmaMicroRow(serde.Codec):
     """One micro row: mean per-op latency to each completion event."""
 
     name: str
@@ -74,16 +74,9 @@ class RmaMicroRow:
     local_us: float
     remote_us: float
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "RmaMicroRow":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class TreePoint:
+class TreePoint(serde.Codec):
     """Tree vs linear latency for one (op, nprocs) cell."""
 
     op: str
@@ -98,16 +91,9 @@ class TreePoint:
     def speedup(self) -> float:
         return self.linear_us / self.tree_us if self.tree_us > 0 else 0.0
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "TreePoint":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class InjectPoint:
+class InjectPoint(serde.Codec):
     """Achieved injection rate with N concurrent sender uthreads."""
 
     threads: int
@@ -115,16 +101,9 @@ class InjectPoint:
     elapsed_us: float
     rate_per_ms: float
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "InjectPoint":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class Em3dCommRow:
+class Em3dCommRow(serde.Codec):
     """EM3D ghost exchange under one communication paradigm."""
 
     comm: str
@@ -132,16 +111,9 @@ class Em3dCommRow:
     per_edge_us: float
     bitwise_ok: bool
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Em3dCommRow":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class RmaResult:
+class RmaResult(serde.Codec):
     micro: list[RmaMicroRow] = field(default_factory=list)
     tree: list[TreePoint] = field(default_factory=list)
     inject: list[InjectPoint] = field(default_factory=list)
@@ -226,23 +198,6 @@ class RmaResult:
                 f"{'ok' if e.bitwise_ok else 'MISMATCH'}"
             )
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "micro": [r.to_json() for r in self.micro],
-            "tree": [p.to_json() for p in self.tree],
-            "inject": [i.to_json() for i in self.inject],
-            "em3d": [e.to_json() for e in self.em3d],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "RmaResult":
-        return cls(
-            micro=[RmaMicroRow.from_json(r) for r in payload["micro"]],
-            tree=[TreePoint.from_json(p) for p in payload["tree"]],
-            inject=[InjectPoint.from_json(i) for i in payload["inject"]],
-            em3d=[Em3dCommRow.from_json(e) for e in payload["em3d"]],
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ __all__ = ["Check", "Scorecard", "run"]
 
 
 @dataclass(slots=True)
-class Check:
+class Check(serde.Codec):
     """One graded claim."""
 
     claim: str
@@ -25,16 +25,9 @@ class Check:
     measured: str
     ok: bool
 
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Check":
-        return serde.load_fields(cls, payload)
-
 
 @dataclass(slots=True)
-class Scorecard:
+class Scorecard(serde.Codec):
     checks: list[Check] = field(default_factory=list)
 
     def add(self, claim: str, paper_value: str, measured: float | str, ok: bool) -> None:
@@ -60,13 +53,6 @@ class Scorecard:
             t.render()
             + f"\n\n{self.passed}/{len(self.checks)} claims reproduced within band"
         )
-
-    def to_json(self) -> dict:
-        return {"checks": [c.to_json() for c in self.checks]}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Scorecard":
-        return cls(checks=[Check.from_json(c) for c in payload["checks"]])
 
 
 def run(*, quick: bool = True, iters: int = 30) -> Scorecard:
@@ -123,11 +109,13 @@ def run(*, quick: bool = True, iters: int = 30) -> Scorecard:
     # ---- Figure 5 --------------------------------------------------------
     f5 = figure5.run(quick=quick, pcts=(0.1, 1.0), steps=1)
     card.add(
-        "em3d-base ratio @100% remote", "~2x", f5.ratio("base", 1.0),
+        "em3d-base ratio @100% remote", f"~{paper.FIGURE5_RATIO['base']:g}x",
+        f5.ratio("base", 1.0),
         1.4 <= f5.ratio("base", 1.0) <= 2.6,
     )
     card.add(
-        "em3d-ghost ratio @100% remote", "~2.5x", f5.ratio("ghost", 1.0),
+        "em3d-ghost ratio @100% remote", f"~{paper.FIGURE5_RATIO['ghost']:g}x",
+        f5.ratio("ghost", 1.0),
         1.8 <= f5.ratio("ghost", 1.0) <= 3.2,
     )
     card.add(
@@ -159,11 +147,12 @@ def run(*, quick: bool = True, iters: int = 30) -> Scorecard:
     # ---- Nexus comparison -------------------------------------------------
     nx = nexus_compare.run(quick=quick)
     card.add(
-        "ThAM vs Nexus, em3d-base", "35x", nx.speedup("em3d-base"),
+        "ThAM vs Nexus, em3d-base", paper.nexus_band("em3d-base"), nx.speedup("em3d-base"),
         25.0 <= nx.speedup("em3d-base") <= 50.0,
     )
     card.add(
-        "ThAM vs Nexus, compute-bound LU", "5-6x", nx.speedup("lu"),
+        "ThAM vs Nexus, compute-bound LU",
+        paper.nexus_band("compute-bound (water-512, lu)"), nx.speedup("lu"),
         3.5 <= nx.speedup("lu") <= 8.0,
     )
     card.add(

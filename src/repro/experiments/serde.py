@@ -1,16 +1,28 @@
-"""The shared JSON round-trip contract for experiment results.
+"""The JSON round trip of experiment results, declared once.
 
-Every result dataclass in the experiment harness implements::
+A result dataclass subclasses :class:`Codec` and gets::
 
     result.to_json()        -> JSON-native payload (dict of lists/dicts/scalars)
     Cls.from_json(payload)  -> an equal instance
 
-The contract is what the content-addressed result cache stores and what
-the daemon sends, so there is exactly one on-disk shape per result type
-instead of one per consumer.  The helpers here handle the
-two patterns plain ``json`` cannot: dataclass fields and dictionaries
-whose keys are tuples or floats (JSON object keys must be strings, so
-those maps are stored as ``[key, value]`` pair lists instead).
+both derived from its fields and their type hints, by these rules:
+
+* a dataclass becomes ``{field: value}`` in field order;
+* ``dict[str, X]`` becomes an object, a bare ``dict`` / ``list`` is kept;
+* a dict keyed by ``float``, ``int`` or ``tuple[...]`` becomes a
+  :func:`dump_map` ``[key, value]`` pair list (JSON object keys must be
+  strings), tuple keys read back as tuples;
+* ``list[X]`` becomes an array; ``tuple[...]`` too, read back as a tuple;
+* ``X | None`` passes ``None`` through; ``int`` / ``float`` / ``str`` /
+  ``bool`` are themselves.
+
+Decoding rejects unknown fields (``ValueError``) and values whose shape
+does not match their hint (``TypeError``), so a cached payload of another
+shape is a miss, not a crash.  A class's plan is built on first use.
+The cache stores and the daemon sends these payloads, so each result type
+has one on-disk shape.  Callers only duck-type the pair: a registered
+result need not be a :class:`Codec`.  ``csv()`` is not derived; each
+result formats its own columns.
 
 The module also owns the **job envelope**: :class:`JobRecord` (one
 submitted unit of work — a single artifact run, a sweep grid, or a
@@ -25,12 +37,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import types
+import typing
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 __all__ = [
-    "dump_fields",
-    "load_fields",
+    "Codec",
     "dump_map",
     "load_map",
     "canonical_json",
@@ -42,18 +56,110 @@ __all__ = [
 ]
 
 
-def dump_fields(obj: Any) -> dict[str, Any]:
-    """A flat dataclass (scalar / str-keyed-dict / list fields) to a dict."""
-    return dataclasses.asdict(obj)
+class Codec:
+    """Base of a result dataclass: ``to_json`` / ``from_json`` by the
+    module's rules.  It adds no instance state, so slotted classes keep
+    their slots."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return _encode(type(self), self)
+
+    @classmethod
+    def from_json(cls, payload: Any) -> Any:
+        return _decode(cls, payload)
 
 
-def load_fields(cls: type, payload: Mapping[str, Any]) -> Any:
-    """Inverse of :func:`dump_fields` for flat dataclasses."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - names)
-    if unknown:
+#: encodes or decodes one value
+Coder = Callable[[Any], Any]
+
+#: class -> [(field name, encode, decode)], built once per class
+_PLANS: dict[type, list[tuple[str, Coder, Coder]]] = {}
+
+#: the hints most fields carry, resolved without an ``eval``
+_NAMED = {"int": int, "float": float, "str": str, "bool": bool, "dict": dict, "list": list}
+
+
+def _plan(cls: type) -> list[tuple[str, Coder, Coder]]:
+    plan = _PLANS.get(cls)
+    if plan is None:
+        # a string hint (``from __future__ import annotations``) is
+        # evaluated in its module, as typing.get_type_hints would
+        scope = vars(sys.modules[cls.__module__])
+        plan = _PLANS[cls] = [
+            (f.name, *_coders(
+                (_NAMED.get(f.type) or eval(f.type, scope))
+                if isinstance(f.type, str) else f.type
+            ))
+            for f in dataclasses.fields(cls)
+        ]
+    return plan
+
+
+def _encode(cls: type, obj: Any) -> dict[str, Any]:
+    return {name: enc(getattr(obj, name)) for name, enc, _ in _plan(cls)}
+
+
+def _decode(cls: type, payload: Any) -> Any:
+    _expect(dict, payload)
+    kwargs = {}
+    for name, _, dec in _plan(cls):
+        if name in payload:
+            try:
+                kwargs[name] = dec(payload[name])
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"{cls.__name__}.{name}: {exc}") from None
+    obj = cls(**kwargs)  # first, so a job envelope reports a newer version
+    if len(kwargs) < len(payload):
+        unknown = sorted(set(payload) - set(kwargs))
         raise ValueError(f"{cls.__name__}.from_json: unknown fields {unknown}")
-    return cls(**payload)
+    return obj
+
+
+def _expect(kind: type, value: Any) -> Any:
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a JSON {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _scalar(value: Any) -> Any:
+    if isinstance(value, (dict, list)):
+        raise TypeError(f"expected a scalar, got {type(value).__name__}")
+    return value
+
+
+def _coders(hint: Any) -> tuple[Coder, Coder]:
+    """(encode, decode) for one type hint, by the module docstring's rules."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [a for a in args if a is not type(None)]
+        enc, dec = _coders(inner)
+        return (lambda v: None if v is None else enc(v),
+                lambda v: None if v is None else dec(v))
+    if dataclasses.is_dataclass(hint):
+        return (lambda v: _encode(hint, v)), (lambda v: _decode(hint, v))
+    if origin is list:
+        enc, dec = _coders(args[0])
+        return (lambda v: [enc(x) for x in v],
+                lambda v: [dec(x) for x in _expect(list, v)])
+    if origin is tuple:
+        coders = [_coders(a) for a in args]
+        return (lambda v: [enc(x) for (enc, _), x in zip(coders, v)],
+                lambda v: tuple(dec(x) for (_, dec), x in
+                                zip(coders, _expect(list, v), strict=True)))
+    if origin is dict:
+        enc, dec = _coders(args[1])
+        if args[0] is str:
+            return (lambda d: {k: enc(v) for k, v in d.items()},
+                    lambda d: {k: dec(v) for k, v in _expect(dict, d).items()})
+        return (lambda d: dump_map(d, enc),
+                lambda pairs: load_map(_expect(list, pairs), dec))
+    if hint in (dict, list):
+        return hint, lambda v: _expect(hint, v)
+    if hint in (int, float, str, bool):
+        return _scalar, _scalar
+    raise TypeError(f"no JSON rule for the type hint {hint!r}")
 
 
 def dump_map(
@@ -111,17 +217,16 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_EVENTS = ("job.done", "job.failed", "job.cancelled")
 
 
-def _check_version(cls_name: str, version: Any) -> int:
-    if not isinstance(version, int) or version > JOB_SCHEMA_VERSION:
+def _check_version(obj: Any) -> None:
+    if not isinstance(obj.version, int) or obj.version > JOB_SCHEMA_VERSION:
         raise ValueError(
-            f"{cls_name}.from_json: unsupported schema version {version!r} "
+            f"{type(obj).__name__}: unsupported schema version {obj.version!r} "
             f"(this build speaks <= {JOB_SCHEMA_VERSION})"
         )
-    return version
 
 
 @dataclasses.dataclass
-class JobEvent:
+class JobEvent(Codec):
     """One line of a job's streamed JSONL log.
 
     Kinds: ``job.queued``, ``task.started`` (``attempt`` is 2 after a
@@ -139,21 +244,16 @@ class JobEvent:
     data: dict = dataclasses.field(default_factory=dict)
     version: int = JOB_SCHEMA_VERSION
 
+    def __post_init__(self) -> None:
+        _check_version(self)
+
     @property
     def terminal(self) -> bool:
         return self.kind in TERMINAL_EVENTS
 
-    def to_json(self) -> dict:
-        return dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "JobEvent":
-        _check_version(cls.__name__, payload.get("version", JOB_SCHEMA_VERSION))
-        return load_fields(cls, payload)
-
 
 @dataclasses.dataclass
-class JobRecord:
+class JobRecord(Codec):
     """One submitted unit of work and everything known about it.
 
     ``params`` / ``labels`` are per-task (a plain run has one task, a
@@ -184,6 +284,7 @@ class JobRecord:
     version: int = JOB_SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        _check_version(self)
         if self.state not in JOB_STATES:
             raise ValueError(
                 f"JobRecord: unknown state {self.state!r}; "
@@ -196,11 +297,3 @@ class JobRecord:
     @property
     def terminal(self) -> bool:
         return self.state in ("done", "failed", "cancelled")
-
-    def to_json(self) -> dict:
-        return dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "JobRecord":
-        _check_version(cls.__name__, payload.get("version", JOB_SCHEMA_VERSION))
-        return load_fields(cls, payload)

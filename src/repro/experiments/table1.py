@@ -40,7 +40,7 @@ SUBSYSTEMS: dict[str, tuple[str, ...]] = {
 
 
 @dataclass(slots=True)
-class CodeSize:
+class CodeSize(serde.Codec):
     """Line counts for one subsystem."""
 
     total_lines: int = 0
@@ -51,13 +51,6 @@ class CodeSize:
         self.total_lines += other.total_lines
         self.code_lines += other.code_lines
         self.files += other.files
-
-    def to_json(self) -> dict:
-        return serde.dump_fields(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CodeSize":
-        return serde.load_fields(cls, payload)
 
 
 def count_file(path: Path) -> CodeSize:
@@ -111,7 +104,7 @@ def count_package(root: Path) -> CodeSize:
 
 
 @dataclass(slots=True)
-class Table1Result:
+class Table1Result(serde.Codec):
     """Measured subsystem sizes."""
 
     sizes: dict[str, CodeSize] = field(default_factory=dict)
@@ -131,15 +124,6 @@ class Table1Result:
         lines.append("   CC++ engine with a heavyweight cost profile, so the reduction")
         lines.append("   is quoted, not re-measured)")
         return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {"sizes": {n: s.to_json() for n, s in self.sizes.items()}}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Table1Result":
-        return cls(
-            sizes={n: CodeSize.from_json(s) for n, s in payload["sizes"].items()}
-        )
 
 
 def run(package_root: Path | None = None) -> Table1Result:

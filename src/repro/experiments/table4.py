@@ -18,7 +18,7 @@ __all__ = ["Table4Result", "run"]
 
 
 @dataclass(slots=True)
-class Table4Result:
+class Table4Result(serde.Codec):
     """Measured Table 4, with the raw-layer references."""
 
     cc: dict[str, MicroRow] = field(default_factory=dict)
@@ -100,23 +100,6 @@ class Table4Result:
         if self.mpl_rtt_us is not None:
             w.writerow(["mpl_rtt", "-", f"{self.mpl_rtt_us:.3f}"] + [""] * 6)
         return out.getvalue()
-
-    def to_json(self) -> dict:
-        return {
-            "cc": {name: row.to_json() for name, row in self.cc.items()},
-            "sc": {name: row.to_json() for name, row in self.sc.items()},
-            "am_rtt_us": self.am_rtt_us,
-            "mpl_rtt_us": self.mpl_rtt_us,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Table4Result":
-        return cls(
-            cc={n: MicroRow.from_json(r) for n, r in payload["cc"].items()},
-            sc={n: MicroRow.from_json(r) for n, r in payload["sc"].items()},
-            am_rtt_us=payload["am_rtt_us"],
-            mpl_rtt_us=payload["mpl_rtt_us"],
-        )
 
 
 #: names accepted by ``run(scenarios=...)`` beyond the Table 4 rows

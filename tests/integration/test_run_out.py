@@ -9,6 +9,7 @@ directory of ``run all --iters 5`` is pinned file for file.
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from tests.integration.test_runner_parallel import cli
 from tests.integration.test_service_daemon import start_daemon
 
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "run_all_iters5_out.sha256"
+PAYLOADS = Path(__file__).parent.parent / "fixtures" / "run_all_iters5_payloads.sha256"
 
 _ONE_BAR = ["--param", "pcts=1.0", "--param", "versions=ghost"]
 
@@ -143,6 +145,28 @@ class TestReportDirectory:
                  if name != "table1.txt" and _sha(out / name) != pinned[name]}
         assert moved == set()
         assert all((out / name).read_bytes().endswith(b"\n") for name in written)
+
+    def test_every_payload_equals_the_parents(self, report_dir):
+        """sha256 of ``json.dumps(envelope["result"])`` of every cache
+        entry the run stored, generated before the result types' JSON was
+        derived from their fields: it sees field order and map encoding,
+        which the cache's own sorted-key sha does not.  Table 1's payload
+        counts this repository's source lines, so it is held to re-encoding
+        byte for byte instead, as every payload is."""
+        _, cache_dir = report_dir
+        pinned = dict(
+            reversed(line.split()) for line in PAYLOADS.read_text().splitlines()
+        )
+        assert list(pinned) == list(registry.ARTIFACT_NAMES)
+        moved = set()
+        for name in registry.ARTIFACT_NAMES:
+            (entry,) = (cache_dir / name).glob("*.json")
+            payload = json.loads(entry.read_text(encoding="utf-8"))["result"]
+            text = json.dumps(payload)
+            assert json.dumps(registry.get(name).result_from_json(payload).to_json()) == text
+            if name != "table1" and hashlib.sha256(text.encode()).hexdigest() != pinned[name]:
+                moved.add(name)
+        assert moved == set()
 
     def test_write_all_covers_every_registered_artifact(self, report_dir, tmp_path):
         """`write_all(d)` names no artifacts of its own: it is the

@@ -112,6 +112,9 @@ class TestSerde:
         payload["version"] = JOB_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="unsupported schema version"):
             JobRecord.from_json(payload)
+        payload["flow"] = 1  # a newer build's field: the version is still what is named
+        with pytest.raises(ValueError, match="unsupported schema version"):
+            JobRecord.from_json(payload)
         event = JobEvent(kind="row", job_id="j", seq=0).to_json()
         event["version"] = JOB_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="unsupported schema version"):

@@ -1,9 +1,12 @@
 """Unit: the content-addressed result cache — hit/miss/invalidation,
 concurrent-writer safety, integrity re-hash, and size-capped LRU GC."""
 
+import dataclasses
 import json
 import os
 import threading
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -113,6 +116,40 @@ class TestLoadStore:
         result = Table4Result(am_rtt_us=54.4, mpl_rtt_us=None)
         c.store(spec, spec.validate(), result)
         assert c.load(spec, spec.validate()) == result
+
+
+def _emptiest(hint):
+    """A value of ``hint`` with nothing measured: zeros, empty containers."""
+    if dataclasses.is_dataclass(hint):
+        return hint(**{n: _emptiest(h) for n, h in typing.get_type_hints(hint).items()})
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return None
+    return (typing.get_origin(hint) or hint)()
+
+
+def _wrong_container(payload):
+    """The payload with its first container field swapped for the other kind."""
+    name = next(n for n, v in payload.items() if isinstance(v, (dict, list)))
+    return {**payload, name: [] if isinstance(payload[name], dict) else {}}
+
+
+class TestWrongShapedPayload:
+    @pytest.mark.parametrize("artifact", registry.ARTIFACT_NAMES)
+    @pytest.mark.parametrize("reshape", [lambda payload: [payload], _wrong_container],
+                             ids=["payload-in-a-list", "field-in-the-wrong-container"])
+    def test_is_a_miss(self, tmp_path, artifact, reshape):
+        """A sealed envelope (its sha256 matches) whose result does not fit
+        the result type's hints is a miss, never a crash of the run."""
+        spec = registry.get(artifact)
+        c = ResultCache(tmp_path, version="1")
+        params = spec.validate()
+        path = c.store(spec, params, _emptiest(spec.result_class()))
+        envelope = json.loads(path.read_text())
+        envelope["result"] = reshape(envelope["result"])
+        envelope["sha256"] = ResultCache._result_sha(envelope["result"])
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+        assert c.load(spec, params) is None
+        assert (c.misses, c.integrity_failures) == (1, 0)
 
 
 class TestConcurrentWriters:

@@ -2,16 +2,24 @@
 
 Every result dataclass must survive ``from_json(json.loads(json.dumps(
 to_json())))`` with equality — including tuple- and float-keyed maps,
-which plain JSON objects cannot represent.  Instances here are built by
-hand (no simulations), so this covers the serialization layer alone;
-the integration suite round-trips real runs through the cache.
+which plain JSON objects cannot represent.  Every registered result type
+and every dataclass nested in it is round-tripped from instances that
+hypothesis builds out of the type hints; the hand-built cases below pin
+a few shapes by name.  No simulations: this covers the serialization
+layer alone; the integration suite round-trips real runs through the
+cache and pins their payload bytes.
 """
 
+import dataclasses
 import json
+import types
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.experiments import serde
+from repro.experiments import registry, serde
 from repro.experiments.ablations import AblationResult
 from repro.experiments.breakdown import BreakdownRow
 from repro.experiments.faults import FaultAblationResult
@@ -24,6 +32,72 @@ from repro.experiments.scaling import ScalingPoint, ScalingResult
 from repro.experiments.scorecard import Check, Scorecard
 from repro.experiments.table1 import CodeSize, Table1Result
 from repro.experiments.table4 import Table4Result
+
+
+_SCALARS = {
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=8),
+    bool: st.booleans(),
+}
+#: what a bare ``dict`` / ``list`` field holds: JSON as it stands
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _SCALARS[float] | _SCALARS[str],
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_SCALARS[str], inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def strategy(hint):
+    """Instances of one type hint: the shapes the codec has rules for."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return st.builds(hint, **{f.name: strategy(hints[f.name])
+                                  for f in dataclasses.fields(hint)})
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [a for a in args if a is not type(None)]
+        return st.none() | strategy(inner)
+    if origin is list:
+        return st.lists(strategy(args[0]), max_size=3)
+    if origin is tuple:
+        return st.tuples(*map(strategy, args))
+    if origin is dict:
+        return st.dictionaries(strategy(args[0]), strategy(args[1]), max_size=3)
+    if hint is dict:
+        return st.dictionaries(_SCALARS[str], _JSON, max_size=3)
+    if hint is list:
+        return st.lists(_JSON, max_size=3)
+    return _SCALARS[hint]
+
+
+def _with_nested(hint, found):
+    if dataclasses.is_dataclass(hint) and hint not in found:
+        found.append(hint)
+        for nested in typing.get_type_hints(hint).values():
+            _with_nested(nested, found)
+    for arg in typing.get_args(hint):
+        _with_nested(arg, found)
+    return found
+
+
+RESULT_TYPES = []
+for _name in registry.ARTIFACT_NAMES:
+    _with_nested(registry.get(_name).result_class(), RESULT_TYPES)
+
+
+@pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda c: c.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_result_type_round_trips(cls, data):
+    assert issubclass(cls, serde.Codec), f"{cls.__name__} does not use the codec"
+    result = data.draw(strategy(cls))
+    text = json.dumps(result.to_json())
+    back = cls.from_json(json.loads(text))
+    assert back == result
+    assert repr(back) == repr(result)  # tuples stay tuples, maps keep their order
+    assert json.dumps(back.to_json()) == text
 
 
 def roundtrip(result):
@@ -67,9 +141,16 @@ class TestSerdeHelpers:
         b = serde.canonical_json({"a": 1, "b": [1, 2]})
         assert a == b
 
-    def test_load_fields_rejects_unknown(self):
+    def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown fields"):
             MicroRow.from_json({**_micro().to_json(), "extra": 1})
+
+    def test_wrong_shape_names_the_field(self):
+        with pytest.raises(TypeError, match=r"Table1Result\.sizes: expected a JSON dict"):
+            Table1Result.from_json({"sizes": []})
+        with pytest.raises(TypeError, match=r"Figure5Result\.rows: BreakdownRow\.breakdown"):
+            Figure5Result.from_json({"rows": [[["base", 0.1, "ccpp"], {
+                **_bar().to_json(), "breakdown": [1.0]}]]})
 
 
 class TestRoundTrips:
