@@ -115,6 +115,16 @@ class ResultCache:
     def load(self, spec: ExperimentSpec, params: dict[str, Any]) -> Any | None:
         """The cached result, or None on miss (absent, corrupt or failed
         integrity re-hash)."""
+        entry = self.load_entry(spec, params)
+        return None if entry is None else entry[0]
+
+    def load_entry(
+        self, spec: ExperimentSpec, params: dict[str, Any]
+    ) -> tuple[Any, Any] | None:
+        """``(result, payload)`` — the decoded result and the stored
+        ``to_json()`` form it was decoded from — or None on miss, counted
+        as :meth:`load` counts it.  A caller that needs both does not
+        re-encode what it just read."""
         path = self.path(spec, params)
         try:
             envelope = json.loads(path.read_text(encoding="utf-8"))
@@ -137,7 +147,7 @@ class ResultCache:
             os.utime(path)
         except OSError:
             pass
-        return result
+        return result, payload
 
     def store(self, spec: ExperimentSpec, params: dict[str, Any], result: Any) -> Path:
         """Write the result; returns the path."""

@@ -22,8 +22,9 @@ What the queue decides, once, for both (docs/architecture.md,
   pool (not ``fork``: every worker starts from a clean interpreter, no
   inherited stub caches, buffer pools or RNG state).  Only ``(module,
   entry, params)`` names and plain data cross the process boundary;
-  each task seeds ``random`` and ``numpy`` from a hash of (spec name,
-  params), so incidental RNG use does not depend on scheduling order.
+  each task seeds ``random`` (and ``numpy.random``, once its module has
+  loaded NumPy) from a hash of (spec name, params), so incidental RNG use
+  does not depend on scheduling order.
 * **Crash policy** — a worker that dies breaks its pool: the pool is
   retired, every task that was in flight on it is requeued once
   (``source="retry"``) and the next task that needs a pool gets a fresh
@@ -86,17 +87,20 @@ def task_seed(spec: ExperimentSpec, params: dict[str, Any]) -> int:
 
 
 def _execute(module: str, entry: str, params: dict[str, Any], seed: int) -> Any:
-    """Worker body (also the inline path): seed, resolve, run."""
+    """Worker body (also the inline path): resolve, seed, run.
+
+    The entry is resolved first, so a module that imports NumPy has
+    loaded it by the time the RNGs are seeded; a task that never loads
+    NumPy (``congestion``, ``table1``) does not pay for it here.
+    """
     import random
+    import sys
 
-    random.seed(seed)
-    try:
-        import numpy as np
-
-        np.random.seed(seed % 2**32)
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        pass
     fn = getattr(importlib.import_module(module), entry)
+    random.seed(seed)
+    np = sys.modules.get("numpy")
+    if np is not None:
+        np.random.seed(seed % 2**32)
     return fn(**params)
 
 
@@ -476,10 +480,10 @@ class JobQueue:
         task = ts.task
         inline = inline or self.workers == 0
         if self.cache is not None and not (self.refresh or ts.cache_missed):
-            hit = self.cache.load(task.spec, task.params)
+            hit = self.cache.load_entry(task.spec, task.params)
             if hit is not None:
                 with self._cond:
-                    self._complete_locked(job, ts, hit, "cache")
+                    self._complete_locked(job, ts, *hit, "cache")
                 return
             ts.cache_missed = True
         with self._cond:
@@ -574,10 +578,11 @@ class JobQueue:
         if self.cache is not None:
             self._store(ts.task, result)
         self._h_exec.record((time.monotonic() - ts.started_at) * 1e3)
+        payload = result.to_json()
         with self._cond:
             self._counts["tasks_executed"] += 1
             self._complete_locked(
-                job, ts, result, "run" if ts.attempts == 1 else "retry"
+                job, ts, result, payload, "run" if ts.attempts == 1 else "retry"
             )
 
     def _task_failed(self, job: _Job, ts: _TaskState, exc: BaseException) -> None:
@@ -608,13 +613,15 @@ class JobQueue:
             self._on_event(event)
 
     def _complete_locked(
-        self, job: _Job, ts: _TaskState, result: Any, source: str
+        self, job: _Job, ts: _TaskState, result: Any, payload: Any, source: str
     ) -> None:
-        """Record one resolved task and fan out to its dedup waiters."""
+        """Record one resolved task and fan out to its dedup waiters.
+        ``payload`` is ``result.to_json()``: a cache hit's is the one the
+        cache read, so no result is encoded twice."""
         self._inflight.remove(ts.key)
-        self._finish_task_locked(job, ts, result, source)
+        self._finish_task_locked(job, ts, result, payload, source)
         for wjob, wts in self._pop_waiters_locked(ts.key):
-            self._finish_task_locked(wjob, wts, result, "dedup")
+            self._finish_task_locked(wjob, wts, result, payload, "dedup")
         self._cond.notify_all()
 
     def _pop_waiters_locked(self, key: str) -> Iterator[tuple[_Job, _TaskState]]:
@@ -625,7 +632,7 @@ class JobQueue:
                 yield wjob, wts
 
     def _finish_task_locked(
-        self, job: _Job, ts: _TaskState, result: Any, source: str
+        self, job: _Job, ts: _TaskState, result: Any, payload: Any, source: str
     ) -> None:
         self._move(job, ts, "done")  # even for a cancelled job: drain must see it settle
         if job.record.terminal:
@@ -641,7 +648,7 @@ class JobQueue:
             self._counts["dedup_hits"] += 1
         record.tasks_done += 1
         job.results[ts.index] = result
-        payload = job.payloads[ts.index] = result.to_json()
+        job.payloads[ts.index] = payload
         self._emit(job, "task.finished", {
             "index": ts.index, "label": task.label, "source": source,
         })

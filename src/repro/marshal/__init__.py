@@ -11,29 +11,27 @@ plus size metadata the runtimes use to charge per-byte marshalling costs.
 * :mod:`repro.marshal.serialize` — tagged object serialization with a
   registry for user classes (the paper's "each object defines its own
   serialization methods").
+
+The names below resolve lazily (:mod:`repro._lazy`): every ``Node`` holds
+a :class:`BufferPool`, and ``pool`` imports no NumPy, so the simulator core
+loads ``packer`` / ``serialize`` (and NumPy with them) only where a
+runtime marshals.
 """
 
-from repro.marshal.packer import Packer, Unpacker
-from repro.marshal.pool import BufferPool
-from repro.marshal.serialize import (
-    Marshallable,
-    marshal_args,
-    pack_fn_for,
-    pack_object,
-    register_serializer,
-    unmarshal_args,
-    unpack_object,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Packer",
-    "Unpacker",
-    "BufferPool",
-    "Marshallable",
-    "pack_object",
-    "unpack_object",
-    "pack_fn_for",
-    "marshal_args",
-    "unmarshal_args",
-    "register_serializer",
-]
+_EXPORTS = {
+    "Packer": "repro.marshal.packer",
+    "Unpacker": "repro.marshal.packer",
+    "BufferPool": "repro.marshal.pool",
+    "Marshallable": "repro.marshal.serialize",
+    "pack_object": "repro.marshal.serialize",
+    "unpack_object": "repro.marshal.serialize",
+    "pack_fn_for": "repro.marshal.serialize",
+    "marshal_args": "repro.marshal.serialize",
+    "unmarshal_args": "repro.marshal.serialize",
+    "register_serializer": "repro.marshal.serialize",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -148,9 +148,110 @@ class TestWarmRun:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == QUICK_TRACE_SHA256
 
 
+#: CI's "Congestion smoke" parameters
+CONGESTION_SMOKE = (
+    "--param", "nodes=16", "--param", "topology=fattree:arity=4,fatness=1",
+    "--param", "loads=1,2,4,8",
+)
+
+
+class TestSimulatorCore:
+    """NumPy loads with the first layer that holds an array: the engine,
+    the threads, every fabric, AM and MPL run without it."""
+
+    def test_fabric_and_am_run_without_numpy(self, tmp_path):
+        modules, stdout = _fresh(
+            """
+            import sys
+            import repro.am, repro.machine, repro.mpl, repro.sim, repro.threads
+            from repro.am import install_am
+            from repro.experiments.congestion import _alltoall_pairs, measure_pattern
+            from repro.machine.cluster import Cluster
+            from repro.machine.costs import SP2_COSTS
+
+            pairs = _alltoall_pairs(8, 2)
+            for topology in (None, "ring", "fattree:arity=4,fatness=1"):
+                elapsed, mbps, *_ = measure_pattern(8, topology, pairs, 4096, SP2_COSTS)
+                assert elapsed > 0 and mbps > 0
+
+            cluster = Cluster(2)
+            eps = install_am(cluster)
+            got = []
+
+            def echo(ep, src, frame):
+                yield from ep.send_short(src, "ack", nbytes=12)
+
+            def ack(ep, src, frame):
+                got.append(src)
+                return
+                yield
+
+            for ep in eps:
+                ep.register_handler("echo", echo)
+                ep.register_handler("ack", ack)
+
+            def server(node):
+                while True:
+                    yield from node.service("am").wait_and_poll()
+
+            def client(node):
+                ep = node.service("am")
+                yield from ep.send_short(1, "echo", nbytes=16)
+                yield from ep.poll_until(lambda: got)
+
+            cluster.launch(1, server(cluster.nodes[1]), daemon=True)
+            cluster.launch(0, client(cluster.nodes[0]))
+            cluster.run()
+            assert got == [1] and cluster.sim.now > 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+
+            from repro.machine.faults import FaultPlan
+
+            FaultPlan(seed=7).drop("am.", rate=0.1)
+            """,
+            tmp_path,
+        )
+        # nothing up to the round trip loaded NumPy ...
+        assert stdout.strip() == "[]"
+        assert "repro.marshal.pool" in modules
+        assert _loaded(modules, "repro.marshal.packer", "repro.marshal.serialize") == []
+        # ... and a fault plan does: its decisions come from a numpy Generator
+        assert "numpy" in modules
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "congestion", *CONGESTION_SMOKE, "--no-cache"),
+        ("run", "table1", "--no-cache"),
+    ], ids=["congestion", "table1"])
+    def test_cold_run_loads_no_numpy(self, tmp_path, argv):
+        modules, stdout = _fresh(_CLI, tmp_path, *argv)
+        assert stdout.startswith(f"=== {argv[1]} ===")
+        assert _loaded(modules, "numpy", "scipy") == []
+
+    def test_task_rng_is_seeded_after_its_module_loads_numpy(self, tmp_path):
+        """A task whose module imports NumPy at module scope draws the same
+        global-RNG value on every execution, the first one included (the
+        runner seeds ``numpy.random`` after resolving the entry)."""
+        (tmp_path / "np_task.py").write_text(
+            "import numpy as np\n\n\ndef draw():\n    return np.random.random()\n"
+        )
+        _, stdout = _fresh(
+            f"""
+            import json, sys
+            sys.path.insert(0, {str(tmp_path)!r})
+            from repro.experiments.runner import _execute
+
+            assert "numpy" not in sys.modules
+            print(json.dumps([_execute("np_task", "draw", {{}}, 1234) for _ in range(2)]))
+            """,
+            tmp_path,
+        )
+        first, second = json.loads(stdout)
+        assert first == second
+
+
 LAZY_PACKAGES = (
     "repro.experiments", "repro.apps.em3d", "repro.apps.water", "repro.apps.lu",
-    "repro.service", "repro.obs", "repro.util",
+    "repro.service", "repro.obs", "repro.util", "repro.marshal",
 )
 
 

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import registry
+from repro.experiments import registry, serde
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main
 from repro.experiments.report import write_all
+from repro.experiments.runner import JobQueue
 from tests.integration.test_runner_parallel import cli
 from tests.integration.test_service_daemon import start_daemon
 
@@ -167,6 +168,39 @@ class TestReportDirectory:
             if name != "table1" and hashlib.sha256(text.encode()).hexdigest() != pinned[name]:
                 moved.add(name)
         assert moved == set()
+
+    def test_warm_run_reuses_the_payloads_it_read(self, report_dir, monkeypatch):
+        """A warm ``run all`` hands each job the payload the cache read: no
+        result is encoded again, and what it reuses is the encoding."""
+        _, cache_dir = report_dir
+        to_json = serde.Codec.to_json
+        encoded = []
+        monkeypatch.setattr(
+            serde.Codec, "to_json", lambda self: encoded.append(self) or to_json(self)
+        )
+        finish = JobQueue._finish_task_locked
+        reused = {}
+
+        def spy(queue, job, ts, result, payload, source):
+            reused[ts.task.spec.name] = source, result, payload
+            return finish(queue, job, ts, result, payload, source)
+
+        monkeypatch.setattr(JobQueue, "_finish_task_locked", spy)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["run", "all", "--iters", "5", "--cache-dir", str(cache_dir)])
+        assert rc == 0
+        assert encoded == []
+        assert sorted(reused) == sorted(registry.ARTIFACT_NAMES)
+        pinned = dict(
+            reversed(line.split()) for line in PAYLOADS.read_text().splitlines()
+        )
+        for name, (source, result, payload) in reused.items():
+            assert source == "cache", name
+            assert payload == to_json(result), name
+            text = json.dumps(payload)
+            if name != "table1":
+                assert hashlib.sha256(text.encode()).hexdigest() == pinned[name], name
 
     def test_write_all_covers_every_registered_artifact(self, report_dir, tmp_path):
         """`write_all(d)` names no artifacts of its own: it is the

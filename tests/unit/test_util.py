@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.rng import DEFAULT_SEED, derive_seed, make_rng
 from repro.util.stats import OnlineStats, geometric_mean, mean, percentile
@@ -155,3 +158,30 @@ class TestRng:
         for salt in range(20):
             s = derive_seed(123, salt)
             assert 0 <= s < 2**31 - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        salts=st.lists(st.one_of(st.integers(), st.text(max_size=12)), max_size=4),
+    )
+    def test_derive_seed_equals_the_numpy_formula(self, seed, salts):
+        """The Python-int form is bit-identical to the ``np.uint64`` form
+        it replaced, on that form's whole domain."""
+        assert derive_seed(seed, *salts) == _numpy_derive_seed(seed, *salts)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_derive_seed_outside_uint64_raises(self, seed):
+        with pytest.raises(OverflowError):
+            _numpy_derive_seed(seed)
+        with pytest.raises(OverflowError):
+            derive_seed(seed, "fault-plan")
+
+
+def _numpy_derive_seed(seed, *salts):
+    """The oracle: ``derive_seed`` as it was written on ``np.uint64``."""
+    h = np.uint64(seed)
+    for salt in salts:
+        if isinstance(salt, str):
+            salt = sum(ord(c) * 131**i for i, c in enumerate(salt)) % (2**31)
+        h = np.uint64((int(h) * 6364136223846793005 + int(salt) * 1442695040888963407 + 1) % 2**64)
+    return int(h % np.uint64(2**31 - 1))
