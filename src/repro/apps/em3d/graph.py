@@ -121,15 +121,12 @@ class Em3dGraph:
         #: both start from this state)
         self.initial = np.asarray(rng.uniform(-1.0, 1.0, p.n_nodes))
 
-        # per-proc value counts, memoized: value_slot() sits on the layout
-        # construction hot path and must not rescan the node list per call
-        self._proc_counts: dict[int, int] = {}
+        # (proc, kind) slices in node order, in one pass: value_slot() and
+        # local_nodes() sit on the layout construction path, and a scan
+        # per call or per slice made it O(nodes x processors)
+        self._local: dict[tuple[int, bool], list[GraphNode]] = {}
         for n in self.nodes:
-            self._proc_counts[n.proc] = self._proc_counts.get(n.proc, 0) + 1
-        # local_nodes() memo: layout construction asks for the same
-        # (proc, kind) slice repeatedly — O(n) scans per call turn the
-        # build quadratic in processors at 1k+ nodes
-        self._local_memo: dict[tuple[int, bool], list[GraphNode]] = {}
+            self._local.setdefault((n.proc, n.is_e), []).append(n)
         self._layout: Em3dLayout | None = None
 
     def _build_edges_chunked(
@@ -192,17 +189,13 @@ class Em3dGraph:
         return n.proc, n.local
 
     def local_nodes(self, proc: int, *, e_nodes: bool) -> list[GraphNode]:
-        key = (proc, e_nodes)
-        got = self._local_memo.get(key)
-        if got is None:
-            got = self._local_memo[key] = [
-                n for n in self.nodes if n.proc == proc and n.is_e == e_nodes
-            ]
-        return got
+        """The ``proc``'s E- (or H-) nodes, in global-id order."""
+        return self._local.get((proc, e_nodes)) or []
 
     def local_value_count(self, proc: int) -> int:
-        """Elements of the per-processor value region (E then H halves)."""
-        return self._proc_counts.get(proc, 0)
+        """Elements of the per-processor value region (E then H halves,
+        equal in size: ``n_nodes`` divides by ``2 * n_procs``)."""
+        return 2 * len(self.local_nodes(proc, e_nodes=True))
 
     def value_slot(self, gid: int) -> tuple[int, int]:
         """global id -> (proc, offset in the per-proc value region).
@@ -211,7 +204,7 @@ class Em3dGraph:
         matching a Split-C spread-array declaration per kind.
         """
         node = self.nodes[gid]
-        half_local = self.local_value_count(node.proc) // 2
+        half_local = len(self.local_nodes(node.proc, e_nodes=True))
         off = node.local if node.is_e else half_local + node.local
         return node.proc, off
 

@@ -57,11 +57,6 @@ class BufferManager:
         self._next_id = 0
         node.attach(self.SERVICE, self)
 
-    def rbuf_for(self, method: str, sender: int) -> RBuffer | None:
-        """The persistent R-buffer attached to (method, sender), if any."""
-        rbuf_id = self._by_key.get((method, sender))
-        return self._rbufs[rbuf_id] if rbuf_id is not None else None
-
     def alloc_rbuf(self, method: str, sender: int, capacity: int) -> RBuffer:
         """Cold path: allocate and attach a fresh R-buffer."""
         if capacity < 0 or capacity > STATIC_AREA_BYTES:

@@ -116,10 +116,3 @@ class StubTable:
     def invalidate(self, remote_node: int, name: str) -> None:
         """Drop an entry (used by ablations and tests)."""
         self._cache.pop((remote_node, method_hash(name)), None)
-
-    def invalidate_all(self) -> None:
-        self._cache.clear()
-
-    @property
-    def cached_count(self) -> int:
-        return len(self._cache)

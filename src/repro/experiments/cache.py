@@ -151,9 +151,15 @@ class ResultCache:
 
     def store(self, spec: ExperimentSpec, params: dict[str, Any], result: Any) -> Path:
         """Write the result; returns the path."""
+        return self._store_payload(spec, params, result.to_json())
+
+    def _store_payload(
+        self, spec: ExperimentSpec, params: dict[str, Any], payload: Any
+    ) -> Path:
+        """:meth:`store` for a result already encoded: the job queue
+        encodes each executed result once, for the cache and the job."""
         path = self.path(spec, params)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = result.to_json()
         envelope = {
             "version": self.version,
             "spec": spec.name,

@@ -107,16 +107,6 @@ class CongestionResult(serde.Codec):
 
     # ---------------------------------------------------------- diagnostics
 
-    def flat_speedup(self) -> float:
-        """Achieved-bandwidth growth on the crossbar, last load vs first."""
-        s = self.saturation
-        return s[-1].flat_mbps / s[0].flat_mbps if s else 0.0
-
-    def topo_speedup(self) -> float:
-        """Achieved-bandwidth growth on the hierarchical fabric."""
-        s = self.saturation
-        return s[-1].topo_mbps / s[0].topo_mbps if s else 0.0
-
     def saturates(self) -> bool:
         """True when the hierarchical fabric's curve has flattened while
         the crossbar's is still climbing with offered load (the

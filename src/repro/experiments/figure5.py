@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments import serde
+from repro.experiments import paper, serde
 from repro.experiments.breakdown import CSV_COLUMNS, BreakdownRow, render_rows
+from repro.experiments.scorecard import Check
 
 __all__ = ["Figure5Result", "run"]
 
@@ -33,6 +34,24 @@ class Figure5Result(serde.Codec):
             self.per_edge_us[(version, pct, "ccpp")]
             / self.per_edge_us[(version, pct, "splitc")]
         )
+
+    def claims(self) -> list[Check]:
+        """The ratios at 100 % remote edges, the gap's trend from 10 %,
+        and what the ghost nodes buy (needs those two fractions)."""
+        base, ghost = self.ratio("base", 1.0), self.ratio("ghost", 1.0)
+        low = self.ratio("base", 0.1)
+        cut = 1.0 - (self.per_edge_us[("ghost", 1.0, "splitc")]
+                     / self.per_edge_us[("base", 1.0, "splitc")])
+        lo, hi = paper.FIGURE5_GHOST_CUT_PCT
+        return [
+            Check.of("em3d-base ratio @100% remote",
+                     f"~{paper.FIGURE5_RATIO['base']:g}x", base, 1.4 <= base <= 2.6),
+            Check.of("em3d-ghost ratio @100% remote",
+                     f"~{paper.FIGURE5_RATIO['ghost']:g}x", ghost, 1.8 <= ghost <= 3.2),
+            Check.of("em3d-base gap biggest at low remote %", "decreasing",
+                     low - base, low > base),
+            Check.of("ghost cuts base (Split-C)", f"{lo:g}-{hi:g}%", 100 * cut, cut > 0.6),
+        ]
 
     def render(self) -> str:
         ordered = [

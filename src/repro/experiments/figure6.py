@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments import serde
+from repro.experiments import paper, serde
 from repro.experiments.breakdown import CSV_COLUMNS, BreakdownRow, render_rows
+from repro.experiments.scorecard import Check
 
 __all__ = ["Figure6Result", "run"]
 
@@ -30,6 +31,26 @@ class Figure6Result(serde.Codec):
 
     def labels(self) -> list[str]:
         return sorted({k[0] for k in self.rows})
+
+    def claims(self) -> list[Check]:
+        """Every bar's ratio inside a band just above the paper's, and
+        prefetching narrowing the atomic gap at the largest Water size."""
+        band = "{:g}-{:g}x band".format(*paper.FIGURE6_RATIO_BAND)
+        checks = []
+        for label in self.labels():
+            ratio = self.ratio(label)
+            checks.append(Check.of(f"F6 {label} CC++/SC ratio", band, ratio,
+                                   1.0 <= ratio <= 7.0))
+        big = max(
+            int(label.rsplit(" ", 1)[1])
+            for label in self.labels() if label.startswith("water-atomic")
+        )
+        atomic = self.ratio(f"water-atomic {big}")
+        prefetch = self.ratio(f"water-prefetch {big}")
+        return checks + [Check.of(
+            "water prefetch narrows the atomic gap", "yes",
+            atomic - prefetch, prefetch < atomic,
+        )]
 
     def render(self) -> str:
         ordered = []

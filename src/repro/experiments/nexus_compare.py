@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import paper, serde
+from repro.experiments.scorecard import Check
 from repro.util.tables import TextTable
 
 __all__ = ["NexusCompareResult", "run"]
@@ -33,6 +34,17 @@ class NexusCompareResult(serde.Codec):
 
     def speedup(self, label: str) -> float:
         return self.nexus_us[label] / self.tham_us[label]
+
+    def claims(self) -> list[Check]:
+        """The two ends of §6's speedup range, and their order."""
+        em3d, lu = self.speedup("em3d-base"), self.speedup("lu")
+        return [
+            Check.of("ThAM vs Nexus, em3d-base", paper.nexus_band("em3d-base"),
+                     em3d, 25.0 <= em3d <= 50.0),
+            Check.of("ThAM vs Nexus, compute-bound LU", paper.nexus_band(_PAPER_ROW["lu"]),
+                     lu, 3.5 <= lu <= 8.0),
+            Check.of("speedup grows with comm/comp ratio", "yes", em3d / lu, em3d > lu),
+        ]
 
     def render(self) -> str:
         t = TextTable(

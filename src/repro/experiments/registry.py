@@ -164,6 +164,13 @@ class ExperimentSpec:
     #: imported without the simulator (defaults to ``module``): loading a
     #: cached result must not cost the runtimes that computed it
     result_module: str = ""
+    #: artifacts this one's result is a pure function of, each at its
+    #: defaults plus this spec's standard parameters (:meth:`input_tasks`)
+    inputs: tuple[str, ...] = ()
+    #: entry in ``module`` computing the result from the results of
+    #: ``inputs``, in that order — what the job queue calls when the
+    #: same job already computes every input
+    from_inputs: str = ""
 
     def __post_init__(self) -> None:
         if not self.file_stem:
@@ -217,6 +224,16 @@ class ExperimentSpec:
     def run(self, **overrides: Any) -> Any:
         """Validate ``overrides`` against the schema and run the artifact."""
         return self.run_fn()(**self.validate(overrides))
+
+    def input_tasks(self, params: Mapping[str, Any]) -> list[tuple["ExperimentSpec", dict]]:
+        """``(spec, validated params)`` of each of :attr:`inputs`: its
+        defaults plus the standard parameters (``quick``, ``iters``,
+        ``seed``) that ``params`` sets and the input declares."""
+        standard = {k: params.get(k) for k in ("quick", "iters", "seed")}
+        return [
+            (spec, spec.validate(spec.standard_overrides(**standard)))
+            for spec in map(get, self.inputs)
+        ]
 
     # -- serialization ---------------------------------------------------
     def result_class(self) -> type:
@@ -402,7 +419,11 @@ register(ExperimentSpec(
     module="repro.experiments.scorecard",
     result_type="Scorecard",
     params=(_quick(), _iters(30)),
-    cost_hint=5.0,
+    # graded from its job's own results it is the cheapest task, and it
+    # can only start after them; alone it is the only task of its job
+    cost_hint=0.0,
+    inputs=("table4", "figure5", "figure6", "nexus", "ablations", "scaling"),
+    from_inputs="grade",
 ))
 register(ExperimentSpec(
     name="trace",

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import serde
+from repro.experiments.scorecard import Check
 from repro.util.tables import TextTable
 
 __all__ = ["MicroRow", "ScalingPoint", "ScalingResult", "TraceCaptureResult"]
@@ -72,6 +73,15 @@ class ScalingResult(serde.Codec):
 
     def ratios(self) -> list[float]:
         return [p.ratio for p in self.points]
+
+    def claims(self) -> list[Check]:
+        """The CC++/Split-C ratio grows with volume: the bulk-copy hit
+        that appears at the largest transfer, against the smallest."""
+        ratios = self.ratios()
+        return [Check.of(
+            "bulk-copy hit appears at ~200x volume", "grows",
+            ratios[-1] / ratios[0], ratios[-1] > 1.8 * ratios[0],
+        )]
 
     def render(self) -> str:
         t = TextTable(

@@ -13,11 +13,14 @@ What the queue decides, once, for both (docs/architecture.md,
 
 * **Pick** — the smallest ``(-priority, submit order, -cost_hint,
   index)`` among queued tasks, skipping clients at their running-task
-  quota; inside a job longest-first, so the critical path (the
-  scorecard) starts immediately instead of last.
+  quota; inside a job longest-first, so the longest simulations
+  (``figure6``, ``figure5``) start first instead of last.
 * **Resolve** — a :class:`~repro.experiments.cache.ResultCache` hit
   completes without a worker (unless ``refresh``); a task identical to
-  one in flight waits for that computation (``source="dedup"``).
+  one in flight waits for that computation (``source="dedup"``); a task
+  whose spec names ``inputs`` that are all tasks of its own job (the
+  scorecard under ``run all``) waits for them and is computed from their
+  results by the spec's ``from_inputs`` entry, in the driving thread.
 * **Execute** — in the driving thread, or on a lazily built ``spawn``
   pool (not ``fork``: every worker starts from a clean interpreter, no
   inherited stub caches, buffer pools or RNG state).  Only ``(module,
@@ -104,6 +107,23 @@ def _execute(module: str, entry: str, params: dict[str, Any], seed: int) -> Any:
     return fn(**params)
 
 
+def _from_inputs(spec: ExperimentSpec, results: list[Any]) -> Any:
+    """The inline body of a task computed from its job's own results."""
+    return getattr(importlib.import_module(spec.module), spec.from_inputs)(*results)
+
+
+def _link_inputs(tasks: list[_TaskState]) -> None:
+    """Point each task whose spec is computed ``from_inputs`` at the tasks
+    of the same job that are its inputs — when every one is there."""
+    by_key = {ts.key: ts for ts in tasks}
+    for ts in tasks:
+        spec = ts.task.spec
+        if spec.from_inputs:
+            deps = [by_key.get(_identity(s, p)) for s, p in spec.input_tasks(ts.task.params)]
+            if None not in deps:
+                ts.inputs = tuple(deps)
+
+
 class JobError(RuntimeError):
     """A request the queue cannot honour (bad job id, empty job, ...)."""
 
@@ -126,6 +146,12 @@ class _TaskState:
     cache_missed: bool = False
     queued_at: float = 0.0
     started_at: float = 0.0
+    #: the tasks of the same job this one is computed from
+    #: (``spec.from_inputs``); empty when the job lacks one of them
+    inputs: tuple["_TaskState", ...] = ()
+
+    def inputs_done(self) -> bool:
+        return all(dep.state == "done" for dep in self.inputs)
 
 
 class _Job:
@@ -226,6 +252,7 @@ class JobQueue:
                 _TaskState(t, i, _identity(t.spec, t.params), queued_at=now)
                 for i, t in enumerate(tasks)
             ])
+            _link_inputs(job.tasks)
             self._jobs[record.job_id] = job
             self._emit(job, "job.queued", {
                 "artifact": artifact, "tasks": len(tasks),
@@ -430,8 +457,12 @@ class JobQueue:
             elif ts.key in self._inflight:
                 self._move(job, ts, "dedup-wait")
                 self._dedup_waiters.setdefault(ts.key, []).append((job, ts))
-            elif hit_only and not self._cache_could_hit(ts):
-                aside.append(entry)  # maybe a later task is a cache hit
+            elif (
+                not ts.inputs_done() if ts.inputs else hit_only
+            ) and not self._cache_could_hit(ts):
+                # its inputs are not done (it needs no worker once they
+                # are), or only hits may be claimed: maybe a later task is
+                aside.append(entry)
             else:
                 self._move(job, ts, "running")
                 ts.started_at = time.monotonic()
@@ -487,7 +518,10 @@ class JobQueue:
                 return
             ts.cache_missed = True
         with self._cond:
-            if self._hit_only_locked(cached_only, inline):
+            if (
+                not ts.inputs_done() if ts.inputs
+                else self._hit_only_locked(cached_only, inline)
+            ):
                 # claimed as a likely cache hit, but the envelope is
                 # gone or corrupt: back to the queue
                 self._requeue_locked(job, ts)
@@ -495,12 +529,15 @@ class JobQueue:
             self._emit(job, "task.started", {
                 "index": ts.index, "label": task.label, "attempt": ts.attempts,
             })
-            if not inline:
+            if not (inline or ts.inputs):
                 self._slots += 1
         args = (task.spec.module, task.spec.entry, task.params, _seed_of(ts.key))
-        if inline:
+        if inline or ts.inputs:
             try:
-                result = _execute(*args)
+                result = (
+                    _from_inputs(task.spec, [job.results[d.index] for d in ts.inputs])
+                    if ts.inputs else _execute(*args)
+                )
             except Exception as exc:
                 self._task_failed(job, ts, exc)
             else:
@@ -571,14 +608,14 @@ class JobQueue:
         heapq.heappush(self._ready, self._entry(job, ts))
         self._cond.notify_all()
 
-    def _store(self, task: Task, result: Any) -> None:
-        self.cache.store(task.spec, task.params, result)
+    def _store(self, task: Task, payload: Any) -> None:
+        self.cache._store_payload(task.spec, task.params, payload)
 
     def _task_succeeded(self, job: _Job, ts: _TaskState, result: Any) -> None:
+        payload = result.to_json()  # once: the cache and the job share it
         if self.cache is not None:
-            self._store(ts.task, result)
+            self._store(ts.task, payload)
         self._h_exec.record((time.monotonic() - ts.started_at) * 1e3)
-        payload = result.to_json()
         with self._cond:
             self._counts["tasks_executed"] += 1
             self._complete_locked(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments import paper, serde
 from repro.experiments.results import MicroRow
+from repro.experiments.scorecard import Check
 from repro.util.tables import TextTable
 
 __all__ = ["Table4Result", "run"]
@@ -76,6 +77,40 @@ class Table4Result(serde.Codec):
                 + ["-"] * 8
             )
         return t.render()
+
+    def claims(self) -> list[Check]:
+        """Every row within 20 % of the paper's total, the raw layers
+        within a few µs, and the §6 comparisons the null RMI anchors."""
+        am, mpl = paper.AM_BASE_RTT_US, paper.MPL_RTT_US
+        checks = [
+            Check.of("AM base round trip", f"{am:g} us", self.am_rtt_us,
+                     abs(self.am_rtt_us - am) <= 3.0),
+            Check.of("IBM MPL round trip", f"{mpl:g} us", self.mpl_rtt_us,
+                     abs(self.mpl_rtt_us - mpl) <= 4.0),
+        ]
+        for name, ref in paper.TABLE4.items():
+            for lang, rows, total in (("CC++", self.cc, ref.cc_total),
+                                      ("Split-C", self.sc, ref.sc_total)):
+                if total is not None and name in rows:
+                    measured = rows[name].total_us
+                    checks.append(Check.of(
+                        f"T4 {name} ({lang})", f"{total:g} us", measured,
+                        abs(measured - total) <= 0.2 * total,
+                    ))
+        null = self.cc["0-Word Simple"].total_us
+        null_ref = paper.TABLE4["0-Word Simple"].cc_total
+        read, write = self.cc["BulkRead 40-Word"], self.cc["BulkWrite 40-Word"]
+        copy_ref = (paper.TABLE4["BulkRead 40-Word"].cc_runtime
+                    - paper.TABLE4["BulkWrite 40-Word"].cc_runtime)
+        return checks + [
+            Check.of("null RMI minus AM RTT", f"~{null_ref - am:g} us",
+                     null - self.am_rtt_us, 5.0 <= null - self.am_rtt_us <= 20.0),
+            Check.of("null RMI beats MPL", f"{mpl - null_ref:g} us faster",
+                     self.mpl_rtt_us - null, null < self.mpl_rtt_us),
+            Check.of("BulkRead pays double copy over BulkWrite",
+                     f"+{copy_ref:g} us runtime", read.runtime_us - write.runtime_us,
+                     read.runtime_us > write.runtime_us + 5.0),
+        ]
 
     def csv(self) -> str:
         """One row per benchmark per language."""

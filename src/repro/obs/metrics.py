@@ -122,14 +122,6 @@ class LogHistogram:
         if other.vmax > self.vmax:
             self.vmax = other.vmax
 
-    def nonzero_buckets(self) -> list[tuple[float, float, int]]:
-        """``(lo, hi, n)`` for every populated bucket, ascending."""
-        return [
-            (*self.bucket_bounds(b), n)
-            for b, n in enumerate(self.counts)
-            if n
-        ]
-
     def snapshot(self) -> dict[str, float]:
         """Summary stats for reports: count, mean, min/max, percentiles."""
         out: dict[str, float] = {

@@ -256,8 +256,8 @@ class ExperimentService(JobQueue):
         out["draining"] = self._draining
         return out
 
-    def _store(self, task: Task, result: Any) -> None:
-        super()._store(task, result)
+    def _store(self, task: Task, payload: Any) -> None:
+        super()._store(task, payload)
         if self.config.cache_max_bytes is not None:
             self.cache.gc(self.config.cache_max_bytes)
 

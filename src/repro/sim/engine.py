@@ -201,17 +201,6 @@ class Simulator:
             return
         raise _bad_delay(delay)
 
-    def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` at absolute virtual time ``time`` (fire-and-forget)."""
-        if self._now <= time < _INF:
-            seq = self._seq + 1
-            self._seq = seq
-            heappush(self._heap, [time, seq, fn])
-            return
-        if time != time or time == _INF:
-            raise SimulationError(f"cannot schedule at t={time}")
-        raise SimulationError(f"cannot schedule at t={time} (now is t={self._now})")
-
     def schedule_event(self, delay: float, fn: Callable[[], None]) -> Event:
         """Like :meth:`schedule`, but returns a cancellable :class:`Event`."""
         if not (_INF > delay >= 0.0):

@@ -24,16 +24,6 @@ def us_to_s(us: float) -> float:
     return us / US_PER_S
 
 
-def ms_to_us(ms: float) -> float:
-    """Convert milliseconds to microseconds."""
-    return ms * US_PER_MS
-
-
-def s_to_us(s: float) -> float:
-    """Convert seconds to microseconds."""
-    return s * US_PER_S
-
-
 def fmt_time_us(us: float, *, precision: int = 1) -> str:
     """Render a µs quantity with an auto-selected unit, like ``88.0 us``,
     ``1.35 ms`` or ``2.91 s``.

@@ -133,6 +133,25 @@ class TestWarmRun:
         assert stdout == cold_stdout
         assert sorted(p.name for p in cache.rglob("*.json")) == entries
 
+    def test_grading_a_filled_cache_loads_no_simulator(self, warm_cache, tmp_path):
+        """``scorecard.grade`` over the decoded results of its inputs is
+        the scorecard the run printed, without the runtimes that computed
+        them."""
+        cache, cold_stdout = warm_cache
+        modules, stdout = _fresh("""
+            import sys
+            from repro.experiments import registry, scorecard
+            from repro.experiments.cache import ResultCache
+
+            cache = ResultCache(sys.argv[2])
+            spec = registry.get("scorecard")
+            inputs = spec.input_tasks(spec.validate({"iters": 5}))
+            print(scorecard.grade(*(cache.load(s, p) for s, p in inputs)).render())
+        """, tmp_path, str(cache), hook_free=True)
+        assert "36/36 claims" in stdout
+        assert f"=== scorecard ===\n{stdout}\n" in cold_stdout
+        assert _loaded(modules, *NOT_ON_A_WARM_RUN) == []
+
     def test_warm_trace_file_is_written_from_the_cache(self, warm_cache, tmp_path):
         """``run trace --out x.json`` is a normal run: on a warm cache the
         Perfetto file is the stored text, no recorder and no exporter."""

@@ -133,7 +133,9 @@ class TestReportDirectory:
         """sha256 of every file `run all --iters 5 --no-cache --out DIR`
         wrote on the commit before `--out` stopped rebuilding its job
         (``manifest.json`` apart: timestamps and a pid).  The change added
-        ``chaos.csv`` and moved nothing."""
+        ``chaos.csv`` and moved nothing.  ``scorecard.txt`` was pinned again
+        when the scorecard began grading the run's own results: its
+        bulk-copy row is now taken at the run's largest transfer."""
         out, _ = report_dir
         pinned = dict(
             reversed(line.split()) for line in FIXTURE.read_text().splitlines()

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import registry
+from repro.experiments import registry, serde
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main
 from repro.experiments.registry import ExperimentSpec, ParamSpec
@@ -60,6 +60,16 @@ def run_dies(*, marker: str = "") -> TinyResult:
     os._exit(3)
 
 
+def sum_tiny(*results: TinyResult) -> TinyResult:
+    """``tinysum`` from its inputs' results."""
+    return TinyResult(100 + sum(r.value for r in results))
+
+
+def run_tiny_sum() -> TinyResult:
+    """``tinysum`` stand-alone: compute its input, then sum."""
+    return sum_tiny(run_tiny())
+
+
 _HERE = "tests.integration.test_runner_parallel"
 
 
@@ -73,8 +83,15 @@ def tiny_spec(name="tiny", entry="run_tiny", **extra) -> ExperimentSpec:
     )
 
 
-# the daemon resolves artifacts by name, so these two are registered
-for _spec in (tiny_spec(), tiny_spec("crashy", "run_crashy")):
+#: a spec computed from another's result, as the scorecard is: its input
+#: is ``tiny`` at its defaults
+TINY_SUM = ExperimentSpec(
+    name="tinysum", title="tiny sum", module=_HERE, entry="run_tiny_sum",
+    result_type="TinyResult", cost_hint=0.0, inputs=("tiny",), from_inputs="sum_tiny",
+)
+
+# the daemon resolves artifacts by name, so these are registered
+for _spec in (tiny_spec(), tiny_spec("crashy", "run_crashy"), TINY_SUM):
     try:
         registry.get(_spec.name)
     except KeyError:
@@ -209,6 +226,60 @@ class TestRunner:
             "task.started", "task.finished", "row",
             "job.done",
         ]
+
+
+class TestFromInputs:
+    """A task whose spec names ``inputs`` is computed from its job's own
+    results when the job holds every input, else by its entry."""
+
+    def test_computed_from_the_jobs_results_in_the_driving_thread(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            f"{_HERE}.run_tiny", lambda *, value=1: calls.append(value) or TinyResult(value)
+        )
+        tasks = [Task(TINY_SUM, {}), Task(tiny_spec(), {"value": 1})]
+        client, job, results = run_job(tasks)
+        assert results == [TinyResult(101), TinyResult(1)]
+        assert calls == [1]  # the input ran once, the sum did not rerun it
+        assert sources(client, job) == ["run", "run"]
+
+    def test_waits_for_inputs_running_on_the_pool(self):
+        tasks = [Task(tiny_spec(), {"value": 1}), Task(TINY_SUM, {}),
+                 Task(tiny_spec(cost_hint=5.0), {"value": 2})]
+        client, job, results = run_job(tasks, jobs=2)
+        assert results == [TinyResult(1), TinyResult(101), TinyResult(2)]
+        order = [(e.kind, e.data["index"]) for e in client.events(job)
+                 if e.kind in ("task.started", "task.finished")]
+        assert order.index(("task.started", 1)) > order.index(("task.finished", 0))
+
+    def test_runs_its_entry_when_the_job_lacks_an_input(self, monkeypatch):
+        monkeypatch.setattr(f"{_HERE}.sum_tiny", None)  # must not be called
+        monkeypatch.setattr(f"{_HERE}.run_tiny_sum", lambda: TinyResult(-1))
+        _, _, results = run_job([Task(TINY_SUM, {}), Task(tiny_spec(), {"value": 2})])
+        assert results == [TinyResult(-1), TinyResult(2)]
+
+    def test_a_cached_result_is_not_recomputed(self, tmp_path):
+        cache = ResultCache(tmp_path, version="t")
+        tasks = [Task(tiny_spec(), {"value": 1}), Task(TINY_SUM, {})]
+        run_job(tasks, cache=cache)
+        client, job, results = run_job(tasks, cache=cache)
+        assert results == [TinyResult(1), TinyResult(101)]
+        assert sources(client, job) == ["cache", "cache"]
+
+
+def test_an_executed_result_is_encoded_once(tmp_path, monkeypatch):
+    """The job's payload and the cache entry share one ``to_json``."""
+    to_json, encoded = serde.Codec.to_json, []
+    monkeypatch.setattr(
+        serde.Codec, "to_json", lambda self: encoded.append(type(self)) or to_json(self)
+    )
+    spec = registry.get("scaling")
+    cache = ResultCache(tmp_path, version="t")
+    client, job, (result,) = run_job([Task(spec, spec.validate({"sizes": (20,)}))],
+                                     cache=cache)
+    assert sources(client, job) == ["run"] and cache.stores == 1
+    assert [cls.__name__ for cls in encoded] == ["ScalingResult"]
+    assert cache.load(spec, spec.validate({"sizes": (20,)})) == result
 
 
 class TestCrashPolicy:

@@ -68,7 +68,7 @@ def test_fifo_among_equal_timestamps(groups):
 
 actions = st.lists(
     st.tuples(
-        st.sampled_from(["delay", "zero", "at_now", "cancelled", "inline"]),
+        st.sampled_from(["delay", "zero", "event_zero", "cancelled", "inline"]),
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False),
     ),
     min_size=1,
@@ -100,8 +100,8 @@ def test_fast_and_slow_engines_fire_identically(acts, seed_delays, untils, max_e
                 fired.append((i, kind, sim.now))
                 if kind == "zero":
                     sim.schedule(0.0, lambda: fired.append((i, "nested", sim.now)))
-                elif kind == "at_now":
-                    sim.schedule_at(sim.now, lambda: fired.append((i, "nested", sim.now)))
+                elif kind == "event_zero":
+                    sim.schedule_event(0.0, lambda: fired.append((i, "nested", sim.now)))
                 elif kind == "inline":
                     # mirrors the trampoline's charge fusion: advance the
                     # clock and continue inline when possible, otherwise do

@@ -65,6 +65,17 @@ class TestGraph:
             assert slot not in seen
             seen.add(slot)
 
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_local_slices_equal_the_filtered_scan(self, chunked):
+        g = Em3dGraph(Em3dParams(n_nodes=60, degree=4, n_procs=5, pct_remote=0.5,
+                                 seed=3, chunked=chunked))
+        for proc in range(g.params.n_procs + 1):  # the last one owns no node
+            for e_nodes in (True, False):
+                scan = [n for n in g.nodes if n.proc == proc and n.is_e == e_nodes]
+                got = g.local_nodes(proc, e_nodes=e_nodes)
+                assert [n.gid for n in got] == [n.gid for n in scan]
+                assert all(a is b for a, b in zip(got, scan))
+
     def test_deterministic_generation(self):
         p = Em3dParams(n_nodes=48, degree=4, n_procs=4, pct_remote=0.5, seed=5)
         a, b = Em3dGraph(p), Em3dGraph(p)

@@ -95,14 +95,6 @@ class TestStubTable:
         st.invalidate(1, "C::m")
         assert st.probe(1, "C::m") is None
 
-    def test_invalidate_all(self):
-        st = self._table()
-        st.install(1, "a", CacheEntry(stub_id=0))
-        st.install(2, "b", CacheEntry(stub_id=1))
-        assert st.cached_count == 2
-        st.invalidate_all()
-        assert st.cached_count == 0
-
 
 class TestBufferManager:
     def _mgr(self):
@@ -121,8 +113,9 @@ class TestBufferManager:
         a = mgr.alloc_rbuf("C::m", sender=1, capacity=16)
         b = mgr.alloc_rbuf("C::m", sender=2, capacity=16)
         assert a.rbuf_id != b.rbuf_id
-        assert mgr.rbuf_for("C::m", 1) is a
-        assert mgr.rbuf_for("C::m", 2) is b
+        assert (a.sender, b.sender) == (1, 2)
+        assert mgr.deposit(a.rbuf_id, b"") is a
+        assert mgr.deposit(b.rbuf_id, b"") is b
 
     def test_realloc_keeps_rbuf_id_stable(self):
         """Re-allocating an attached key must keep the id: a stub update

@@ -57,14 +57,6 @@ def test_negative_delay_rejected():
         sim.schedule(-1.0, lambda: None)
 
 
-def test_schedule_at_past_rejected():
-    sim = Simulator()
-    sim.schedule(10.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(5.0, lambda: None)
-
-
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
@@ -187,8 +179,6 @@ def test_non_finite_delay_rejected(bad):
     with pytest.raises(SimulationError):
         sim.schedule(bad, lambda: None)
     with pytest.raises(SimulationError):
-        sim.schedule_at(bad, lambda: None)
-    with pytest.raises(SimulationError):
         sim.schedule_event(bad, lambda: None)
 
 
@@ -204,11 +194,10 @@ def test_call_soon_interleaves_with_schedule_by_seq():
     sim = Simulator()
     fired = []
     sim.schedule(0.0, lambda: fired.append("a"))
-    sim.schedule_at(0.0, lambda: fired.append("b"))
-    sim.schedule_event(0.0, lambda: fired.append("c"))
-    sim.schedule(0.0, lambda: fired.append("d"))
+    sim.schedule_event(0.0, lambda: fired.append("b"))
+    sim.schedule(0.0, lambda: fired.append("c"))
     sim.run()
-    assert fired == ["a", "b", "c", "d"]
+    assert fired == ["a", "b", "c"]
 
 
 def test_lane_merges_with_due_heap_events():

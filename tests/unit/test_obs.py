@@ -134,13 +134,6 @@ class TestHistogramStats:
         snap = h.snapshot()
         assert set(snap) == {"count", "mean", "min", "max", "p50", "p90", "p99"}
 
-    def test_nonzero_buckets(self):
-        h = LogHistogram()
-        h.record(0.5)
-        h.record(3.0)
-        rows = h.nonzero_buckets()
-        assert rows == [(0.0, 1.0, 1), (2.0, 4.0, 1)]
-
 
 def _reference_record(h: LogHistogram, value: float) -> None:
     """`LogHistogram.record` as first written (validate, then bucket with
