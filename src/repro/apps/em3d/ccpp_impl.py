@@ -55,9 +55,11 @@ class Em3dProc(ProcessorObject):
         self.layout = layout
         self.version = version
         me = self.my_node
-        self.values = self.alloc_data(VAL, graph.local_value_count(me))
+        self.alloc_data(VAL, graph.local_value_count(me))
+        self.values = self.ctx.mem.region(VAL)
         if version in ("ghost", "bulk"):
-            self.ghost = self.alloc_data(GHOST, max(1, layout.ghost_region_size(me)))
+            self.alloc_data(GHOST, max(1, layout.ghost_region_size(me)))
+            self.ghost = self.ctx.mem.region(GHOST)
         # bulk-version export buffers, packed locally each phase
         self.exports: dict[tuple[int, int], np.ndarray] = {}
         if version == "bulk":

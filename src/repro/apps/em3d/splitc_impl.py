@@ -121,7 +121,7 @@ def run_splitc_em3d(
             region = layout.export_region(src, proc.my_node, phase)
             block = yield from proc.bulk_read(proc.gptr(src, region, 0), len(gids))
             base_slot = plan.ghost_slot[gids[0]]
-            ghost[base_slot : base_slot + len(gids)] = block
+            ghost[base_slot : base_slot + len(gids)] = np.asarray(block)
 
     def pack_exports(proc: SCProcess, plan: PhasePlan, phase: int) -> Generator[Any, Any, None]:
         mem = proc.local(VAL)

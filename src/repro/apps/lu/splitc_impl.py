@@ -58,7 +58,8 @@ def run_splitc_lu(
 
     for q in range(p.n_procs):
         mem = rt.memory(q)
-        region = mem.alloc(BLK, len(work.owned_blocks(q)) * bs2)
+        mem.alloc(BLK, len(work.owned_blocks(q)) * bs2)
+        region = mem.region(BLK)
         for (i, j) in work.owned_blocks(q):
             work.block_of(region, i, j)[:] = work.initial_block(i, j)
         mem.alloc(CACHE, _cache_slots(p) * bs2)

@@ -77,12 +77,12 @@ def run_splitc_water(
 
     for proc in range(p.n_procs):
         mem = rt.memory(proc)
-        pos = mem.alloc(POS, 3 * nlocal)
-        vel = mem.alloc(VEL, 3 * nlocal)
+        mem.alloc(POS, 3 * nlocal)
+        mem.alloc(VEL, 3 * nlocal)
         mem.alloc(FRC, 3 * nlocal)
         lo = proc * nlocal
-        pos[:] = system.positions[lo : lo + nlocal].ravel()
-        vel[:] = system.velocities[lo : lo + nlocal].ravel()
+        mem.region(POS)[:] = system.positions[lo : lo + nlocal].ravel()
+        mem.region(VEL)[:] = system.velocities[lo : lo + nlocal].ravel()
         if proc == 0:
             mem.alloc(POT, 1)
         if version == "prefetch":
@@ -110,7 +110,9 @@ def run_splitc_water(
                 if oj == me:
                     pj = proc.local(POS)[3 * lj : 3 * lj + 3]
                 else:
-                    pj = yield from proc.bulk_read(proc.gptr(oj, POS, 3 * lj), 3)
+                    pj = np.asarray(
+                        (yield from proc.bulk_read(proc.gptr(oj, POS, 3 * lj), 3))
+                    )
                 f, pot = pair_interaction(pi, pj)
                 yield from proc.charge(per_pair)
                 potential += pot

@@ -99,8 +99,9 @@ class ProcessorObject:
 
     def alloc_data(self, region: str, size: int, dtype: str = "float64"):
         """Allocate a named data region on this object's node; elements are
-        addressable remotely via :class:`~repro.ccpp.gp.DataGlobalPtr`."""
-        return self.ctx.mem.alloc(region, size, dtype)
+        addressable remotely via :class:`~repro.ccpp.gp.DataGlobalPtr`, and
+        ``self.ctx.mem.region(region)`` views it as a NumPy array."""
+        self.ctx.mem.alloc(region, size, dtype)
 
     def data_ptr(self, region: str, offset: int = 0):
         """A global pointer to this node's ``region[offset]``."""

@@ -28,9 +28,8 @@ generate are exactly what the paper's Sync column counts.
 from __future__ import annotations
 
 import enum
+import sys
 from collections.abc import Generator
-
-import numpy as np
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -81,11 +80,14 @@ def _build_marshal_plan(rc: Any, types: tuple[type, ...]) -> tuple[float, tuple]
     (accumulated in argument order, matching the pre-plan isinstance
     chain add-for-add) and, for each simple-array argument, its index and
     whether its byte count comes from ``.nbytes`` (ndarray) or ``len``.
+    NumPy is looked up, not imported: while it is not loaded, no argument
+    can be an ndarray.
     """
+    np = sys.modules.get("numpy")
     fixed = rc.marshal_fixed
     simple: list[tuple[int, bool]] = []
     for i, tp in enumerate(types):
-        if issubclass(tp, np.ndarray):
+        if np is not None and issubclass(tp, np.ndarray):
             fixed += rc.marshal_simple_array_fixed
             simple.append((i, True))
         elif issubclass(tp, (bytes, bytearray)):

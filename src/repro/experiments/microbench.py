@@ -14,10 +14,9 @@ what the paper's instrumented AM layer reports.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Generator
 from typing import Any
-
-import numpy as np
 
 from repro.am import install_am
 from repro.ccpp import (
@@ -108,28 +107,31 @@ class CCBench(ProcessorObject):
     @remote(threaded=True)
     def get(self):
         """Bulk read: returns the 20-double ARRAYOFDOUBLE by value."""
-        return ArrayOfDouble(self.ctx.mem.region("bench.A").copy())
+        return ArrayOfDouble(self.ctx.mem.load_block_gp("bench.A", 0, 20))
 
     @remote(threaded=True)
     def put(self, values):
         """Bulk write: stores the 20-double ARRAYOFDOUBLE passed by value."""
-        self.ctx.mem.region("bench.A")[:] = values.values
+        self.ctx.mem.store_block_gp("bench.A", 0, values.values)
         return None
 
 
 class ArrayOfDouble(Marshallable):
     """Figure 3's ``ARRAYOFDOUBLE``: a user class with its own
-    serialization methods — the dynamic-dispatch marshalling case."""
+    serialization methods — the dynamic-dispatch marshalling case.
 
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, dtype=np.float64)
+    ``values`` is an ``array("d")``; it packs to the bytes of the float64
+    ``ndarray`` of the same values."""
+
+    def __init__(self, values: array):
+        self.values = values
 
     def cc_pack(self, p: Packer) -> None:
-        p.put_ndarray(self.values)
+        p.put_array(self.values)
 
     @classmethod
     def cc_unpack(cls, u: Unpacker) -> "ArrayOfDouble":
-        return cls(u.get_ndarray())
+        return cls(u.get_array())
 
     def __len__(self) -> int:
         return len(self.values)
@@ -174,7 +176,7 @@ def _cc_gp_rw(ctx, gp):
 
 
 def _cc_bulk_write(ctx, gp):
-    values = ArrayOfDouble(np.arange(20, dtype=np.float64))
+    values = ArrayOfDouble(array("d", range(20)))
     yield from ctx.rmi(gp, "put", values, wait=WaitMode.PARK)
 
 
@@ -317,7 +319,7 @@ def run_sc_microbench(
         rt.memory(nid).alloc("bench.A", 20)
         rt.memory(nid).alloc("bench.L", 32)
     window = cluster.window()
-    env = {"values": np.arange(20, dtype=np.float64)}
+    env = {"values": array("d", range(20))}
     out: dict[str, MicroRow] = {}
 
     def program(proc):

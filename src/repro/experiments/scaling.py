@@ -14,17 +14,15 @@ trend the sentence predicts.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Generator
 from typing import Any
 
-import numpy as np
-
 from repro.ccpp import CCppRuntime, ProcessorObject, processor_class, remote
+from repro.experiments.microbench import ArrayOfDouble
 from repro.experiments.results import ScalingPoint, ScalingResult
 from repro.machine.cluster import Cluster
 from repro.machine.costs import SP2_COSTS, CostModel
-from repro.marshal import Marshallable
-from repro.marshal.packer import Packer, Unpacker
 from repro.splitc import SplitCRuntime
 
 __all__ = ["ScalingResult", "ScalingPoint", "run"]
@@ -34,18 +32,10 @@ DEFAULT_SIZES = (20, 200, 2000, 20000)
 _ITERS = 10
 
 
-class ScaledArray(Marshallable):
-    """User-typed payload (dynamic-dispatch serialization, as in Table 4)."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, dtype=np.float64)
-
-    def cc_pack(self, p: Packer) -> None:
-        p.put_ndarray(self.values)
-
-    @classmethod
-    def cc_unpack(cls, u: Unpacker) -> "ScaledArray":
-        return cls(u.get_ndarray())
+class ScaledArray(ArrayOfDouble):
+    """User-typed payload (dynamic-dispatch serialization, as in Table 4):
+    ARRAYOFDOUBLE under this experiment's own class name, which the wire
+    carries with every custom-typed value."""
 
 
 @processor_class
@@ -53,7 +43,7 @@ class ScalingServer(ProcessorObject):
     """Owns one array per configured size."""
 
     def __init__(self, sizes: list):
-        self.arrays = {int(n): np.arange(float(n)) for n in sizes}
+        self.arrays = {int(n): array("d", range(int(n))) for n in sizes}
 
     @remote(threaded=True)
     def get(self, n: int):

@@ -13,9 +13,10 @@ plus size metadata the runtimes use to charge per-byte marshalling costs.
   serialization methods").
 
 The names below resolve lazily (:mod:`repro._lazy`): every ``Node`` holds
-a :class:`BufferPool`, and ``pool`` imports no NumPy, so the simulator core
-loads ``packer`` / ``serialize`` (and NumPy with them) only where a
-runtime marshals.
+a :class:`BufferPool`, so the simulator core loads ``packer`` /
+``serialize`` only where a runtime marshals.  None of the three imports
+NumPy: an ``ndarray`` is packed with NumPy's help only when a caller
+hands one over.
 """
 
 from repro._lazy import lazy_exports

@@ -11,15 +11,26 @@ as a ``memoryview`` (:meth:`Packer.getview`) instead of a ``bytes`` copy;
 an :class:`Unpacker` reads any buffer-protocol object in place (it no
 longer snapshots its input) and can :meth:`~Unpacker.detach` its internal
 view so the backing buffer becomes recyclable.
+
+Arrays: :meth:`Packer.put_ndarray` writes dtype string, ndim, dims and the
+C-order raw bytes; :meth:`Packer.put_array` writes a 1-D
+:class:`array.array` in that same layout, so both decode with either
+:meth:`Unpacker.get_ndarray` or (for one dimension)
+:meth:`Unpacker.get_array`.  Only the ``ndarray`` pair imports NumPy.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-
-import numpy as np
+from array import array
+from typing import TYPE_CHECKING
 
 from repro.errors import MarshalError
+from repro.util.words import DTYPE_STRS
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["Packer", "Unpacker"]
 
@@ -32,6 +43,9 @@ _pack_u8 = _U8.pack
 _pack_u32 = _U32.pack
 _pack_i64 = _I64.pack
 _pack_f64 = _F64.pack
+
+#: ``dtype.str`` -> the typecode that holds it, for :meth:`Unpacker.get_array`
+_TYPECODE_OF_STR = {s: code for code, s in DTYPE_STRS.items()}
 
 
 class Packer:
@@ -80,6 +94,8 @@ class Packer:
 
     def put_ndarray(self, a: np.ndarray) -> "Packer":
         """dtype + shape + C-order raw data (copied once, into the stream)."""
+        import numpy as np
+
         self.put_str(a.dtype.str)
         self.put_u8(a.ndim)
         for dim in a.shape:
@@ -91,6 +107,17 @@ class Packer:
         else:
             self.put_bytes(memoryview(arr).cast("B"))
         return self
+
+    def put_array(self, a: array) -> "Packer":
+        """A 1-D ``array`` in :meth:`put_ndarray`'s layout: the same bytes
+        as the ``ndarray`` of its dtype and values, without NumPy."""
+        try:
+            self.put_str(DTYPE_STRS[a.typecode])
+        except KeyError:
+            raise MarshalError(f"no dtype for array typecode {a.typecode!r}") from None
+        self.put_u8(1)
+        self.put_u32(len(a))
+        return self.put_bytes(memoryview(a))
 
     # ---------------------------------------------------------------- final
 
@@ -111,7 +138,7 @@ class Unpacker:
 
     Reads happen in place over the given buffer — callers that need the
     values to outlive the buffer get copies anyway (``get_bytes`` returns
-    ``bytes``, ``get_ndarray`` copies out of the wire view).
+    ``bytes``, ``get_ndarray`` / ``get_array`` copy out of the wire view).
     """
 
     __slots__ = ("_buf", "_pos")
@@ -162,19 +189,43 @@ class Unpacker:
         return str(self._take(n), "utf-8")
 
     def get_ndarray(self) -> np.ndarray:
+        import numpy as np
+
         dtype = np.dtype(self.get_str())
         ndim = self.get_u8()
         shape = tuple(self.get_u32() for _ in range(ndim))
         n = self.get_u32()
         raw = self._take(n)
-        expect = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
-        if n != expect and shape:
+        # a 0-d array holds one element: math.prod(()) == 1
+        expect = math.prod(shape) * dtype.itemsize
+        if n != expect:
             raise MarshalError(
                 f"ndarray payload is {n} bytes, expected {expect} "
                 f"for shape {shape} dtype {dtype}"
             )
         # one copy, straight out of the wire view into the result array
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+    def get_array(self) -> array:
+        """Inverse of :meth:`Packer.put_array`: a 1-D payload whose dtype
+        an ``array`` typecode holds, decoded without NumPy."""
+        dstr = self.get_str()
+        code = _TYPECODE_OF_STR.get(dstr)
+        if code is None:
+            raise MarshalError(f"no array typecode holds dtype {dstr!r}")
+        ndim = self.get_u8()
+        if ndim != 1:
+            raise MarshalError(f"array payload has {ndim} dimensions, expected 1")
+        count = self.get_u32()
+        n = self.get_u32()
+        out = array(code)
+        if n != count * out.itemsize:
+            raise MarshalError(
+                f"array payload is {n} bytes, expected {count * out.itemsize} "
+                f"for {count} elements of {dstr}"
+            )
+        out.frombytes(self._take(n))
+        return out
 
     # ---------------------------------------------------------------- state
 

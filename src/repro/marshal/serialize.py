@@ -4,7 +4,8 @@ Supports the CC++ argument model: arbitrary objects may cross address
 spaces, each class providing its own serialization (here: registered
 pack/unpack functions or a :class:`Marshallable` mixin).  Built-in support
 covers ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
-``tuple``/``list``/``dict`` and NumPy arrays.
+``tuple``/``list``/``dict`` and NumPy arrays (NumPy itself is never
+imported here: while it is not loaded, no object can be a NumPy one).
 
 This is *deep copy by value* — strictly more powerful than Split-C's
 shallow global memory accesses, and correspondingly more expensive: the
@@ -20,10 +21,9 @@ so a monomorphic call skips even the table probe.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from typing import Any
-
-import numpy as np
 
 from repro.errors import MarshalError
 from repro.marshal.packer import Packer, Unpacker
@@ -164,7 +164,6 @@ _PACK: dict[type, Callable[[Packer, Any], None]] = {
     tuple: _pack_tuple,
     list: _pack_list,
     dict: _pack_dict,
-    np.ndarray: _pack_ndarray,
 }
 
 
@@ -172,12 +171,14 @@ def _resolve_pack(tp: type) -> Callable[[Packer, Any], None]:
     """Slow path for types not (yet) in the table.  Walks the same
     ``isinstance`` chain the pre-table serializer used — order matters
     (``bool`` before ``int``; containers before ``Marshallable``) — and
-    caches the winner so each concrete type resolves once per process."""
+    caches the winner so each concrete type resolves once per process.
+    NumPy's types are tested only once NumPy is loaded."""
+    np = sys.modules.get("numpy")
     if issubclass(tp, bool):
         fn = _pack_bool
-    elif issubclass(tp, (int, np.integer)):
+    elif issubclass(tp, int) or (np is not None and issubclass(tp, np.integer)):
         fn = _pack_int
-    elif issubclass(tp, (float, np.floating)):
+    elif issubclass(tp, float) or (np is not None and issubclass(tp, np.floating)):
         fn = _pack_float
     elif issubclass(tp, str):
         fn = _pack_str
@@ -189,7 +190,7 @@ def _resolve_pack(tp: type) -> Callable[[Packer, Any], None]:
         fn = _pack_list
     elif issubclass(tp, dict):
         fn = _pack_dict
-    elif issubclass(tp, np.ndarray):
+    elif np is not None and issubclass(tp, np.ndarray):
         fn = _pack_ndarray
     elif issubclass(tp, Marshallable):
         fn = _pack_marshallable

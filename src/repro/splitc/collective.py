@@ -19,10 +19,9 @@ by one gather arrival count.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Generator
 from typing import Any
-
-import numpy as np
 
 from repro.errors import RuntimeStateError
 from repro.splitc.process import SCProcess
@@ -74,10 +73,10 @@ def ensure_scratch(runtime, size: int | None = None) -> None:
         mem = runtime.memory(nid)
         if not mem.has_region(SCRATCH_REGION):
             mem.alloc(SCRATCH_REGION, need)
-        elif len(mem.region(SCRATCH_REGION)) < need:
+        elif len(mem.words(SCRATCH_REGION)) < need:
             raise RuntimeStateError(
                 f"collective scratch on node {nid} too small "
-                f"({len(mem.region(SCRATCH_REGION))} < {need})"
+                f"({len(mem.words(SCRATCH_REGION))} < {need})"
             )
 
 
@@ -94,7 +93,7 @@ def broadcast(proc: SCProcess, root: int, value: float) -> Generator[Any, Any, f
     scratch starts each round at zero, so ``+= value`` equals a plain
     store.
     """
-    scratch = proc.local(SCRATCH_REGION)
+    scratch = proc.mem.words(SCRATCH_REGION)
     if proc.my_node == root:
         for q in range(proc.nprocs):
             if q != root:
@@ -117,7 +116,7 @@ def reduce_add(proc: SCProcess, root: int, value: float) -> Generator[Any, Any, 
     Non-roots contribute with one-way accumulating stores; a second
     accumulate bumps the arrival count the root spins on.
     """
-    scratch = proc.local(SCRATCH_REGION)
+    scratch = proc.mem.words(SCRATCH_REGION)
     if proc.my_node == root:
         scratch[_REDUCE_ACC] += value
         yield from proc.ep.poll_until(
@@ -188,12 +187,13 @@ def tree_barrier(proc: SCProcess, tree) -> Generator[Any, Any, None]:
     yield from tree.barrier(proc.my_node)
 
 
-def all_gather(proc: SCProcess, value: float) -> Generator[Any, Any, np.ndarray]:
+def all_gather(proc: SCProcess, value: float) -> Generator[Any, Any, array]:
     """Every processor returns the vector of all processors' values,
-    indexed by node id (one value store + one count bump per pair)."""
+    indexed by node id, as an ``array("d")`` (one value store + one count
+    bump per pair)."""
     me = proc.my_node
     nprocs = proc.nprocs
-    scratch = proc.local(SCRATCH_REGION)
+    scratch = proc.mem.words(SCRATCH_REGION)
     count_slot = _GATHER_BASE + nprocs
     scratch[_GATHER_BASE + me] = value
     for q in range(nprocs):
@@ -205,7 +205,7 @@ def all_gather(proc: SCProcess, value: float) -> Generator[Any, Any, np.ndarray]
                 proc.gptr(q, SCRATCH_REGION, count_slot), (1.0,)
             )
     yield from proc.ep.poll_until(lambda: scratch[count_slot] == float(nprocs - 1))
-    out = scratch[_GATHER_BASE : _GATHER_BASE + nprocs].copy()
+    out = scratch[_GATHER_BASE : _GATHER_BASE + nprocs]
     scratch[count_slot] = 0.0
     yield from proc.barrier()
     return out

@@ -1,10 +1,18 @@
 """Per-node memory regions and spread arrays.
 
-A region is a named, typed NumPy array living on one node; global
-pointers name ``(node, region, offset)``.  Regions allocated with the
-same name on every node model Split-C's statics/heap symmetry: the same
-"address" is valid everywhere, which is what makes global-pointer node
-arithmetic meaningful.
+A region is a named run of typed words living on one node, stored as an
+:class:`array.array` in the typecode of its dtype (``float64`` regions
+are ``array("d")``); global pointers name ``(node, region, offset)``.
+Regions allocated with the same name on every node model Split-C's
+statics/heap symmetry: the same "address" is valid everywhere, which is
+what makes global-pointer node arithmetic meaningful.
+
+Every access the runtimes make — scalar loads and stores, block copies,
+the AM bulk handlers — goes through the words and the buffer protocol,
+so a program that only moves words never imports NumPy.  A caller that
+wants arrays asks :meth:`Memory.region` (an app's ``proc.local``): it
+returns a NumPy view of the same storage, built once per region on
+first use.
 
 :class:`SpreadArray` implements Split-C spread arrays — one logical array
 laid out across all processors cyclically or in contiguous blocks.
@@ -12,10 +20,15 @@ laid out across all processors cyclically or in contiguous blocks.
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import GlobalPointerError, RuntimeStateError
 from repro.splitc.gptr import GlobalPtr
+from repro.util.words import DTYPE_NAMES, typecode
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["Memory", "SpreadArray"]
 
@@ -27,30 +40,33 @@ class Memory:
 
     def __init__(self, node) -> None:
         self.node = node
-        self._regions: dict[str, np.ndarray] = {}
+        self._regions: dict[str, array] = {}
+        #: NumPy views of regions, built by :meth:`region` on first use
+        self._views: dict[str, np.ndarray] = {}
         node.attach(self.SERVICE, self)
 
     # ----------------------------------------------------------- allocation
 
-    def alloc(self, region: str, size: int, dtype: str | np.dtype = np.float64) -> np.ndarray:
-        """Allocate a region; the backing array is zero-initialized."""
+    def alloc(self, region: str, size: int, dtype: Any = "float64") -> None:
+        """Allocate a zero-initialized region of ``size`` words of
+        ``dtype``; :meth:`region` views it as an array."""
         if region in self._regions:
             raise RuntimeStateError(f"region {region!r} already allocated on node {self.node.nid}")
         if size < 0:
             raise RuntimeStateError(f"negative region size {size}")
-        arr = np.zeros(size, dtype=dtype)
-        self._regions[region] = arr
-        return arr
+        self._regions[region] = array(typecode(dtype), [0]) * size
 
-    def alloc_like(self, region: str, data: np.ndarray) -> np.ndarray:
-        """Allocate a region initialized with a copy of ``data``."""
-        if region in self._regions:
-            raise RuntimeStateError(f"region {region!r} already allocated on node {self.node.nid}")
-        arr = np.array(data, copy=True)
-        self._regions[region] = arr
-        return arr
+    def alloc_like(self, region: str, data: Any) -> None:
+        """Allocate a region initialized with a copy of ``data`` (read by
+        NumPy, flattened in C order)."""
+        import numpy as np
 
-    def region(self, name: str) -> np.ndarray:
+        arr = np.asarray(data)
+        self.alloc(region, arr.size, arr.dtype)
+        self.region(region)[:] = arr.ravel()
+
+    def words(self, name: str) -> array:
+        """The region's storage: its words, in place."""
         try:
             return self._regions[name]
         except KeyError:
@@ -58,40 +74,68 @@ class Memory:
                 f"region {name!r} not allocated on node {self.node.nid}"
             ) from None
 
+    def region(self, name: str) -> np.ndarray:
+        """A NumPy view of the region (writes through to the words); built
+        on first use and kept, so apps index it at NumPy's price."""
+        view = self._views.get(name)
+        if view is None:
+            import numpy as np
+
+            words = self.words(name)
+            view = np.frombuffer(words, dtype=DTYPE_NAMES[words.typecode])
+            self._views[name] = view
+        return view
+
     def has_region(self, name: str) -> bool:
         return name in self._regions
 
     # -------------------------------------------------------------- accesses
 
-    def _check(self, gp: GlobalPtr, count: int = 1) -> np.ndarray:
+    def _check(self, gp: GlobalPtr, count: int = 1) -> array:
         if gp.node != self.node.nid:
             raise GlobalPointerError(
                 f"{gp!r} dereferenced on node {self.node.nid} (not local)"
             )
-        arr = self.region(gp.region)
-        if not 0 <= gp.offset <= gp.offset + count <= len(arr):
+        words = self.words(gp.region)
+        if not 0 <= gp.offset <= gp.offset + count <= len(words):
             raise GlobalPointerError(
-                f"{gp!r} (+{count}) out of bounds for region of {len(arr)}"
+                f"{gp!r} (+{count}) out of bounds for region of {len(words)}"
             )
-        return arr
+        return words
 
     def load(self, gp: GlobalPtr):
         """Read one element (local access only)."""
-        return self._check(gp)[gp.offset].item()
+        return self._check(gp)[gp.offset]
 
     def store(self, gp: GlobalPtr, value) -> None:
         """Write one element (local access only)."""
         self._check(gp)[gp.offset] = value
 
-    def load_block(self, gp: GlobalPtr, count: int) -> np.ndarray:
-        """Copy ``count`` contiguous elements out (local access only)."""
-        arr = self._check(gp, count)
-        return arr[gp.offset : gp.offset + count].copy()
+    def load_block(self, gp: GlobalPtr, count: int) -> array:
+        """Copy ``count`` contiguous elements out, as an ``array`` of the
+        region's typecode (local access only)."""
+        words = self._check(gp, count)
+        return words[gp.offset : gp.offset + count]
 
-    def store_block(self, gp: GlobalPtr, values: np.ndarray) -> None:
-        """Write a contiguous block (local access only)."""
-        arr = self._check(gp, len(values))
-        arr[gp.offset : gp.offset + len(values)] = values
+    def store_block(self, gp: GlobalPtr, values) -> None:
+        """Write a contiguous block (local access only).  Words of the
+        region's typecode are copied as they are; any other block (an
+        ``ndarray``, a list, another typecode) is assigned through the
+        NumPy view, which converts it as NumPy does."""
+        words = self._check(gp, len(values))
+        end = gp.offset + len(values)
+        if type(values) is array and values.typecode == words.typecode:
+            words[gp.offset : end] = values
+        else:
+            self.region(gp.region)[gp.offset : end] = values
+
+    def add_block(self, gp: GlobalPtr, values) -> None:
+        """Accumulate a contiguous block: ``region[k] += values[k]``, one
+        element at a time (local access only)."""
+        words = self._check(gp, len(values))
+        off = gp.offset
+        for k, v in enumerate(values):
+            words[off + k] += v
 
     # --------------------------------------------- handler-side conveniences
     # AM handlers address this node's memory by (region, offset) directly;
@@ -103,11 +147,14 @@ class Memory:
     def store_gp(self, region: str, offset: int, value) -> None:
         self.store(GlobalPtr(self.node.nid, region, offset), value)
 
-    def load_block_gp(self, region: str, offset: int, count: int) -> np.ndarray:
+    def load_block_gp(self, region: str, offset: int, count: int) -> array:
         return self.load_block(GlobalPtr(self.node.nid, region, offset), count)
 
-    def store_block_gp(self, region: str, offset: int, values: np.ndarray) -> None:
+    def store_block_gp(self, region: str, offset: int, values) -> None:
         self.store_block(GlobalPtr(self.node.nid, region, offset), values)
+
+    def add_block_gp(self, region: str, offset: int, values) -> None:
+        self.add_block(GlobalPtr(self.node.nid, region, offset), values)
 
 
 class SpreadArray:
@@ -126,7 +173,7 @@ class SpreadArray:
         n_nodes: int,
         *,
         layout: str = "cyclic",
-        dtype: str | np.dtype = np.float64,
+        dtype: Any = "float64",
     ):
         if layout not in ("cyclic", "block"):
             raise RuntimeStateError(f"unknown spread layout {layout!r}")
@@ -136,7 +183,8 @@ class SpreadArray:
         self.total = total
         self.n_nodes = n_nodes
         self.layout = layout
-        self.dtype = np.dtype(dtype)
+        #: the element type's NumPy name (``"float64"``)
+        self.dtype = DTYPE_NAMES[typecode(dtype)]
 
     # ------------------------------------------------------------- geometry
 
@@ -168,6 +216,6 @@ class SpreadArray:
 
     # ------------------------------------------------------------ allocation
 
-    def alloc_on(self, mem: Memory, node: int) -> np.ndarray:
+    def alloc_on(self, mem: Memory, node: int) -> None:
         """Allocate this node's slice of the spread array."""
-        return mem.alloc(self.region, self.local_size(node), self.dtype)
+        mem.alloc(self.region, self.local_size(node), self.dtype)

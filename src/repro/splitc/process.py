@@ -18,14 +18,19 @@ barrier         ``barrier()``                  ``barrier()``
 
 Local global-pointer dereferences short-circuit the network and cost a
 fraction of a microsecond, as in the real runtime.
+
+Values are Python numbers and blocks are ``array.array`` words:
+``read`` returns a float, ``bulk_read`` an ``array`` copy in the region's
+typecode.  ``bulk_write`` / ``bulk_store`` send an ``array`` as it is and
+any other block (an ``ndarray``, a list) through NumPy; only ``local``
+hands out a NumPy view.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Generator
 from typing import TYPE_CHECKING, Any
-
-import numpy as np
 
 from repro.am.frames import BULK_HEADER_BYTES
 from repro.errors import GlobalPointerError
@@ -33,8 +38,11 @@ from repro.obs.metrics import MetricNames
 from repro.sim.account import Category
 from repro.sim.effects import WAIT_INBOX, Charge
 from repro.splitc.gptr import GlobalPtr
+from repro.util.words import DTYPE_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.splitc.runtime import SplitCRuntime
 
 __all__ = ["SCProcess"]
@@ -45,6 +53,18 @@ _GET_REQ_BYTES = 24
 _PUT_REQ_BYTES = 24
 _STORE_BYTES = 24
 _BARRIER_BYTES = 12
+
+
+def _block(values) -> tuple[Any, str, int]:
+    """A bulk operand as (C-contiguous buffer, dtype name, byte count).
+    Words move as they are; anything else goes through NumPy, which infers
+    its dtype as before (a caller holding an ``ndarray`` has it loaded)."""
+    if type(values) is array:
+        return values, DTYPE_NAMES[values.typecode], len(values) * values.itemsize
+    import numpy as np
+
+    arr = np.ascontiguousarray(values)
+    return arr, str(arr.dtype), arr.nbytes
 
 
 class SCProcess:
@@ -85,7 +105,8 @@ class SCProcess:
         return self.rt.nprocs
 
     def local(self, region: str) -> np.ndarray:
-        """Direct handle to a local region (free: models ordinary C access)."""
+        """Direct handle to a local region (free: models ordinary C access):
+        a NumPy view of its words, built once per region."""
         return self.mem.region(region)
 
     def gptr(self, node: int, region: str, offset: int = 0) -> GlobalPtr:
@@ -219,9 +240,7 @@ class SCProcess:
         self._st.stores_sent += 1
         if dest.is_local(self.nid):
             yield self._chg_local
-            arr = self.mem.region(dest.region)
-            for k, v in enumerate(values):
-                arr[dest.offset + k] += v
+            self.mem.add_block(dest, values)
             self._st.stores_received += 1
             return
         yield self._chg_issue
@@ -232,9 +251,9 @@ class SCProcess:
             nbytes=_STORE_BYTES + 8 * (len(values) - 1),
         )
 
-    def bulk_store(self, dest: GlobalPtr, values: np.ndarray) -> Generator[Any, Any, None]:
+    def bulk_store(self, dest: GlobalPtr, values) -> Generator[Any, Any, None]:
         """One-way bulk store of a contiguous block."""
-        values = np.asarray(values)
+        data, dtype, nbytes = _block(values)
         self._st.stores_sent += 1
         if dest.is_local(self.nid):
             yield self._chg_local
@@ -245,29 +264,28 @@ class SCProcess:
         yield from self.ep.send_bulk(
             dest.node,
             "sc.bulk_store",
-            args=(dest.region, dest.offset, str(values.dtype)),
-            data=self.node.marshal_pool.take_packed(np.ascontiguousarray(values)),
-            nbytes=BULK_HEADER_BYTES + values.nbytes,
+            args=(dest.region, dest.offset, dtype),
+            data=self.node.marshal_pool.take_packed(data),
+            nbytes=BULK_HEADER_BYTES + nbytes,
         )
 
-    def bulk_store_add(self, dest: GlobalPtr, values: np.ndarray) -> Generator[Any, Any, None]:
+    def bulk_store_add(self, dest: GlobalPtr, values) -> Generator[Any, Any, None]:
         """One-way bulk accumulate of a contiguous block (counts as one
         store at the target) — how water-prefetch ships force blocks."""
-        values = np.asarray(values, dtype=np.float64)
+        data, dtype, nbytes = _block(values)
         self._st.stores_sent += 1
         if dest.is_local(self.nid):
             yield self._chg_local
-            arr = self.mem.region(dest.region)
-            arr[dest.offset : dest.offset + len(values)] += values
+            self.mem.add_block(dest, values)
             self._st.stores_received += 1
             return
         yield self._chg_issue
         yield from self.ep.send_bulk(
             dest.node,
             "sc.bulk_store_add",
-            args=(dest.region, dest.offset, str(values.dtype)),
-            data=self.node.marshal_pool.take_packed(np.ascontiguousarray(values)),
-            nbytes=BULK_HEADER_BYTES + values.nbytes,
+            args=(dest.region, dest.offset, dtype),
+            data=self.node.marshal_pool.take_packed(data),
+            nbytes=BULK_HEADER_BYTES + nbytes,
         )
 
     def await_stores(self, n: int) -> Generator[Any, Any, None]:
@@ -280,8 +298,10 @@ class SCProcess:
 
     # ----------------------------------------------------------------- bulk
 
-    def bulk_read(self, src: GlobalPtr, count: int) -> Generator[Any, Any, np.ndarray]:
-        """Blocking bulk read of ``count`` elements starting at ``src``."""
+    def bulk_read(self, src: GlobalPtr, count: int) -> Generator[Any, Any, array]:
+        """Blocking bulk read of ``count`` elements starting at ``src``;
+        returns a copy as an ``array`` of the region's typecode (wrap it in
+        ``np.asarray`` for arithmetic: ``array * k`` repeats the array)."""
         if src.is_local(self.nid):
             yield self._chg_local
             return self.mem.load_block(src, count)
@@ -304,18 +324,16 @@ class SCProcess:
             sp.end(sid, self.node.sim._now)
         return box.value
 
-    def bulk_write(self, dest: GlobalPtr, values: np.ndarray) -> Generator[Any, Any, None]:
+    def bulk_write(self, dest: GlobalPtr, values) -> Generator[Any, Any, None]:
         """Blocking bulk write (waits for the ack)."""
-        values = np.asarray(values)
+        data, dtype, nbytes = _block(values)
         if dest.is_local(self.nid):
             yield self._chg_local
             self.mem.store_block(dest, values)
             return
         sp = self._spans
         sid = (
-            sp.begin(
-                self.node.sim._now, self.nid, "sc.bulk_write", f"{values.nbytes}B"
-            )
+            sp.begin(self.node.sim._now, self.nid, "sc.bulk_write", f"{nbytes}B")
             if sp is not None
             else -1
         )
@@ -324,9 +342,9 @@ class SCProcess:
         yield from self.ep.send_bulk(
             dest.node,
             "sc.bulk_write",
-            args=(dest.region, dest.offset, str(values.dtype), slot),
-            data=self.node.marshal_pool.take_packed(np.ascontiguousarray(values)),
-            nbytes=BULK_HEADER_BYTES + values.nbytes,
+            args=(dest.region, dest.offset, dtype, slot),
+            data=self.node.marshal_pool.take_packed(data),
+            nbytes=BULK_HEADER_BYTES + nbytes,
         )
         yield from self.ep.poll_until_done(box)
         if sp is not None:

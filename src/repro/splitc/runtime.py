@@ -15,6 +15,11 @@ Cost structure per remote access (SP2 profile):
 * one-way store: no reply at all; the *target* synchronizes via
   ``await_stores``.
 * bulk read/write: one bulk AM each way ≈ 70 µs + per-byte costs.
+
+The handlers move words: a region is an ``array.array``
+(:mod:`repro.splitc.memory`), a bulk payload is its raw bytes in a pooled
+buffer, and a frame names the element type as NumPy does (``"float64"``).
+A ``bulk_read`` reply lands as an ``array`` of that typecode.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from __future__ import annotations
 from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from typing import Any
-
-import numpy as np
 
 from repro.am import AMEndpoint, AMFrame, install_am
 from repro.am.frames import BULK_HEADER_BYTES
@@ -33,6 +36,7 @@ from repro.sim.account import Category
 from repro.sim.effects import Charge
 from repro.splitc.memory import Memory
 from repro.splitc.process import SCProcess
+from repro.util.words import DTYPE_NAMES, from_bytes
 
 __all__ = ["SplitCRuntime", "ReplyBox"]
 
@@ -250,10 +254,7 @@ class SplitCRuntime:
         the asymmetry against CC++'s lock-paying atomic methods)."""
         region, offset, values = frame.args
         nid = ep.node.nid
-        mem = self.memories[nid]
-        arr = mem.region(region)
-        for k, v in enumerate(values):
-            arr[offset + k] += v
+        self.memories[nid].add_block_gp(region, offset, values)
         self._state[nid].stores_received += 1
         yield self._chg_reply
 
@@ -262,22 +263,22 @@ class SplitCRuntime:
     def _h_bulk_read(self, ep: AMEndpoint, src: int, frame: AMFrame):
         region, offset, count, slot = frame.args
         block = self.memories[ep.node.nid].load_block_gp(region, offset, count)
-        # one copy: region slice -> pooled buffer; the view travels as-is
-        # and the requester recycles it after copying out
-        payload = ep.node.marshal_pool.take_packed(np.ascontiguousarray(block))
+        # region slice -> pooled buffer; the view travels as-is and the
+        # requester recycles it after copying out
+        payload = ep.node.marshal_pool.take_packed(block)
         yield from ep.send_bulk(
             src,
             "sc.bulk_data",
-            args=(slot, str(block.dtype)),
+            args=(slot, DTYPE_NAMES[block.typecode]),
             data=payload,
-            nbytes=BULK_HEADER_BYTES + block.nbytes,
+            nbytes=BULK_HEADER_BYTES + len(payload),
         )
 
     def _h_bulk_data(self, ep: AMEndpoint, src: int, frame: AMFrame):
         slot, dtype = frame.args
         box = self._take_box(ep.node.nid, slot)
         n = len(frame.data)
-        box.value = np.frombuffer(frame.data, dtype=dtype).copy()
+        box.value = from_bytes(frame.data, dtype)
         box.done = True
         self._recycle_payload(ep, frame)
         rt = ep.node.costs.runtime
@@ -286,32 +287,30 @@ class SplitCRuntime:
     def _h_bulk_get(self, ep: AMEndpoint, src: int, frame: AMFrame):
         region, offset, count, dest_region, dest_offset = frame.args
         block = self.memories[ep.node.nid].load_block_gp(region, offset, count)
-        payload = ep.node.marshal_pool.take_packed(np.ascontiguousarray(block))
+        payload = ep.node.marshal_pool.take_packed(block)
         yield from ep.send_bulk(
             src,
             "sc.bulk_get_reply",
-            args=(dest_region, dest_offset, str(block.dtype)),
+            args=(dest_region, dest_offset, DTYPE_NAMES[block.typecode]),
             data=payload,
-            nbytes=BULK_HEADER_BYTES + block.nbytes,
+            nbytes=BULK_HEADER_BYTES + len(payload),
         )
 
     def _h_bulk_get_reply(self, ep: AMEndpoint, src: int, frame: AMFrame):
         dest_region, dest_offset, dtype = frame.args
         nid = ep.node.nid
         n = len(frame.data)
-        values = np.frombuffer(frame.data, dtype=dtype)
+        values = from_bytes(frame.data, dtype)
         self.memories[nid].store_block_gp(dest_region, dest_offset, values)
         self._state[nid].pending -= 1
-        del values  # drop the buffer export so the pool can reuse it
         self._recycle_payload(ep, frame)
         rt = ep.node.costs.runtime
         yield self._rt_charge(rt.reply_handling + 0.01 * n)
 
     def _h_bulk_write(self, ep: AMEndpoint, src: int, frame: AMFrame):
         region, offset, dtype, slot = frame.args
-        values = np.frombuffer(frame.data, dtype=dtype)
+        values = from_bytes(frame.data, dtype)
         self.memories[ep.node.nid].store_block_gp(region, offset, values)
-        del values
         self._recycle_payload(ep, frame)
         yield from ep.send_short(src, "sc.ack", args=(slot,), nbytes=_ACK_BYTES)
 
@@ -320,11 +319,9 @@ class SplitCRuntime:
         region, offset, dtype = frame.args
         nid = ep.node.nid
         n = len(frame.data)
-        values = np.frombuffer(frame.data, dtype=dtype)
-        arr = self.memories[nid].region(region)
-        arr[offset : offset + len(values)] += values
+        values = from_bytes(frame.data, dtype)
+        self.memories[nid].add_block_gp(region, offset, values)
         self._state[nid].stores_received += 1
-        del values
         self._recycle_payload(ep, frame)
         rt = ep.node.costs.runtime
         yield self._rt_charge(rt.reply_handling + 0.01 * n)
@@ -332,10 +329,9 @@ class SplitCRuntime:
     def _h_bulk_store(self, ep: AMEndpoint, src: int, frame: AMFrame):
         region, offset, dtype = frame.args
         nid = ep.node.nid
-        values = np.frombuffer(frame.data, dtype=dtype)
+        values = from_bytes(frame.data, dtype)
         self.memories[nid].store_block_gp(region, offset, values)
         self._state[nid].stores_received += 1
-        del values
         self._recycle_payload(ep, frame)
         yield self._chg_reply
 

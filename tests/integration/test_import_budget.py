@@ -175,8 +175,10 @@ CONGESTION_SMOKE = (
 
 
 class TestSimulatorCore:
-    """NumPy loads with the first layer that holds an array: the engine,
-    the threads, every fabric, AM and MPL run without it."""
+    """NumPy loads with the first layer that holds an array, and that layer
+    is the apps: the engine, the threads, every fabric, AM, MPL, marshal
+    and both language runtimes (whose regions are ``array`` words) run
+    without it."""
 
     def test_fabric_and_am_run_without_numpy(self, tmp_path):
         modules, stdout = _fresh(
@@ -240,10 +242,78 @@ class TestSimulatorCore:
     @pytest.mark.parametrize("argv", [
         ("run", "congestion", *CONGESTION_SMOKE, "--no-cache"),
         ("run", "table1", "--no-cache"),
-    ], ids=["congestion", "table1"])
+        ("run", "table4", "--iters", "5", "--no-cache"),
+        ("run", "scaling", "--param", "sizes=20,200", "--no-cache"),
+    ], ids=["congestion", "table1", "table4", "scaling"])
     def test_cold_run_loads_no_numpy(self, tmp_path, argv):
         modules, stdout = _fresh(_CLI, tmp_path, *argv)
         assert stdout.startswith(f"=== {argv[1]} ===")
+        assert _loaded(modules, "numpy", "scipy") == []
+
+    def test_cold_app_run_loads_numpy_and_no_scipy(self, tmp_path):
+        """The apps are the layer that holds arrays: Figure 6 (Water and
+        LU) loads NumPy, and still no SciPy."""
+        modules, stdout = _fresh(_CLI, tmp_path, "run", "figure6", "--no-cache")
+        assert stdout.startswith("=== figure6 ===")
+        assert "numpy" in modules
+        assert _loaded(modules, "scipy") == []
+
+    def test_language_runtimes_move_words_without_numpy(self, tmp_path):
+        """Split-C's read / write / store / bulk_read / bulk_write and a
+        CC++ RMI carrying an ARRAYOFDOUBLE, remote and local, with no
+        ``numpy`` module loaded before, during or after."""
+        modules, stdout = _fresh(
+            """
+            import sys
+            from array import array
+            from repro.ccpp import CCppRuntime, WaitMode
+            from repro.experiments.microbench import ArrayOfDouble, CCBench
+            from repro.machine.cluster import Cluster
+            from repro.splitc import SplitCRuntime
+
+            rt = SplitCRuntime(Cluster(2))
+            for nid in range(2):
+                rt.memory(nid).alloc("x", 8)
+            block = array("d", [0.5, -0.0, float("inf"), 2.0])
+            got = {}
+
+            def program(proc):
+                if proc.my_node == 0:
+                    for dest in (1, 0):
+                        yield from proc.write(proc.gptr(dest, "x", 0), 7.0)
+                        got[("read", dest)] = yield from proc.read(proc.gptr(dest, "x", 0))
+                        yield from proc.store(proc.gptr(dest, "x", 1), 9.0)
+                        yield from proc.bulk_write(proc.gptr(dest, "x", 4), block)
+                        got[("bulk", dest)] = yield from proc.bulk_read(
+                            proc.gptr(dest, "x", 0), 8)
+                else:
+                    yield from proc.await_stores(1)
+                yield from proc.barrier()
+
+            rt.run_spmd(program)
+            want = array("d", [7.0, 9.0, 0.0, 0.0]) + block
+            for dest in (1, 0):
+                assert got[("read", dest)] == 7.0
+                assert got[("bulk", dest)] == want, got[("bulk", dest)]
+
+            cc = CCppRuntime(Cluster(2))
+
+            def main(ctx):
+                gp = yield from ctx.create(1, CCBench)
+                yield from ctx.rmi(gp, "put", ArrayOfDouble(array("d", range(20))),
+                                   wait=WaitMode.PARK)
+                back = yield from ctx.rmi(gp, "get", wait=WaitMode.PARK)
+                got["cc"] = back.values
+
+            cc.launch(0, main, "words")
+            cc.run()
+            assert got["cc"] == array("d", range(20)), got["cc"]
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+            """,
+            tmp_path,
+        )
+        assert stdout.strip() == "[]"
+        assert _loaded(modules, "repro.splitc", "repro.ccpp", "repro.marshal.serialize") != []
         assert _loaded(modules, "numpy", "scipy") == []
 
     def test_task_rng_is_seeded_after_its_module_loads_numpy(self, tmp_path):

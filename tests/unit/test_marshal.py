@@ -1,5 +1,7 @@
 """Unit tests for the marshalling layer."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,40 @@ class TestPacker:
             assert out.dtype == arr.dtype
             assert out.shape == arr.shape
             assert np.array_equal(out, arr)
+
+    @pytest.mark.parametrize("nbytes", [16, 3], ids=["two-elements", "partial-element"])
+    def test_malformed_0d_payload_raises_marshal_error(self, nbytes):
+        """A 0-d array holds one element: any other payload length is a
+        MarshalError, not NumPy's reshape / buffer-size ValueError."""
+        p = Packer().put_str("<f8").put_u8(0).put_bytes(b"\x00" * nbytes)
+        with pytest.raises(MarshalError, match=f"payload is {nbytes} bytes, expected 8"):
+            Unpacker(p.getvalue()).get_ndarray()
+
+    def test_0d_ndarray_roundtrip(self):
+        p = Packer().put_ndarray(np.array(2.5))
+        out = Unpacker(p.getvalue()).get_ndarray()
+        assert out.shape == () and out == 2.5
+
+    def test_word_array_packs_as_the_ndarray_of_its_values(self):
+        words = array("d", [1.5, -0.0, 3.0])
+        packed = Packer().put_array(words).getvalue()
+        assert packed == Packer().put_ndarray(np.asarray(words)).getvalue()
+        assert Unpacker(packed).get_array() == words
+        assert np.array_equal(Unpacker(packed).get_ndarray(), np.asarray(words))
+
+    @pytest.mark.parametrize("payload, match", [
+        (Packer().put_ndarray(np.zeros((2, 2))).getvalue(), "2 dimensions"),
+        (Packer().put_ndarray(np.zeros(2, dtype=np.complex128)).getvalue(), "no array typecode"),
+        (Packer().put_str("<f8").put_u8(1).put_u32(2).put_bytes(b"\x00" * 8).getvalue(),
+         "payload is 8 bytes, expected 16"),
+    ], ids=["2-d", "complex", "short"])
+    def test_get_array_rejects_what_it_cannot_hold(self, payload, match):
+        with pytest.raises(MarshalError, match=match):
+            Unpacker(payload).get_array()
+
+    def test_put_array_rejects_a_typecode_without_dtype(self):
+        with pytest.raises(MarshalError, match="no dtype"):
+            Packer().put_array(array("l", [1, 2]))
 
     def test_u8_range_checked(self):
         with pytest.raises(MarshalError):

@@ -45,7 +45,8 @@ class TestMemory:
     def test_alloc_and_access(self):
         cluster, rt = _runtime(1)
         mem = rt.memory(0)
-        arr = mem.alloc("x", 4)
+        mem.alloc("x", 4)
+        arr = mem.region("x")  # a NumPy view of the region's words
         arr[:] = [1, 2, 3, 4]
         assert mem.load(GlobalPtr(0, "x", 2)) == 3.0
         mem.store(GlobalPtr(0, "x", 0), 9.0)
