@@ -1,16 +1,16 @@
 """Named simulator-throughput scenarios.
 
-One callable per scenario, shared by two consumers so they can never
-drift apart:
+One callable per scenario, shared by the two harnesses that time them so
+they can never drift apart:
 
-* ``bench_simulator.py`` wraps each in pytest-benchmark for the full
-  statistics (and ``extra_info`` attribution);
-* ``smoke_check.py`` times a min-over-repetitions of the same callables
-  and compares against the committed ``BENCH_simulator.json`` floors.
+* ``smoke_check.py`` gates every scenario committed in
+  ``BENCH_simulator.json`` in calibrated milliseconds, after checking the
+  result of an untimed warm-up call against the scenario's ``check``;
+* ``perfbench/probes.py`` reports some of them as per-layer probes.
 
 Every scenario takes an optional ``stats_out`` dict that receives the
-engine's ``fastpath_stats()`` counters, and returns a value the caller
-can sanity-assert on (events fired, RTT µs, ...).
+engine's ``fastpath_stats()`` counters (or the cache's / daemon's counts),
+and returns a value its ``check`` reads (events fired, RTT µs, ...).
 """
 
 from __future__ import annotations
@@ -20,23 +20,30 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["SCENARIOS", "scenario"]
+__all__ = ["CHECKS", "SCENARIOS", "scenario"]
 
 #: scenario name -> callable(stats_out=None) -> sanity value
 SCENARIOS: dict[str, Callable[..., Any]] = {}
+#: scenario name -> check(sanity value, stats_out) -> True when the run
+#: did what the scenario says it does
+CHECKS: dict[str, Callable[[Any, dict], bool]] = {}
 
 
-def scenario(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Register a scenario under the name used in BENCH_simulator.json."""
+def scenario(
+    name: str, check: Callable[[Any, dict], bool]
+) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Register a scenario under the name used in BENCH_simulator.json,
+    with the check its warm-up result must pass."""
 
     def deco(fn: Callable[..., Any]) -> Callable[..., Any]:
         SCENARIOS[name] = fn
+        CHECKS[name] = check
         return fn
 
     return deco
 
 
-@scenario("engine_event_chain")
+@scenario("engine_event_chain", lambda fired, _: fired == 20_001)
 def engine_event_chain(stats_out: dict | None = None) -> int:
     """Raw engine: schedule/fire chains of dependent events."""
     from repro.sim.engine import Simulator
@@ -56,7 +63,10 @@ def engine_event_chain(stats_out: dict | None = None) -> int:
     return sim.events_fired
 
 
-@scenario("zero_delay_storm")
+@scenario(
+    "zero_delay_storm",
+    lambda fired, stats: fired == 20_001 and stats["heap_fired"] == 20_001,
+)
 def zero_delay_storm(stats_out: dict | None = None) -> int:
     """Cascades of same-instant callbacks (the shape of dispatch kicks
     and message-arrival wakes)."""
@@ -77,7 +87,10 @@ def zero_delay_storm(stats_out: dict | None = None) -> int:
     return sim.events_fired
 
 
-@scenario("trampoline_charge_switch")
+@scenario(
+    "trampoline_charge_switch",
+    lambda fired, stats: fired > 4_000 and stats["inline_advances"] > 0,
+)
 def trampoline_charge_switch(stats_out: dict | None = None) -> int:
     """Pure trampoline: long Charge/Switch chains, no network at all."""
     from repro.machine.cluster import Cluster
@@ -103,7 +116,7 @@ def trampoline_charge_switch(stats_out: dict | None = None) -> int:
     return cluster.sim.events_fired
 
 
-@scenario("ccpp_rmi_0word_100iters")
+@scenario("ccpp_rmi_0word_100iters", lambda row, _: row.total_us > 0)
 def ccpp_rmi_0word(stats_out: dict | None = None) -> Any:
     """Full CC++ RMI path, 100 warm null round trips."""
     from repro.experiments.microbench import run_cc_microbench
@@ -111,7 +124,7 @@ def ccpp_rmi_0word(stats_out: dict | None = None) -> Any:
     return run_cc_microbench("0-Word", iters=100, stats_out=stats_out)
 
 
-@scenario("splitc_gp_rw_100iters")
+@scenario("splitc_gp_rw_100iters", lambda row, _: row.total_us > 0)
 def splitc_gp_rw(stats_out: dict | None = None) -> Any:
     """Split-C global-pointer read/write pair, 100 warm iterations."""
     from repro.experiments.microbench import run_sc_microbench
@@ -133,7 +146,7 @@ def _em3d_graph():
     return _EM3D_GRAPH
 
 
-@scenario("em3d_step_160nodes")
+@scenario("em3d_step_160nodes", lambda res, _: res.elapsed_us > 0)
 def em3d_step(stats_out: dict | None = None) -> Any:
     """One EM3D step on a 160-node graph: the application-scale workload.
 
@@ -144,7 +157,7 @@ def em3d_step(stats_out: dict | None = None) -> Any:
     return run_splitc_em3d(_em3d_graph(), steps=1, version="base", warmup_steps=0)
 
 
-@scenario("traced_em3d_step")
+@scenario("traced_em3d_step", lambda res, _: res.elapsed_us > 0)
 def traced_em3d_step(stats_out: dict | None = None) -> Any:
     """The em3d_step workload with full observability attached (span
     recorder + metrics registry) — prices the instrumented path so a
@@ -183,7 +196,7 @@ def _em3d_1024_graph():
     return _EM3D_1024_GRAPH
 
 
-@scenario("em3d_step_1024nodes")
+@scenario("em3d_step_1024nodes", lambda res, _: res.elapsed_us > 0)
 def em3d_step_1024nodes(stats_out: dict | None = None) -> Any:
     """One EM3D step on a 1024-processor cluster over an oversubscribed
     fat-tree — the two-orders-of-magnitude scale target.  Uses the
@@ -204,7 +217,7 @@ def em3d_step_1024nodes(stats_out: dict | None = None) -> Any:
 _CONGESTION_TOPO = "fattree:arity=8,fatness=2"
 
 
-@scenario("congestion_incast_hotspot")
+@scenario("congestion_incast_hotspot", lambda elapsed, _: elapsed > 0)
 def congestion_incast_hotspot(stats_out: dict | None = None) -> float:
     """63 senders x 16 messages each into node 0 on a fat-tree: the
     victim's ejection link serializes everything (hot-link utilization
@@ -218,7 +231,7 @@ def congestion_incast_hotspot(stats_out: dict | None = None) -> float:
     return elapsed
 
 
-@scenario("congestion_alltoall")
+@scenario("congestion_alltoall", lambda elapsed, _: elapsed > 0)
 def congestion_alltoall(stats_out: dict | None = None) -> float:
     """All-to-all (32 nodes x 4 rounds) on the fat-tree: the saturation
     workload's contended half, ~4k packets through route lookup and
@@ -232,7 +245,7 @@ def congestion_alltoall(stats_out: dict | None = None) -> float:
     return elapsed
 
 
-@scenario("congestion_bisection")
+@scenario("congestion_bisection", lambda elapsed, _: elapsed > 0)
 def congestion_bisection(stats_out: dict | None = None) -> float:
     """Cross-bisection pairs (64 nodes x 32 rounds) on the fat-tree —
     every packet climbs to the root level, the longest routes the fabric
@@ -252,7 +265,7 @@ def congestion_bisection(stats_out: dict | None = None) -> float:
     return elapsed
 
 
-@scenario("reliable_am_roundtrip")
+@scenario("reliable_am_roundtrip", lambda rtt, _: rtt > 0)
 def reliable_am_roundtrip(stats_out: dict | None = None) -> float:
     """Bare-AM ping-pong with the reliable-delivery sublayer on (seq
     stamping, acks, retransmit timers) over a clean fabric — the cost of
@@ -283,7 +296,10 @@ def run_noop(*, n: int = 0) -> NoopResult:
     return NoopResult(n)
 
 
-@scenario("runner_overhead")
+@scenario(
+    "runner_overhead",
+    lambda n, stats: n == 200 and stats["misses"] == stats["stores"] == 200,
+)
 def runner_overhead(stats_out: dict | None = None) -> int:
     """Orchestration overhead of the experiment runner, isolated from the
     experiments themselves: one 200-task no-op job driven through the job
@@ -320,7 +336,7 @@ def runner_overhead(stats_out: dict | None = None) -> int:
         shutil.rmtree(root, ignore_errors=True)
 
 
-@scenario("bulk_payload")
+@scenario("bulk_payload", lambda reads, _: reads == 30)
 def bulk_payload(stats_out: dict | None = None) -> int:
     """Bulk-transfer hot loop: 30 iterations of a 4096-float64
     bulk_write + bulk_read pair between two Split-C nodes — exercises the
@@ -353,7 +369,7 @@ def bulk_payload(stats_out: dict | None = None) -> int:
     return done["reads"]
 
 
-@scenario("rma_put_roundtrip")
+@scenario("rma_put_roundtrip", lambda now, _: now > 0)
 def rma_put_roundtrip(stats_out: dict | None = None) -> float:
     """100 put + wait-for-remote-completion round trips against a
     registered window: the full one-sided path (issue charge, short
@@ -385,18 +401,18 @@ def rma_put_roundtrip(stats_out: dict | None = None) -> float:
     return out["now"]
 
 
-@scenario("tree_allreduce")
+@scenario("tree_allreduce", lambda now, _: now > 0)
 def tree_allreduce(stats_out: dict | None = None) -> float:
     """20 tree-allreduce rounds on 8 processors (radix 2): prices the
     epoch-keyed fan-in/fan-out where interior relays run inside AM
     handlers rather than on application threads."""
     from repro.machine.cluster import Cluster
+    from repro.rma.tree import TreeComm
     from repro.splitc import SplitCRuntime
-    from repro.splitc.collective import make_tree
 
     cluster = Cluster(8)
     rt = SplitCRuntime(cluster)
-    tree = make_tree(rt, radix=2)
+    tree = TreeComm(rt.endpoints, radix=2)
     sums: list = []
 
     def prog(proc):
@@ -412,7 +428,7 @@ def tree_allreduce(stats_out: dict | None = None) -> float:
     return cluster.sim.now
 
 
-@scenario("service_submit_roundtrip")
+@scenario("service_submit_roundtrip", lambda events, _: events == 15)
 def service_submit_roundtrip(stats_out: dict | None = None) -> int:
     """Submit -> stream -> result through the experiment daemon's unix
     socket with inline workers: three jobs for the same cheap artifact

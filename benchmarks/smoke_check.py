@@ -1,55 +1,117 @@
-"""CI benchmark-regression smoke check.
+"""CI benchmark-regression gate, in perfbench's calibrated milliseconds.
 
-Times each registered scenario (min over a few repetitions — min is the
-right statistic for wall-clock floors: noise only ever adds time) and
-compares against the committed minimums in ``BENCH_simulator.json``.
-Exits non-zero if any scenario is more than ``--threshold`` slower than
-its committed ``wall_ms`` (a per-scenario ``threshold`` in the JSON
-overrides the global one — long scenarios can afford a tighter gate
-than 10 ms ones).
+Each scenario committed in ``BENCH_simulator.json`` is called once
+untimed — the warm-up (imports, stub caches, buffer pools), whose result
+must pass the scenario's check in ``scenarios.py`` — and then timed in
+``BATCHES`` batches of calls.  A batch lasts about one run of the
+calibration kernel in ``perfbench/calibrate.py`` and sits between two
+kernel runs.  The scenario's value is the median over its batches of
+(seconds per call / mean of the two kernel runs) x ``CALIB_NOMINAL_S``:
+its cost in kernel runs, read as milliseconds on the box the kernel was
+pinned on.  Frequency drift, steal time and a faster or slower machine
+move a batch and its kernel runs together, so a committed ``calib_ms``
+holds across machines where raw milliseconds do not.
 
-Every scenario is measured even when an earlier one regressed *or
-crashed*: one broken scenario must not mask the state of the rest, so
-the report always covers the full committed set and the exit status
-reflects every failure at once.
-
-This is deliberately cruder than the pytest-benchmark suite: a handful
-of repetitions, no statistics — just enough to catch a hot-path
-regression (a 25% slowdown on a 10 ms scenario is far outside CI timer
-noise at min-of-5) without burning CI minutes.
-
-Usage::
+The gate fails (exit status 1) when a scenario reads more than
+``--threshold`` over its committed ``calib_ms`` (a per-scenario
+``threshold`` in the JSON overrides the global one), crashes, or fails
+its warm-up check.  Every scenario is measured even when an earlier one
+failed, so the report covers the whole committed set at once.  A
+scenario with no committed ``calib_ms`` is measured and reported as
+skipped.
 
     PYTHONPATH=src python benchmarks/smoke_check.py
-    PYTHONPATH=src python benchmarks/smoke_check.py --scenario ccpp_rmi_0word_100iters
-    PYTHONPATH=src python benchmarks/smoke_check.py --threshold 0.25 --repeats 5
+    PYTHONPATH=src python benchmarks/smoke_check.py --scenario tree_allreduce
+    PYTHONPATH=src python benchmarks/smoke_check.py --threshold 0.25
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import statistics
 import sys
-import time
 from pathlib import Path
+from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from scenarios import SCENARIOS  # noqa: E402
+from calibrate import CALIB_NOMINAL_S, kernel_seconds  # noqa: E402
+from scenarios import CHECKS, SCENARIOS  # noqa: E402
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
+BENCH_JSON = ROOT / "BENCH_simulator.json"
+#: timed batches per scenario; its value is their median
+BATCHES = 15
 
 
-def measure(name: str, repeats: int) -> float:
-    """Min wall-clock milliseconds over ``repeats`` runs (1 warmup)."""
+def warm_up(name: str) -> str | None:
+    """Call ``name`` once, untimed: what is wrong with its result, or
+    ``None`` when the scenario's check passes."""
+    stats: dict = {}
+    value = SCENARIOS[name](stats_out=stats)
+    if CHECKS[name](value, stats):
+        return None
+    return f"returned {value!r:.80} with stats {stats}"
+
+
+def measure(name: str) -> list[float]:
+    """Calibrated milliseconds per call of ``name``, one per batch."""
     fn = SCENARIOS[name]
-    fn()  # warmup: imports, stub caches, buffer pools
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, (time.perf_counter() - t0) * 1e3)
-    return best
+    t0 = perf_counter()
+    fn()
+    elapsed = perf_counter() - t0
+    calls = max(1, round(kernel_seconds() / elapsed))
+    samples = []
+    for _ in range(BATCHES):
+        gc.collect()
+        before = kernel_seconds()
+        t0 = perf_counter()
+        for _ in range(calls):
+            fn()
+        per_call = (perf_counter() - t0) / calls
+        calib = (before + kernel_seconds()) / 2
+        samples.append(per_call / calib * CALIB_NOMINAL_S * 1e3)
+    return samples
+
+
+def gate(names: list[str], committed: dict, threshold: float) -> list[str]:
+    """Check and measure each of ``names``, print one verdict line per
+    scenario, and return the failures."""
+    failures = []
+    width = max(len(n) for n in names)
+    for name in names:
+        entry = committed.get(name, {})
+        try:
+            problem = warm_up(name)
+            samples = [] if problem else measure(name)
+        except Exception as exc:  # noqa: BLE001 - keep checking the rest
+            print(f"{name:<{width}}  CRASH  {type(exc).__name__}: {exc}")
+            failures.append(f"{name} (crashed)")
+            continue
+        if problem:
+            print(f"{name:<{width}}  CHECK FAILED  {problem}")
+            failures.append(f"{name} (check failed)")
+            continue
+        q1, got, q3 = statistics.quantiles(samples, n=4)
+        shown = f"{got:9.3f} calib ms (IQR {(q3 - q1) / got:4.0%})"
+        ref = entry.get("calib_ms")
+        if ref is None:
+            print(f"{name:<{width}}  {shown}  no committed calib_ms: skipped")
+            continue
+        limit = entry.get("threshold", threshold)
+        ratio = got / ref
+        verdict = "ok" if ratio <= 1.0 + limit else "REGRESSION"
+        print(
+            f"{name:<{width}}  {shown}  vs {ref:9.3f} committed  "
+            f"({ratio:5.2f}x, gate {limit:.0%})  {verdict}"
+        )
+        if verdict != "ok":
+            failures.append(name)
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,10 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         "--threshold",
         type=float,
         default=0.25,
-        help="max tolerated slowdown vs committed wall_ms (default 0.25 = 25%%)",
-    )
-    ap.add_argument(
-        "--repeats", type=int, default=5, help="timed repetitions per scenario"
+        help="max tolerated slowdown vs committed calib_ms (default 0.25 = 25%%)",
     )
     ap.add_argument(
         "--list", action="store_true", help="list known scenarios and exit"
@@ -88,38 +147,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"known: {', '.join(SCENARIOS)}", file=sys.stderr)
         return 2
 
-    failures = []
-    width = max(len(n) for n in names)
-    for name in names:
-        entry = committed.get(name, {})
-        floor = entry.get("wall_ms")
-        try:
-            got = measure(name, args.repeats)
-        except Exception as exc:  # noqa: BLE001 - keep checking the rest
-            print(f"{name:<{width}}  CRASH  {type(exc).__name__}: {exc}")
-            failures.append(f"{name} (crashed)")
-            continue
-        if floor is None:
-            print(f"{name:<{width}}  {got:9.3f} ms  (no committed floor — skipped)")
-            continue
-        threshold = entry.get("threshold", args.threshold)
-        ratio = got / floor
-        verdict = "ok" if ratio <= 1.0 + threshold else "REGRESSION"
-        print(
-            f"{name:<{width}}  {got:9.3f} ms  vs {floor:9.3f} ms committed  "
-            f"({ratio:5.2f}x, gate {threshold:.0%})  {verdict}"
-        )
-        if verdict != "ok":
-            failures.append(name)
-
+    failures = gate(names, committed, args.threshold)
     if failures:
         print(
-            f"\n{len(failures)} scenario(s) failed (regression or crash): "
-            f"{', '.join(failures)}",
+            f"\n{len(failures)} scenario(s) failed (regression, crash or "
+            f"check): {', '.join(failures)}",
             file=sys.stderr,
         )
         return 1
-    print(f"\nall {len(names)} scenario(s) within their gates of committed minimums")
+    print(f"\nall {len(names)} scenario(s) within their gates of committed calib_ms")
     return 0
 
 

@@ -19,28 +19,7 @@ from repro.ccpp.procobj import ProcessorObject, remote
 from repro.ccpp.registry import processor_class
 from repro.threads.sync import Condition, Lock
 
-__all__ = ["CCBarrier", "CCReducer", "make_tree", "tree_allreduce", "tree_barrier"]
-
-
-def make_tree(rt: Any, *, radix: int = 2):
-    """A :class:`~repro.rma.tree.TreeComm` sharing this CC++ runtime's AM
-    endpoints — the O(log P) alternative to the hosted single-node
-    :class:`CCBarrier`/:class:`CCReducer` objects, whose root serializes
-    all P arrivals on one NIC."""
-    from repro.rma.tree import TreeComm
-
-    return TreeComm(rt.endpoints, radix=radix)
-
-
-def tree_allreduce(ctx: Any, tree, value: float) -> Generator[Any, Any, float]:
-    """Tree equivalent of a :class:`CCReducer` round, callable from any
-    node's context (no hosted object, no lock convoy at the root)."""
-    return (yield from tree.allreduce(ctx.nid, value))
-
-
-def tree_barrier(ctx: Any, tree) -> Generator[Any, Any, None]:
-    """Tree equivalent of a :class:`CCBarrier` round."""
-    yield from tree.barrier(ctx.nid)
+__all__ = ["CCBarrier", "CCReducer"]
 
 
 @processor_class
@@ -79,8 +58,9 @@ class CCBarrier(ProcessorObject):
 @processor_class
 class CCReducer(ProcessorObject):
     """Sum-reduction rendezvous: every participant contributes once per
-    round; the reply carries the full round's total (used by Water for
-    the potential-energy accumulation)."""
+    round; the reply carries the full round's total.  No application
+    uses it; :class:`~repro.rma.tree.TreeComm`'s ``allreduce`` is the
+    O(log P) alternative."""
 
     def __init__(self, nprocs: int):
         self.nprocs = nprocs

@@ -418,7 +418,7 @@ register(ExperimentSpec(
     title="Reproduction scorecard — every claim graded",
     module="repro.experiments.scorecard",
     result_type="Scorecard",
-    params=(_quick(), _iters(30)),
+    params=(_quick(), _iters(30), _seed()),
     # graded from its job's own results it is the cheapest task, and it
     # can only start after them; alone it is the only task of its job
     cost_hint=0.0,

@@ -287,13 +287,9 @@ def _measure_collectives(
     nprocs: int, radix: int, rounds: int, costs: CostModel
 ) -> list[TreePoint]:
     from repro.machine.cluster import Cluster
+    from repro.rma.tree import TreeComm
     from repro.splitc import SplitCRuntime
-    from repro.splitc.collective import (
-        all_reduce_add,
-        broadcast,
-        ensure_scratch,
-        make_tree,
-    )
+    from repro.splitc.collective import all_reduce_add, broadcast, ensure_scratch
 
     results: dict[str, dict] = {}
     timings: dict[str, dict[str, float]] = {}
@@ -310,7 +306,7 @@ def _measure_collectives(
                 "barrier": lambda proc: proc.barrier(),
             }
         else:
-            tree = make_tree(rt, radix=radix)
+            tree = TreeComm(rt.endpoints, radix=radix)
             ops = {
                 "bcast": lambda proc, v: tree.bcast(proc.my_node, 0, v),
                 "allreduce": lambda proc, v: tree.allreduce(proc.my_node, v),

@@ -71,11 +71,12 @@ def grade(*results: Any) -> Scorecard:
     return Scorecard([check for result in results for check in result.claims()])
 
 
-def run(*, quick: bool = True, iters: int = 30) -> Scorecard:
+def run(*, quick: bool = True, iters: int = 30, seed: int = 1997) -> Scorecard:
     """Grade the reproduction stand-alone: run the scorecard's inputs at
-    their registry defaults plus ``quick`` and ``iters``, then
-    :func:`grade` them."""
+    their registry defaults plus ``quick``, ``iters`` and ``seed`` (where
+    they declare them), then :func:`grade` them."""
     from repro.experiments import registry
 
-    inputs = registry.get("scorecard").input_tasks({"quick": quick, "iters": iters})
+    params = {"quick": quick, "iters": iters, "seed": seed}
+    inputs = registry.get("scorecard").input_tasks(params)
     return grade(*(spec.run(**params) for spec, params in inputs))

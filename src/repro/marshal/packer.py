@@ -191,7 +191,13 @@ class Unpacker:
     def get_ndarray(self) -> np.ndarray:
         import numpy as np
 
-        dtype = np.dtype(self.get_str())
+        dstr = self.get_str()
+        try:
+            dtype = np.dtype(dstr)
+        except TypeError:
+            raise MarshalError(f"ndarray payload names unknown dtype {dstr!r}") from None
+        if dtype.hasobject or not dtype.itemsize:
+            raise MarshalError(f"ndarray payload dtype {dstr!r} has no raw-byte form")
         ndim = self.get_u8()
         shape = tuple(self.get_u32() for _ in range(ndim))
         n = self.get_u32()

@@ -34,10 +34,6 @@ __all__ = [
     "all_reduce_add",
     "all_store_sync",
     "all_gather",
-    "make_tree",
-    "tree_broadcast",
-    "tree_all_reduce_add",
-    "tree_barrier",
 ]
 
 #: per-node scratch region used by the collectives
@@ -160,31 +156,6 @@ def all_store_sync(proc: SCProcess) -> Generator[Any, Any, None]:
             return
         # stores still in flight: service the inbox and try again
         yield from proc.poll()
-
-
-def make_tree(runtime, *, radix: int = 2):
-    """A :class:`~repro.rma.tree.TreeComm` sharing this runtime's AM
-    endpoints — the O(log P) replacement for the linear collectives
-    above.  Construct once (it registers the tree handlers), then use
-    the ``tree_*`` wrappers from SPMD programs."""
-    from repro.rma.tree import TreeComm
-
-    return TreeComm(runtime.endpoints, radix=radix)
-
-
-def tree_broadcast(proc: SCProcess, tree, root: int, value: float) -> Generator[Any, Any, float]:
-    """Tree equivalent of :func:`broadcast` (same result, O(log P) rounds)."""
-    return (yield from tree.bcast(proc.my_node, root, value))
-
-
-def tree_all_reduce_add(proc: SCProcess, tree, value: float) -> Generator[Any, Any, float]:
-    """Tree equivalent of :func:`all_reduce_add`."""
-    return (yield from tree.allreduce(proc.my_node, value))
-
-
-def tree_barrier(proc: SCProcess, tree) -> Generator[Any, Any, None]:
-    """Tree barrier (vs the counter protocol through node 0)."""
-    yield from tree.barrier(proc.my_node)
 
 
 def all_gather(proc: SCProcess, value: float) -> Generator[Any, Any, array]:

@@ -50,25 +50,53 @@ def test_the_spec_names_the_graded_artifacts():
     assert [s.module for s, _ in spec.input_tasks(spec.defaults())] == list(GRADED.values())
 
 
-def test_run_all_computes_each_graded_artifact_once(monkeypatch, capsys):
-    """A cold ``run all`` grades the results its own tasks computed: each
-    graded artifact's entry runs once and ``scorecard.run`` never does."""
+def _counted_run_all(monkeypatch, capsys, *flags):
+    """A cold ``run all --iters 5`` with ``flags``: its exit status, the
+    keyword arguments each graded artifact's entry was called with, and
+    its stdout.  ``scorecard.run`` must not be called."""
     import importlib
 
-    calls = {name: 0 for name in GRADED}
+    calls = {name: [] for name in GRADED}
     for name, module in GRADED.items():
         mod = importlib.import_module(module)
 
         def counted(*args, _name=name, _run=mod.run, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(kwargs)
             return _run(*args, **kwargs)
 
         monkeypatch.setattr(mod, "run", counted)
-    monkeypatch.setattr(scorecard, "run", None)  # must not be called
+    monkeypatch.setattr(scorecard, "run", None)
     with contextlib.redirect_stderr(io.StringIO()):
-        rc = main(["run", "all", "--iters", "5", "--no-cache"])
-    out = capsys.readouterr().out
+        rc = main(["run", "all", "--iters", "5", "--no-cache", *flags])
+    return rc, calls, capsys.readouterr().out
+
+
+def test_run_all_computes_each_graded_artifact_once(monkeypatch, capsys):
+    """A cold ``run all`` grades the results its own tasks computed: each
+    graded artifact's entry runs once and ``scorecard.run`` never does."""
+    rc, calls, out = _counted_run_all(monkeypatch, capsys)
     assert rc == 0
-    assert calls == {name: 1 for name in GRADED}
+    assert {name: len(kw) for name, kw in calls.items()} == {name: 1 for name in GRADED}
     section = out.split("=== scorecard ===\n", 1)[1]
     assert "\n36/36 claims reproduced within band\n" in section
+
+
+def test_seeded_run_all_grades_its_own_results(monkeypatch, capsys):
+    """Under ``--seed 7`` the scorecard's inputs are the job's own seed-7
+    tasks, so it is graded inline from them: nothing runs twice and no
+    input falls back to the default seed."""
+    rc, calls, out = _counted_run_all(monkeypatch, capsys, "--seed", "7")
+    assert rc == 0
+    assert {name: len(kw) for name, kw in calls.items()} == {name: 1 for name in GRADED}
+    seeds = {name: kw[0]["seed"] for name, kw in calls.items() if "seed" in kw[0]}
+    assert seeds == {"figure5": 7, "figure6": 7, "nexus": 7}
+    section = out.split("=== scorecard ===\n", 1)[1]
+    assert "\n36/36 claims reproduced within band\n" in section
+
+
+def test_stand_alone_scorecard_passes_its_seed_to_the_inputs_that_declare_one():
+    spec = registry.get("scorecard")
+    params = spec.validate({"seed": 7})
+    seeds = {s.name: p.get("seed") for s, p in spec.input_tasks(params)}
+    assert seeds == {"table4": None, "figure5": 7, "figure6": 7, "nexus": 7,
+                     "ablations": None, "scaling": None}

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.machine.cluster import Cluster
 from repro.machine.faults import FaultPlan
+from repro.rma.tree import TreeComm
 from repro.splitc import SplitCRuntime
-from repro.splitc.collective import make_tree
 
 
 def _tree_workload(n: int, radix: int, *, faults=None, reliable=False):
@@ -22,7 +22,7 @@ def _tree_workload(n: int, radix: int, *, faults=None, reliable=False):
     time)."""
     cluster = Cluster(n, faults=faults)
     rt = SplitCRuntime(cluster, reliable=reliable)
-    tree = make_tree(rt, radix=radix)
+    tree = TreeComm(rt.endpoints, radix=radix)
     outs: dict[int, list[float]] = {}
 
     def prog(proc):

@@ -56,6 +56,19 @@ class TestPacker:
         with pytest.raises(MarshalError, match=f"payload is {nbytes} bytes, expected 8"):
             Unpacker(p.getvalue()).get_ndarray()
 
+    @pytest.mark.parametrize("dstr, match", [
+        ("zz", "unknown dtype 'zz'"),
+        ("|O", "no raw-byte form"),
+        ("V0", "no raw-byte form"),
+    ])
+    def test_undecodable_dtype_raises_marshal_error(self, dstr, match):
+        """A dtype string NumPy does not know, or one whose values are
+        not raw bytes, is a MarshalError, not NumPy's TypeError /
+        ValueError."""
+        p = Packer().put_str(dstr).put_u8(1).put_u32(1).put_bytes(b"x" * 8)
+        with pytest.raises(MarshalError, match=match):
+            Unpacker(p.getvalue()).get_ndarray()
+
     def test_0d_ndarray_roundtrip(self):
         p = Packer().put_ndarray(np.array(2.5))
         out = Unpacker(p.getvalue()).get_ndarray()

@@ -4,7 +4,7 @@ The correctness bar is *equality with the linear collectives* over the
 whole (P, radix, root) grid — every node must see exactly the values the
 linear library versions produce (contributions are small integers, so
 float equality is exact) — plus the geometry invariants the rounds rest
-on and both runtime adapters (Split-C and CC++).
+on, and a ``TreeComm`` over either runtime's endpoints (Split-C and CC++).
 """
 
 from __future__ import annotations
@@ -12,21 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.ccpp import CCppRuntime
-from repro.ccpp.collective import (
-    make_tree as cc_make_tree,
-    tree_allreduce as cc_tree_allreduce,
-    tree_barrier as cc_tree_barrier,
-)
 from repro.errors import RuntimeStateError
 from repro.machine.cluster import Cluster
 from repro.rma.tree import TreeComm
 from repro.splitc import SplitCRuntime
-from repro.splitc.collective import (
-    make_tree,
-    tree_all_reduce_add,
-    tree_barrier,
-    tree_broadcast,
-)
 
 
 class TestGeometry:
@@ -65,14 +54,15 @@ def _run_tree_splitc(n: int, radix: int, root: int):
     {nid: (bcast_result, allreduce_result)}."""
     cluster = Cluster(n)
     rt = SplitCRuntime(cluster)
-    tree = make_tree(rt, radix=radix)
+    tree = TreeComm(rt.endpoints, radix=radix)
     outs: dict[int, tuple[float, float]] = {}
 
     def prog(proc):
-        got_bc = yield from tree_broadcast(proc, tree, root, 42.0)
-        got_ar = yield from tree_all_reduce_add(proc, tree, float(proc.my_node + 1))
-        yield from tree_barrier(proc, tree)
-        outs[proc.my_node] = (got_bc, got_ar)
+        me = proc.my_node
+        got_bc = yield from tree.bcast(me, root, 42.0)
+        got_ar = yield from tree.allreduce(me, float(me + 1))
+        yield from tree.barrier(me)
+        outs[me] = (got_bc, got_ar)
 
     rt.run_spmd(prog)
     return outs
@@ -95,7 +85,7 @@ class TestGridEqualsLinear:
         overwrite race class the linear reducer suffered from)."""
         cluster = Cluster(5)
         rt = SplitCRuntime(cluster)
-        tree = make_tree(rt, radix=2)
+        tree = TreeComm(rt.endpoints, radix=2)
         outs: dict[int, list[float]] = {}
 
         def prog(proc):
@@ -114,7 +104,7 @@ class TestGridEqualsLinear:
     def test_reduce_only_root_gets_total(self):
         cluster = Cluster(6)
         rt = SplitCRuntime(cluster)
-        tree = make_tree(rt, radix=3)
+        tree = TreeComm(rt.endpoints, radix=3)
         outs: dict[int, float | None] = {}
 
         def prog(proc):
@@ -128,15 +118,18 @@ class TestGridEqualsLinear:
 
 
 class TestCcppAdapter:
+    """A ``TreeComm`` over a CC++ runtime's endpoints, called from RMI
+    contexts."""
+
     def test_allreduce_and_barrier_from_rmi_contexts(self):
         cluster = Cluster(4)
         rt = CCppRuntime(cluster)
-        tree = cc_make_tree(rt, radix=2)
+        tree = TreeComm(rt.endpoints, radix=2)
         outs: dict[int, float] = {}
 
         def worker(ctx):
-            outs[ctx.nid] = yield from cc_tree_allreduce(ctx, tree, float(ctx.nid))
-            yield from cc_tree_barrier(ctx, tree)
+            outs[ctx.nid] = yield from tree.allreduce(ctx.nid, float(ctx.nid))
+            yield from tree.barrier(ctx.nid)
 
         for nid in range(4):
             rt.launch(nid, worker, f"w{nid}")
