@@ -45,13 +45,7 @@ from repro.errors import (
     RuntimeStateError,
     SimulationError,
 )
-from repro.marshal import (
-    Marshallable,
-    Packer,
-    marshal_args,
-    pack_fn_for,
-    unmarshal_args,
-)
+from repro.marshal import Marshallable, marshal_args, unmarshal_args
 from repro.obs.metrics import MetricNames
 from repro.sim.account import Category, CounterNames
 from repro.sim.effects import Charge
@@ -411,7 +405,6 @@ class RMIEngine:
         rc = node.costs.runtime
         name = MethodName.of(gptr.cls, method) if gptr.cls else method
         st = self._state[node.nid]
-        stubs = self.rt.stub_tables[node.nid]
 
         # passive observability (both None by default): end-to-end latency
         # histogram plus a nested span tree for the trace view
@@ -421,10 +414,7 @@ class RMIEngine:
         sid = sp.begin(t0, node.nid, "rmi.invoke", name) if sp is not None else -1
 
         # 1. stub cache probe, under the table lock
-        yield from stubs.lock.acquire()
-        yield self._chgs.stub_lookup
-        entry = stubs.probe(gptr.node, name) if self.rt.stub_caching else None
-        yield from stubs.lock.release()
+        entry = yield from self._probe_stub(node.nid, gptr.node, name)
 
         # 2. marshal arguments into the S-buffer (leased from the node's
         # buffer pool; the payload travels as a zero-copy view of it)
@@ -434,28 +424,7 @@ class RMIEngine:
             else -1
         )
         pool = node.marshal_pool
-        if not args:
-            payload: Any = b""
-            nargs = 0
-        elif entry is not None:
-            # fused dispatch-cache path: a warm, monomorphic call reuses
-            # the pack functions resolved on the previous call through
-            # this stub entry — no per-argument table lookups
-            nargs = len(args)
-            types = tuple(map(type, args))
-            fast = entry.fast
-            if fast is not None and fast[0] == types:
-                fns = fast[1]
-            else:
-                fns = tuple(pack_fn_for(tp) for tp in types)
-                entry.fast = (types, fns)
-            p = Packer(pool.take())
-            p.put_u32(nargs)
-            for fn, a in zip(fns, args):
-                fn(p, a)
-            payload = p.getview()
-        else:
-            payload, nargs = marshal_args(args, pool=pool)
+        payload, nargs = marshal_args(args, pool=pool)
         if args:
             yield self._marshal_charge(len(payload), args)
         else:
@@ -476,37 +445,7 @@ class RMIEngine:
         )
 
         # 4. transmit
-        cold = entry is None
-        if cold:
-            node.counters.inc(CounterNames.RMI_COLD)
-            control: tuple[Any, ...] = (slot, True, name, gptr.obj_id, None)
-            control_bytes = _RMI_CONTROL_BYTES + len(name)
-        else:
-            node.counters.inc(CounterNames.RMI_WARM)
-            control = (slot, False, entry.stub_id, gptr.obj_id, entry.rbuf_id)
-            control_bytes = _RMI_CONTROL_BYTES
-
-        assert st.comm_lock is not None
-        yield from st.comm_lock.acquire()
-        if nargs == 0:
-            yield from ep.send_short(
-                gptr.node,
-                "cc.rmi",
-                args=control,
-                data=payload,
-                nbytes=SHORT_HEADER_BYTES + control_bytes + len(payload),
-            )
-        else:
-            # any marshalled arguments ride the bulk path into the
-            # persistent R-buffer (or the static area when cold)
-            yield from ep.send_bulk(
-                gptr.node,
-                "cc.rmi",
-                args=control,
-                data=payload,
-                nbytes=BULK_HEADER_BYTES + control_bytes + len(payload),
-            )
-        yield from st.comm_lock.release()
+        yield from self._transmit(node, ep, gptr, name, entry, slot, payload, nargs)
 
         # 5. wait for the reply
         wsid = (
@@ -565,31 +504,44 @@ class RMIEngine:
         synchronization (sync variables, counters) — as in CC++."""
         node = ctx.node
         self._check_alive(node.nid, gptr.node, "rmi_async")
-        ep: AMEndpoint = ctx.ep
         name = MethodName.of(gptr.cls, method) if gptr.cls else method
-        st = self._state[node.nid]
-        stubs = self.rt.stub_tables[node.nid]
-
-        yield from stubs.lock.acquire()
-        yield self._chgs.stub_lookup
-        entry = stubs.probe(gptr.node, name) if self.rt.stub_caching else None
-        yield from stubs.lock.release()
-
+        entry = yield from self._probe_stub(node.nid, gptr.node, name)
         payload, nargs = marshal_args(args, pool=node.marshal_pool)
         yield self._marshal_charge(len(payload), args)
+        yield from self._transmit(node, ctx.ep, gptr, name, entry, None, payload, nargs)
 
-        cold = entry is None
-        if cold:
+    def _probe_stub(
+        self, nid: int, target: int, name: str
+    ) -> Generator[Any, Any, CacheEntry | None]:
+        """The stub-cache entry for ``name`` at ``target`` (None: a cold
+        call), probed under the table lock."""
+        stubs = self.rt.stub_tables[nid]
+        yield from stubs.lock.acquire()
+        yield self._chgs.stub_lookup
+        entry = stubs.probe(target, name) if self.rt.stub_caching else None
+        yield from stubs.lock.release()
+        return entry
+
+    def _transmit(
+        self, node: Any, ep: AMEndpoint, gptr: ObjectGlobalPtr, name: str,
+        entry: CacheEntry | None, slot: int | None, payload: Any, nargs: int,
+    ) -> Generator[Any, Any, None]:
+        """Send one ``cc.rmi`` request through the node's communication
+        port: warm calls carry the stub id, cold ones the full name; a
+        request with marshalled arguments rides the bulk path into the
+        persistent R-buffer (or the static area when cold).  ``slot`` is
+        None for a one-sided call, which gets no reply."""
+        if entry is None:
             node.counters.inc(CounterNames.RMI_COLD)
-            control: tuple[Any, ...] = (None, True, name, gptr.obj_id, None)
+            control: tuple[Any, ...] = (slot, True, name, gptr.obj_id, None)
             control_bytes = _RMI_CONTROL_BYTES + len(name)
         else:
             node.counters.inc(CounterNames.RMI_WARM)
-            control = (None, False, entry.stub_id, gptr.obj_id, entry.rbuf_id)
+            control = (slot, False, entry.stub_id, gptr.obj_id, entry.rbuf_id)
             control_bytes = _RMI_CONTROL_BYTES
-
-        assert st.comm_lock is not None
-        yield from st.comm_lock.acquire()
+        comm_lock = self._state[node.nid].comm_lock
+        assert comm_lock is not None
+        yield from comm_lock.acquire()
         if nargs == 0:
             yield from ep.send_short(
                 gptr.node, "cc.rmi", args=control, data=payload,
@@ -600,7 +552,7 @@ class RMIEngine:
                 gptr.node, "cc.rmi", args=control, data=payload,
                 nbytes=BULK_HEADER_BYTES + control_bytes + len(payload),
             )
-        yield from st.comm_lock.release()
+        yield from comm_lock.release()
 
     def _await_box(self, ep: AMEndpoint, box: RMIBox) -> Generator[Any, Any, None]:
         if box.mode is WaitMode.SPIN:

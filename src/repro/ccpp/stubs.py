@@ -19,7 +19,6 @@ pairs are part of the thread-sync cost the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.ccpp.names import method_hash
 from repro.errors import RuntimeStateError
@@ -44,11 +43,6 @@ class CacheEntry:
 
     stub_id: int
     rbuf_id: int | None = None  # persistent R-buffer at the callee, if any
-    #: dispatch-caching slot for the RMI fused fast path: the argument
-    #: type tuple of the last warm call through this entry and the pack
-    #: functions resolved for it, so a monomorphic call site skips
-    #: per-call pack-function lookup (``(types, packfns)`` or None)
-    fast: Any = None
 
 
 class StubTable:

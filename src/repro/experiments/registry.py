@@ -471,7 +471,7 @@ register(ExperimentSpec(
     params=(
         _iters(30), _quick(), _seed(),
         ParamSpec("procs", "ints", (2, 4, 8),
-                  "processor counts for the tree-vs-linear grid",
+                  "processor counts for the tree-vs-flat grid",
                   validator=lambda v: None if all(p >= 1 for p in v)
                   else "needs processor counts >= 1"),
         ParamSpec("radix", "int", 2, "tree fan-out",

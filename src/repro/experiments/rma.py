@@ -1,4 +1,4 @@
-"""One-sided RMA artifact: microbenchmarks, tree vs linear collectives,
+"""One-sided RMA artifact: microbenchmarks, tree vs flat collectives,
 multithreaded injection, and the EM3D ghost exchange over three
 communication paradigms.
 
@@ -9,11 +9,12 @@ Four sections, all in the simulator's virtual microseconds:
   layer distinguishes: *local* (source buffer reusable — synchronous at
   issue) and *remote* (data visible in the target window, signalled by
   the NIC-level ``rma.done`` notification);
-* **tree** — tree-based collectives (:mod:`repro.rma.tree`) against the
-  linear Split-C library collectives at each processor count: O(log P)
-  rounds versus the root pushing O(P) stores, with an exact-equality
-  check that both produce the same values on every node (contributions
-  are integer-valued, so float equality is meaningful);
+* **tree** — radix-``k`` tree collectives (:mod:`repro.rma.tree`)
+  against the flat tree (radix P−1: the root talks to every peer
+  directly) at each processor count: O(log_k P) rounds versus O(P)
+  messages through the root, with an exact-equality check that both
+  produce the same values on every node (contributions are
+  integer-valued, so float equality is meaningful);
 * **inject** — N concurrent sender uthreads sharing one NIC
   (:func:`repro.rma.inject.run_injection`): the rate climbs while issue
   CPU overlaps completion waits, then saturates at the NIC;
@@ -77,19 +78,19 @@ class RmaMicroRow(serde.Codec):
 
 @dataclass(slots=True)
 class TreePoint(serde.Codec):
-    """Tree vs linear latency for one (op, nprocs) cell."""
+    """Tree vs flat latency for one (op, nprocs) cell."""
 
     op: str
     nprocs: int
     radix: int
-    linear_us: float
+    flat_us: float
     tree_us: float
-    #: every node's results identical between the two algorithms
+    #: every node's results identical between the two tree shapes
     match: bool
 
     @property
     def speedup(self) -> float:
-        return self.linear_us / self.tree_us if self.tree_us > 0 else 0.0
+        return self.flat_us / self.tree_us if self.tree_us > 0 else 0.0
 
 
 @dataclass(slots=True)
@@ -124,7 +125,7 @@ class RmaResult(serde.Codec):
 
     @property
     def all_ok(self) -> bool:
-        """Tree equals linear on every cell, EM3D bitwise on every row."""
+        """Tree equals flat on every cell, EM3D bitwise on every row."""
         return self.tree_matches() and all(e.bitwise_ok for e in self.em3d)
 
     def render(self) -> str:
@@ -137,14 +138,14 @@ class RmaResult(serde.Codec):
                 [r.name, str(r.words), f"{r.local_us:.2f}", f"{r.remote_us:.2f}"]
             )
         tree = TextTable(
-            ["op", "P", "radix", "linear us", "tree us", "speedup", "match"],
-            title="Tree vs linear collectives (per completed operation)",
+            ["op", "P", "radix", "flat us", "tree us", "speedup", "match"],
+            title="Tree vs flat collectives (per completed operation)",
         )
         for p in self.tree:
             tree.add_row(
                 [
                     p.op, str(p.nprocs), str(p.radix),
-                    f"{p.linear_us:.1f}", f"{p.tree_us:.1f}",
+                    f"{p.flat_us:.1f}", f"{p.tree_us:.1f}",
                     f"{p.speedup:.2f}", "yes" if p.match else "NO",
                 ]
             )
@@ -174,7 +175,7 @@ class RmaResult(serde.Codec):
         """Flat CSV, one line per row of every section.
 
         ``a_us``/``b_us`` are section-specific: local/remote for micro,
-        linear/tree for tree, elapsed/rate for inject, elapsed/per-edge
+        flat/tree for tree, elapsed/rate for inject, elapsed/per-edge
         for em3d.
         """
         lines = ["section,name,nprocs,radix,n,a_us,b_us,flag"]
@@ -184,7 +185,7 @@ class RmaResult(serde.Codec):
             )
         for p in self.tree:
             lines.append(
-                f"tree,{p.op},{p.nprocs},{p.radix},,{p.linear_us:.4f},"
+                f"tree,{p.op},{p.nprocs},{p.radix},,{p.flat_us:.4f},"
                 f"{p.tree_us:.4f},{'match' if p.match else 'MISMATCH'}"
             )
         for i in self.inject:
@@ -252,30 +253,30 @@ def _measure_micro(iters: int, costs: CostModel) -> list[RmaMicroRow]:
 
 
 # ---------------------------------------------------------------------------
-# section: tree vs linear collectives
+# section: tree vs flat collectives
 # ---------------------------------------------------------------------------
 
-def _collective_program(rounds: int, ops, cluster, marks, outs):
-    """SPMD body shared by both algorithms: ``rounds`` broadcasts, then
+def _collective_program(rounds: int, tree, cluster, marks, outs):
+    """SPMD body shared by both tree shapes: ``rounds`` broadcasts, then
     ``rounds`` all-reduces, each section fenced so node 0's marks bound
     completed operations on *every* node.  Contributions are small
-    integers — both algorithms must produce exactly equal floats."""
+    integers — both shapes must produce exactly equal floats."""
 
     def prog(proc) -> Generator[Any, Any, None]:
         me = proc.my_node
         bc: list[float] = []
         ar: list[float] = []
-        yield from ops["barrier"](proc)
+        yield from tree.barrier(me)
         if me == 0:
             marks["t0"] = cluster.sim.now
         for r in range(rounds):
-            bc.append((yield from ops["bcast"](proc, float(r + 1))))
-        yield from ops["barrier"](proc)
+            bc.append((yield from tree.bcast(me, 0, float(r + 1))))
+        yield from tree.barrier(me)
         if me == 0:
             marks["t1"] = cluster.sim.now
         for r in range(rounds):
-            ar.append((yield from ops["allreduce"](proc, float(me + r))))
-        yield from ops["barrier"](proc)
+            ar.append((yield from tree.allreduce(me, float(me + r))))
+        yield from tree.barrier(me)
         if me == 0:
             marks["t2"] = cluster.sim.now
         outs[me] = {"bcast": bc, "allreduce": ar}
@@ -286,38 +287,27 @@ def _collective_program(rounds: int, ops, cluster, marks, outs):
 def _measure_collectives(
     nprocs: int, radix: int, rounds: int, costs: CostModel
 ) -> list[TreePoint]:
+    """The same program over a flat tree (radix P−1) and a radix-``radix``
+    tree, each on a fresh cluster; where ``radix >= P−1`` the two shapes
+    are one and the columns are equal."""
     from repro.machine.cluster import Cluster
     from repro.rma.tree import TreeComm
     from repro.splitc import SplitCRuntime
-    from repro.splitc.collective import all_reduce_add, broadcast, ensure_scratch
 
     results: dict[str, dict] = {}
     timings: dict[str, dict[str, float]] = {}
-    for algo in ("linear", "tree"):
+    for shape, k in (("flat", max(1, nprocs - 1)), ("tree", radix)):
         cluster = Cluster(nprocs, costs=costs)
         rt = SplitCRuntime(cluster)
         marks: dict[str, float] = {}
         outs: dict[int, dict] = {}
-        if algo == "linear":
-            ensure_scratch(rt)
-            ops = {
-                "bcast": lambda proc, v: broadcast(proc, 0, v),
-                "allreduce": all_reduce_add,
-                "barrier": lambda proc: proc.barrier(),
-            }
-        else:
-            tree = TreeComm(rt.endpoints, radix=radix)
-            ops = {
-                "bcast": lambda proc, v: tree.bcast(proc.my_node, 0, v),
-                "allreduce": lambda proc, v: tree.allreduce(proc.my_node, v),
-                "barrier": lambda proc: tree.barrier(proc.my_node),
-            }
         rt.run_spmd(
-            _collective_program(rounds, ops, cluster, marks, outs),
-            name=f"coll-{algo}-{nprocs}",
+            _collective_program(rounds, TreeComm(rt.endpoints, radix=k),
+                                cluster, marks, outs),
+            name=f"coll-{shape}-{nprocs}",
         )
-        results[algo] = outs
-        timings[algo] = {
+        results[shape] = outs
+        timings[shape] = {
             "bcast": (marks["t1"] - marks["t0"]) / rounds,
             "allreduce": (marks["t2"] - marks["t1"]) / rounds,
         }
@@ -326,10 +316,10 @@ def _measure_collectives(
             op=op,
             nprocs=nprocs,
             radix=radix,
-            linear_us=timings["linear"][op],
+            flat_us=timings["flat"][op],
             tree_us=timings["tree"][op],
             match=all(
-                results["linear"][nid][op] == results["tree"][nid][op]
+                results["flat"][nid][op] == results["tree"][nid][op]
                 for nid in range(nprocs)
             ),
         )

@@ -28,7 +28,6 @@ _EXPORTS = {
     "Marshallable": "repro.marshal.serialize",
     "pack_object": "repro.marshal.serialize",
     "unpack_object": "repro.marshal.serialize",
-    "pack_fn_for": "repro.marshal.serialize",
     "marshal_args": "repro.marshal.serialize",
     "unmarshal_args": "repro.marshal.serialize",
     "register_serializer": "repro.marshal.serialize",

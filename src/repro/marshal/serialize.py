@@ -14,9 +14,7 @@ sizes this module reports.
 
 Dispatch is table-driven: each wire type has a pack function keyed by
 exact ``type()`` in :data:`_PACK` (subtypes resolved once, then cached)
-and an unpack function indexed by wire tag in :data:`_UNPACK`.  The RMI
-fast path looks pack functions up *per call site* via :func:`pack_fn_for`
-so a monomorphic call skips even the table probe.
+and an unpack function indexed by wire tag in :data:`_UNPACK`.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "register_serializer",
     "pack_object",
     "unpack_object",
-    "pack_fn_for",
     "marshal_args",
     "unmarshal_args",
 ]
@@ -201,14 +198,6 @@ def _resolve_pack(tp: type) -> Callable[[Packer, Any], None]:
         )
     _PACK[tp] = fn
     return fn
-
-
-def pack_fn_for(tp: type) -> Callable[[Packer, Any], None]:
-    """The pack function for exact type ``tp`` (resolving and caching it
-    if needed).  Used by dispatch-caching call sites (the RMI fused path)
-    that key on an argument-type tuple and want to skip per-call lookup."""
-    fn = _PACK.get(tp)
-    return fn if fn is not None else _resolve_pack(tp)
 
 
 def pack_object(p: Packer, obj: Any) -> None:

@@ -3,8 +3,9 @@
 The modern comparison point the paper could not measure: pMR-style
 remote memory access (``put``/``get``/``accumulate`` against registered
 memory windows) with *separate* local- and remote-completion
-notification, tree-based collectives replacing the linear O(P) patterns,
-and a multithreaded-injection mode (N sender threads sharing one NIC).
+notification, the runtimes' one collective library (radix-``k`` trees;
+radix P−1 is the flat root-to-every-peer shape), and a
+multithreaded-injection mode (N sender threads sharing one NIC).
 """
 
 from repro.rma.runtime import RMAHandle, RMAProcess, RMARuntime, RMAWindow, install_rma

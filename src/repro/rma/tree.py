@@ -1,23 +1,24 @@
-"""Tree-based collectives over the AM layer.
+"""Tree-based collectives over the AM layer: the one collective library.
 
-The library collectives (Split-C's root-push broadcast, the hosted
-``CCReducer``) are O(P) at the root: one message per peer, serialized on
-one NIC.  These replace that with a configurable-radix tree — O(log_k P)
-rounds, each node sending at most ``radix`` messages — the shape every
-modern collectives library (MPI, NCCL, UCC) settled on.
+A radix-``k`` tree takes O(log_k P) rounds, each node sending at most
+``k`` messages — the shape every modern collectives library (MPI, NCCL,
+UCC) settled on.  Radix P−1 is the flat tree: the root sends to every
+peer and every peer answers the root directly, O(P) messages through one
+NIC; the ``rma`` artifact times it beside the tree.
 
 Usable from any runtime that exposes its AM endpoints (Split-C, CC++,
 bare AM): construct one :class:`TreeComm` per endpoint set, then call
 ``bcast``/``reduce``/``allreduce``/``barrier`` from per-node threads
 under the usual SPMD contract (every node calls the same collectives in
-the same order; roots may differ per call).
+the same order; roots may differ per call).  Split-C's
+``all_store_sync`` (:mod:`repro.splitc.collective`) runs on one.
 
 Internally each operation gets an *epoch* from a per-node counter, and
 all tree state is keyed by epoch and popped when consumed — a late
-message for round *r* can never be confused with round *r+1*, the race
-class the linear collectives suffered from.  Broadcast relays happen in
-the AM handler itself (handler sends are credit-exempt), so an interior
-node forwards without its application thread being scheduled.
+message for round *r* can never be confused with round *r+1*.
+Broadcast relays happen in the AM handler itself (handler sends are
+credit-exempt), so an interior node forwards without its application
+thread being scheduled.
 """
 
 from __future__ import annotations

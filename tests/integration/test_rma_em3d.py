@@ -103,3 +103,20 @@ class TestArtifactCli:
             spec.validate({"radix": 0})
         with pytest.raises(ExperimentParamError, match="threads"):
             spec.validate({"threads": (0,)})
+
+
+class TestTreeVsFlat:
+    """The baseline column is a ``TreeComm`` at radix P−1: where the
+    measured radix is at least P−1 the two are one tree shape, so the
+    columns are equal to the bit."""
+
+    @pytest.mark.parametrize("radix", [2, 4])
+    def test_flat_equals_tree_where_the_shapes_agree(self, radix):
+        from repro.experiments import rma
+
+        result = rma.run(iters=1, procs=(1, 2, 3, 4, 5, 6), radix=radix, threads=(1,))
+        assert result.tree_matches()
+        same = [p for p in result.tree if p.radix >= p.nprocs - 1]
+        assert {p.nprocs for p in same} == {n for n in range(1, 7) if n - 1 <= radix}
+        assert all(p.flat_us == p.tree_us for p in same)
+        assert any(p.flat_us != p.tree_us for p in result.tree if p not in same)

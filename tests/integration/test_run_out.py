@@ -120,7 +120,7 @@ def report_dir(tmp_path_factory):
             contextlib.redirect_stderr(io.StringIO()):
         rc = main(["run", "all", "--iters", "5", "--out", str(root / "out"),
                    "--cache-dir", str(root / "cache")])
-    assert rc == 0  # 36/36 claims, 25/25 plans, tree = linear
+    assert rc == 0  # 36/36 claims, 25/25 plans, tree = flat
     return root / "out", root / "cache"
 
 

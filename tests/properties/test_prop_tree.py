@@ -1,7 +1,7 @@
 """Properties of the tree collectives over a faulted fabric.
 
 Over a lossy/jittery fabric with the reliable AM sublayer on, every
-collective still produces the exact linear-oracle values (reliability
+collective still produces the exact closed-form values (reliability
 restores ordered exactly-once delivery; the collectives sit entirely
 above it), and the same seed replays to the same virtual time.
 """

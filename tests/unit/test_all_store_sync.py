@@ -1,30 +1,27 @@
-"""Unit tests for Split-C ``all_store_sync`` and collective composition
-with in-flight application stores."""
-
-import pytest
+"""Unit tests for Split-C ``all_store_sync`` over a ``TreeComm`` and tree
+collective composition with in-flight application stores."""
 
 from repro.machine.cluster import Cluster
+from repro.rma.tree import TreeComm
 from repro.splitc import SplitCRuntime, collective
 
 
 def _runtime(n=4, region_size=16):
-    cluster = Cluster(n)
-    rt = SplitCRuntime(cluster)
-    collective.ensure_scratch(rt)
+    rt = SplitCRuntime(Cluster(n))
     for q in range(n):
         rt.memory(q).alloc("x", region_size)
-    return cluster, rt
+    return rt, TreeComm(rt.endpoints, radix=2)
 
 
 def test_all_store_sync_guarantees_delivery():
-    _, rt = _runtime()
+    rt, tree = _runtime()
 
     def program(proc):
         me = proc.my_node
         for q in range(proc.nprocs):
             if q != me:
                 yield from proc.store(proc.gptr(q, "x", me), float(me + 1))
-        yield from collective.all_store_sync(proc)
+        yield from collective.all_store_sync(proc, tree)
         arr = proc.local("x")
         return all(
             arr[q] == float(q + 1) for q in range(proc.nprocs) if q != me
@@ -34,17 +31,17 @@ def test_all_store_sync_guarantees_delivery():
 
 
 def test_all_store_sync_with_no_outstanding_stores():
-    _, rt = _runtime()
+    rt, tree = _runtime()
 
     def program(proc):
-        yield from collective.all_store_sync(proc)
+        yield from collective.all_store_sync(proc, tree)
         return True
 
     assert rt.run_spmd(program) == [True] * 4
 
 
 def test_all_store_sync_repeated_rounds():
-    _, rt = _runtime()
+    rt, tree = _runtime()
 
     def program(proc):
         me = proc.my_node
@@ -53,7 +50,7 @@ def test_all_store_sync_repeated_rounds():
             yield from proc.store(
                 proc.gptr(target, "x", round_no), float(me + 10 * round_no)
             )
-            yield from collective.all_store_sync(proc)
+            yield from collective.all_store_sync(proc, tree)
             src = (me - 1) % proc.nprocs
             assert proc.local("x")[round_no] == float(src + 10 * round_no)
         return True
@@ -63,8 +60,9 @@ def test_all_store_sync_repeated_rounds():
 
 def test_collectives_compose_with_bulk_app_stores():
     """Many application stores in flight must not corrupt a concurrent
-    collective round (the failure mode the flag slots exist to avoid)."""
-    _, rt = _runtime(region_size=64)
+    collective round: tree messages and stores share the fabric, not
+    any state."""
+    rt, tree = _runtime(region_size=64)
 
     def program(proc):
         me = proc.my_node
@@ -73,8 +71,8 @@ def test_collectives_compose_with_bulk_app_stores():
             for q in range(proc.nprocs):
                 if q != me:
                     yield from proc.store(proc.gptr(q, "x", me * 10 + k), 1.0)
-        total = yield from collective.all_reduce_add(proc, float(me))
-        yield from collective.all_store_sync(proc)
+        total = yield from tree.allreduce(me, float(me))
+        yield from collective.all_store_sync(proc, tree)
         landed = sum(
             proc.local("x")[q * 10 + k] == 1.0
             for q in range(proc.nprocs)
@@ -88,10 +86,21 @@ def test_collectives_compose_with_bulk_app_stores():
     assert all(landed == 30 for _, landed in results)
 
 
-def test_scratch_too_small_rejected():
-    cluster = Cluster(4)
-    rt = SplitCRuntime(cluster)
-    for q in range(4):
-        rt.memory(q).alloc(collective.SCRATCH_REGION, 2)
-    with pytest.raises(Exception):
-        collective.ensure_scratch(rt)
+def test_collective_traffic_is_not_counted_as_stores():
+    """The store counts ``all_store_sync`` compares see application
+    stores only: tree rounds (its own included) leave them unchanged."""
+    rt, tree = _runtime()
+
+    def program(proc):
+        me = proc.my_node
+        st = proc.rt.state(me)
+        yield from proc.store(proc.gptr((me + 1) % proc.nprocs, "x", 0), 1.0)
+        yield from collective.all_store_sync(proc, tree)
+        before = (st.stores_sent, st.stores_received)
+        for _ in range(3):
+            yield from tree.bcast(me, 1, 5.0)
+            yield from tree.allreduce(me, float(me))
+            yield from collective.all_store_sync(proc, tree)
+        return before, (st.stores_sent, st.stores_received)
+
+    assert rt.run_spmd(program) == [((1, 1), (1, 1))] * 4

@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.cache import ResultCache, default_cache_root
+from repro.experiments.rma import RmaResult, TreePoint
 from repro.experiments.scaling import ScalingPoint, ScalingResult
 from repro.experiments.table4 import Table4Result
 
@@ -150,6 +151,37 @@ class TestWrongShapedPayload:
         path.write_text(json.dumps(envelope), encoding="utf-8")
         assert c.load(spec, params) is None
         assert (c.misses, c.integrity_failures) == (1, 0)
+
+
+class TestRenamedField:
+    def test_pre_rename_rma_payload_is_recomputed(self, tmp_path):
+        """The key does not hash code, so a cached ``rma`` payload from
+        before ``TreePoint.linear_us`` became ``flat_us`` is still found
+        under its key.  It fails decoding: a miss, and the next run
+        recomputes the result and stores it over the stale one."""
+        from repro.service import ExperimentClient
+
+        spec = registry.get("rma")
+        params = spec.validate({"iters": 1, "procs": (2,), "threads": (1,)})
+        cache = ResultCache(tmp_path)
+        path = cache.store(
+            spec, params, RmaResult(tree=[TreePoint("bcast", 2, 2, 1.0, 1.0, True)])
+        )
+        envelope = json.loads(path.read_text())
+        point = envelope["result"]["tree"][0]
+        point["linear_us"] = point.pop("flat_us")
+        envelope["sha256"] = ResultCache._result_sha(envelope["result"])
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+        assert cache.load(spec, params) is None
+        assert (cache.misses, cache.integrity_failures) == (1, 0)
+
+        client = ExperimentClient.in_process(cache=cache, progress=lambda m: None)
+        (result,) = client.result(client.submit("rma", dict(params)))
+        assert result.all_ok and [p.op for p in result.tree] == ["bcast", "allreduce"]
+        assert cache.stores == 2
+        stored = json.loads(path.read_text())["result"]["tree"][0]
+        assert "flat_us" in stored and "linear_us" not in stored
+        assert cache.load(spec, params) == result
 
 
 class TestConcurrentWriters:

@@ -11,7 +11,7 @@ from repro.ccpp import (
     processor_class,
     remote,
 )
-from repro.ccpp.collective import CCBarrier, CCReducer
+from repro.ccpp.collective import CCBarrier
 from repro.errors import SimulationError
 from repro.machine.cluster import Cluster
 from repro.sim.account import CounterNames
@@ -333,21 +333,6 @@ class TestCollectives:
         rt.launch(1, program)
         rt.run()
         assert epochs == [1, 2, 3]
-
-    def test_reducer_sums_contributions(self):
-        rt = _rt(3)
-        red_id = rt._create_local(0, "CCReducer", (3,))
-        gp = ObjectGlobalPtr(0, red_id, "CCReducer")
-        totals = {}
-
-        def program(ctx):
-            total = yield from ctx.rmi(gp, "contribute", float(ctx.my_node + 1))
-            totals[ctx.my_node] = total
-
-        for nid in range(3):
-            rt.launch(nid, program)
-        rt.run()
-        assert set(totals.values()) == {6.0}
 
 
 class TestPar:

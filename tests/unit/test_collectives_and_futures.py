@@ -1,7 +1,6 @@
-"""Unit tests for Split-C library collectives, CC++ futures, and AM flow
-control / interrupt reception."""
+"""Unit tests for Split-C programs' tree collectives, CC++ futures, and
+AM flow control / interrupt reception."""
 
-import numpy as np
 import pytest
 
 from repro.am import install_am
@@ -9,71 +8,59 @@ from repro.ccpp import CCppRuntime, ProcessorObject, processor_class, remote
 from repro.machine.cluster import Cluster
 from repro.machine.costs import SP2_COSTS
 from repro.sim.account import Category, CounterNames
+from repro.rma.tree import TreeComm
 from repro.sim.effects import Charge
-from repro.splitc import SplitCRuntime, collective
+from repro.splitc import SplitCRuntime
 
 
 def _sc_runtime(n=4):
-    cluster = Cluster(n)
-    rt = SplitCRuntime(cluster)
-    collective.ensure_scratch(rt)
-    return cluster, rt
+    rt = SplitCRuntime(Cluster(n))
+    return rt, TreeComm(rt.endpoints, radix=2)
 
 
 class TestSplitCCollectives:
+    """Values the grid tests in ``test_tree_collectives`` do not use:
+    non-roots hold a different value than the root, and contributions
+    are distinct powers of two, so a dropped or doubled one shows."""
+
     def test_broadcast(self):
-        _, rt = _sc_runtime()
+        rt, tree = _sc_runtime()
 
         def program(proc):
             value = 42.5 if proc.my_node == 1 else -1.0
-            return (yield from collective.broadcast(proc, 1, value))
+            return (yield from tree.bcast(proc.my_node, 1, value))
 
         assert rt.run_spmd(program) == [42.5] * 4
 
     def test_reduce_add(self):
-        _, rt = _sc_runtime()
+        rt, tree = _sc_runtime()
 
         def program(proc):
-            return (yield from collective.reduce_add(proc, 0, float(proc.my_node + 1)))
+            return (yield from tree.reduce(proc.my_node, 0, float(2 ** proc.my_node)))
 
-        results = rt.run_spmd(program)
-        assert results[0] == 10.0
-        assert results[1:] == [None, None, None]
+        assert rt.run_spmd(program) == [15.0, None, None, None]
 
     def test_all_reduce_add(self):
-        _, rt = _sc_runtime()
+        rt, tree = _sc_runtime()
 
         def program(proc):
-            return (yield from collective.all_reduce_add(proc, float(2 ** proc.my_node)))
+            return (yield from tree.allreduce(proc.my_node, float(2 ** proc.my_node)))
 
         assert rt.run_spmd(program) == [15.0] * 4
 
-    def test_all_gather(self):
-        _, rt = _sc_runtime()
-
-        def program(proc):
-            return (yield from collective.all_gather(proc, float(10 * proc.my_node)))
-
-        for vec in rt.run_spmd(program):
-            assert np.array_equal(vec, [0.0, 10.0, 20.0, 30.0])
-
     def test_repeated_collectives(self):
-        _, rt = _sc_runtime()
+        rt, tree = _sc_runtime()
 
         def program(proc):
             total = 0.0
             for round_no in range(3):
-                total += yield from collective.all_reduce_add(
-                    proc, float(proc.my_node + round_no)
+                total += yield from tree.allreduce(
+                    proc.my_node, float(proc.my_node + round_no)
                 )
             return total
 
         # round sums: 0+1+2+3=6, then 10, then 14 -> 30
         assert rt.run_spmd(program) == [30.0] * 4
-
-    def test_ensure_scratch_idempotent(self):
-        _, rt = _sc_runtime()
-        collective.ensure_scratch(rt)  # second call is a no-op
 
 
 @processor_class

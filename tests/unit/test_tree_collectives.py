@@ -1,10 +1,11 @@
 """Tree collectives: O(log P) bcast/reduce/allreduce/barrier.
 
-The correctness bar is *equality with the linear collectives* over the
-whole (P, radix, root) grid — every node must see exactly the values the
-linear library versions produce (contributions are small integers, so
-float equality is exact) — plus the geometry invariants the rounds rest
-on, and a ``TreeComm`` over either runtime's endpoints (Split-C and CC++).
+The correctness bar is the closed-form value over the whole
+(P, radix, root) grid — every node must see the root's broadcast value
+and the exact global sum (contributions are small integers, so float
+equality is exact); radix P−1 and above is the flat tree — plus the
+geometry invariants the rounds rest on, and a ``TreeComm`` over either
+runtime's endpoints (Split-C and CC++).
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ def _run_tree_splitc(n: int, radix: int, root: int):
 
 
 class TestGridEqualsLinear:
-    """The linear collectives are the oracle: bcast returns the root's
-    value everywhere, allreduce the global sum everywhere."""
+    """Closed-form values are the oracle: bcast returns the root's value
+    everywhere, allreduce the global sum everywhere, at every radix from
+    the chain (1) to the flat tree (P−1 and above)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
     @pytest.mark.parametrize("radix", [1, 2, 3, 4])
@@ -81,8 +83,8 @@ class TestGridEqualsLinear:
             assert outs == {nid: (42.0, total) for nid in range(n)}
 
     def test_multiple_rounds_pipeline_cleanly(self):
-        """Epoch state must isolate successive operations (the round-
-        overwrite race class the linear reducer suffered from)."""
+        """Epoch state must isolate successive operations: a message for
+        round r is never read as round r+1's."""
         cluster = Cluster(5)
         rt = SplitCRuntime(cluster)
         tree = TreeComm(rt.endpoints, radix=2)
